@@ -76,6 +76,9 @@ FORWARD_BATCHES = (1, 2, 4, 8, 16)
 #: Timed repetitions per (batch, dtype) point, best-of.
 FORWARD_REPEATS = 5
 
+#: Timed serial potential evaluations (``relax_eval_ms``), best-of.
+RELAX_EVAL_REPEATS = 20
+
 #: Gate: per-candidate time at the largest swept batch must amortize to
 #: at most this fraction of the unbatched (B=1) per-candidate time.
 #: The observed amortization is far stronger; 0.9 only asserts that
@@ -198,7 +201,10 @@ def measure_forward() -> dict:
     OTA1 across :data:`FORWARD_BATCHES` in both execution dtypes, and
     records the parity numbers the serving contract promises: float64
     blocked output vs the unbatched seed forward (< 1e-10) and float32
-    vs float64 (relative, gated at ``FLOAT32_PARITY_RTOL``).
+    vs float64 (relative, gated at ``FLOAT32_PARITY_RTOL``).  Also
+    times relaxation's unit of work, one serial
+    ``PotentialFunction.value_and_grad`` (forward and ``dV/dC``
+    backward) on OTA1, as ``relax_eval_ms``.
     """
     circuit = build_benchmark("OTA1")
     placement = place_benchmark(circuit, variant="A", seed=0, iterations=150)
@@ -235,12 +241,22 @@ def measure_forward() -> dict:
     f32_rel = float((np.abs(out32 - blocked)
                      / np.maximum(1.0, np.abs(blocked))).max())
 
+    potential = PotentialFunction(model64, graph)
+    point = pool[0].reshape(-1)
+    potential.value_and_grad(point)  # warm the statics cache
+    relax_best = float("inf")
+    for _ in range(RELAX_EVAL_REPEATS):
+        start = time.perf_counter()
+        potential.value_and_grad(point)
+        relax_best = min(relax_best, time.perf_counter() - start)
+
     b1 = per_candidate["float64"][str(FORWARD_BATCHES[0])]
     b_max = per_candidate["float64"][str(batch_max)]
     return {
         "circuit": "OTA1",
         "batch_sweep": list(FORWARD_BATCHES),
         "per_candidate_ms": per_candidate,
+        "relax_eval_ms": round(relax_best * 1e3, 4),
         "amortized_ratio": round(b_max / b1, 3),
         "float64_blocked_vs_unbatched_max_abs": f64_abs,
         "float32_vs_float64_max_rel": f32_rel,
@@ -251,7 +267,8 @@ def measure_forward() -> dict:
 
 def check_forward(forward: dict, baseline: dict | None,
                   max_ratio: float = 3.0) -> list[str]:
-    """Forward-section gates: parity contracts plus amortization."""
+    """Forward-section gates: parity contracts, amortization, and the
+    baseline ratio on every timed point (``relax_eval_ms`` included)."""
     problems: list[str] = []
     if forward["float64_blocked_vs_unbatched_max_abs"] >= 1e-10:
         problems.append(
@@ -271,6 +288,14 @@ def check_forward(forward: dict, baseline: dict | None,
             f"(gate: <= {FORWARD_MAX_AMORTIZED_RATIO})")
     if baseline is None or "forward" not in baseline:
         return problems
+    base_relax = baseline["forward"].get("relax_eval_ms")
+    if (base_relax is not None
+            and forward["relax_eval_ms"] > float(base_relax) * max_ratio):
+        problems.append(
+            f"relaxation eval regressed "
+            f"{forward['relax_eval_ms'] / float(base_relax):.1f}x "
+            f"({base_relax} -> {forward['relax_eval_ms']} ms, "
+            f"limit {max_ratio:.1f}x)")
     base = baseline["forward"].get("per_candidate_ms", {})
     for dtype_name, points in base.items():
         for key, base_ms in points.items():
@@ -473,7 +498,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  forward: B={fwd['batch_sweep'][-1]} amortizes to "
           f"{fwd['amortized_ratio']}x the B=1 per-candidate time "
           f"(f64 parity {fwd['float64_blocked_vs_unbatched_max_abs']:.1e}, "
-          f"f32 rel {fwd['float32_vs_float64_max_rel']:.1e})")
+          f"f32 rel {fwd['float32_vs_float64_max_rel']:.1e}); "
+          f"relaxation eval {fwd['relax_eval_ms']} ms")
     ing = payload["ingest"]
     print(f"  ingest: {ing['files']} corpus files / {ing['cards']} cards "
           f"in {ing['seconds']}s ({ing['cards_per_second']} cards/s)")

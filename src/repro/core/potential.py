@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graph.hetero import HeteroGraph
 from repro.model.gnn3d import Gnn3d
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, frozen, no_grad
 from repro.reliability.errors import RelaxationError
 from repro.simulation.metrics import FoMWeights
 
@@ -46,6 +46,13 @@ class PotentialStats:
 class PotentialFunction:
     """Differentiable potential over flattened guidance vectors.
 
+    Evaluations hold the model fixed (``f_theta`` is trained; Eq. 7-8
+    optimize ``C`` alone): each forward-backward runs under
+    :class:`repro.nn.frozen` over the model's parameters, so the tape
+    records only guidance-dependent nodes and the backward computes
+    ``dV/dC`` and no weight gradient.  The parameters' ``.grad`` and
+    ``requires_grad`` flags are as they were after every evaluation.
+
     Args:
         model: trained 3DGNN.
         graph: the design's heterogeneous graph (``G_H^val`` in Eq. 7).
@@ -72,6 +79,7 @@ class PotentialFunction:
         self.c_max = c_max
         self.barrier_r = barrier_r
         self._w_signed = self.weights.as_signed_vector()
+        self._params = model.parameters()
         self.stats = PotentialStats()
 
     @property
@@ -105,10 +113,11 @@ class PotentialFunction:
 
         self.stats.forwards += 1
         c = Tensor(c_arr, requires_grad=True)
-        pred = self.model(self.graph, c)
-        fom = (pred * Tensor(self._w_signed)).sum()
-        total = fom + self.barrier(c)
-        total.backward()
+        with frozen(self._params):
+            pred = self.model(self.graph, c)
+            fom = (pred * Tensor(self._w_signed)).sum()
+            total = fom + self.barrier(c)
+            total.backward()
         value = total.item()
         grad = c.grad.reshape(-1).copy()
         if not np.isfinite(value) or not np.isfinite(grad).all():
@@ -156,17 +165,19 @@ class PotentialFunction:
         self.stats.forwards += 1
         c = Tensor(c_safe.reshape(batch, self.graph.num_aps, 3),
                    requires_grad=True)
-        # Explicitly the cache-blocked batched forward: relaxation waves
-        # (pool sizes 6/12 by default) ride the same per-(graph, B)
-        # union plans the scoring service uses.
-        pred = self.model.forward_batch(self.graph, c)  # (B, num_metrics)
-        fom = (pred * Tensor(np.tile(self._w_signed, (batch, 1)))).sum(axis=1)
-        flat = c.reshape(batch, self.num_variables)
-        barrier = (flat.log()
-                   + (Tensor(np.array(self.c_max)) - flat).log()
-                   ).sum(axis=1) * (-self.barrier_r)
-        total = fom + barrier  # (B,)
-        total.sum().backward()
+        with frozen(self._params):
+            # Explicitly the cache-blocked batched forward: relaxation
+            # waves (pool sizes 6/12 by default) ride the same
+            # per-(graph, B) union plans the scoring service uses.
+            pred = self.model.forward_batch(self.graph, c)  # (B, metrics)
+            fom = (pred * Tensor(np.tile(self._w_signed, (batch, 1)))
+                   ).sum(axis=1)
+            flat = c.reshape(batch, self.num_variables)
+            barrier = (flat.log()
+                       + (Tensor(np.array(self.c_max)) - flat).log()
+                       ).sum(axis=1) * (-self.barrier_r)
+            total = fom + barrier  # (B,)
+            total.sum().backward()
         values = total.numpy().astype(float).copy()
         grads = c.grad.reshape(batch, self.num_variables).copy()
         if not np.isfinite(values).all() or not np.isfinite(grads).all():

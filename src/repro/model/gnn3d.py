@@ -22,17 +22,12 @@ from repro.nn import (
     MLP,
     Module,
     RBFExpansion,
+    Scatter,
     Tensor,
     concat,
     segment_sum,
-    segment_sum_csr,
 )
-from repro.perf.cache import (
-    BatchedStatics,
-    ForwardCacheStore,
-    GraphStatics,
-    UnionBlockPlan,
-)
+from repro.perf.cache import BatchedStatics, ForwardCacheStore, GraphStatics
 
 #: Default cache-block size of the blocked batched forward: replicas per
 #: union processed before moving to the next block.  Per-candidate cost
@@ -83,7 +78,7 @@ class _MessageBlock(Module):
         self.dist_mlp = MLP([dist_dim, hidden], rng)
         self.out_mlp = MLP([hidden, hidden], rng)
 
-    def forward(self, h: Tensor, src: np.ndarray, dist_feat: Tensor) -> Tensor:
+    def forward(self, h: Tensor, src: Scatter, dist_feat: Tensor) -> Tensor:
         gathered = h.gather_rows(src)
         return self.out_mlp(self.src_mlp(gathered) * self.dist_mlp(dist_feat))
 
@@ -106,25 +101,15 @@ class _PassingLayer(Module):
     def forward(
         self,
         h: Tensor,
-        edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]],
+        edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
         dist_feats: dict[EdgeType, Tensor],
-        num_nodes: int,
-        plan: UnionBlockPlan | None = None,
     ) -> Tensor:
         aggregated = None
         for edge_type, (src, dst) in edge_cache.items():
             if len(src) == 0:
                 continue
             messages = self.blocks[edge_type](h, src, dist_feats[edge_type])
-            if plan is not None:
-                # Edges (and therefore message rows) are dst-sorted in a
-                # block plan: aggregate with one contiguous reduceat
-                # sweep instead of a bincount scatter.
-                summed = segment_sum_csr(
-                    messages, plan.seg_nodes[edge_type],
-                    plan.seg_starts[edge_type], dst, num_nodes)
-            else:
-                summed = segment_sum(messages, dst, num_nodes)
+            summed = segment_sum(messages, dst)
             aggregated = summed if aggregated is None else aggregated + summed
         if aggregated is None:
             return h
@@ -217,7 +202,7 @@ class Gnn3d(Module):
         h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
 
         for layer in self.layers:
-            h = layer(h, statics.edge_cache, dist_feats, graph.num_nodes)
+            h = layer(h, statics.edge_cache, dist_feats)
         return self.head(h)
 
     def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
@@ -226,18 +211,19 @@ class Gnn3d(Module):
 
         The candidates are processed in blocks of at most ``block``
         (default :data:`DEFAULT_CACHE_BLOCK`) replicas; each block runs
-        the complete fused RBF -> message -> segment-sum pass over its
-        own CSR-contiguous union
+        the complete fused RBF -> message -> segment-sum -> readout pass
+        over its own union
         (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
         the next block starts, so the per-block working set stays
         L2-resident regardless of ``B``.  Gradients flow to ``guidance``
-        exactly as in :meth:`forward_union` — block outputs concatenate
+        exactly as in :meth:`forward_union` — block readouts concatenate
         and block backward passes scatter into the corresponding
         guidance slices.
 
         Parity contract: float64 results match the unbatched forward to
-        <1e-10 per row (CSR reordering changes summation order, so not
-        bitwise); the float32 scoring path is gated at
+        <1e-10 per row (not bitwise: the readout pools by segment sum
+        where the unbatched head sums with numpy's pairwise ``sum``);
+        the float32 scoring path is gated at
         :data:`repro.serve.registry.FLOAT32_PARITY_RTOL`.
         """
         batch = guidance.shape[0]
@@ -249,23 +235,24 @@ class Gnn3d(Module):
         if block is None:
             block = DEFAULT_CACHE_BLOCK
         plan = self.cache.union_plan(graph, batch, block)
-        outs = []
+        pooled = []
         for (start, stop), block_plan in zip(plan.slices, plan.plans):
             sub = (guidance if stop - start == batch
                    else guidance[start:stop])
-            outs.append(self._forward_union(graph, sub, block_plan))
-        if len(outs) == 1:
-            return outs[0]
-        return concat(outs, axis=0)
+            pooled.append(self._readout_union(graph, sub, block_plan))
+        # The metric head runs once over every block's pooled rows.  Run
+        # per block, a remainder block of one would be a one-row product,
+        # which BLAS computes as gemv and rounds differently from the
+        # multi-row gemm, so equal candidates could score apart by block.
+        return self.head.fc(pooled[0] if len(pooled) == 1
+                            else concat(pooled, axis=0))
 
     def forward_union(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
         """One forward over a single union of all ``B`` replicas at once.
 
-        The pre-blocking reference path: no cache blocking, edges in
-        plan (unsorted) order, bincount aggregation — bit-identical to
-        what ``forward`` produced for 3-D guidance before blocking
-        existed.  Kept as the parity baseline for the blocked path and
-        for working sets known to fit cache.
+        The pre-blocking reference path: the blocked forward with one
+        block of all ``B`` replicas.  Kept as the parity baseline for the
+        blocked path and for working sets known to fit cache.
         """
         batch = guidance.shape[0]
         if guidance.shape != (batch, graph.num_aps, 3):
@@ -273,27 +260,24 @@ class Gnn3d(Module):
                 f"guidance shape {guidance.shape} != "
                 f"({batch}, {graph.num_aps}, 3)"
             )
-        return self._forward_union(graph, guidance,
-                                   self.cache.batched(graph, batch))
+        return self.head.fc(self._readout_union(
+            graph, guidance, self.cache.batched(graph, batch)))
 
-    def _forward_union(self, graph: HeteroGraph, guidance: Tensor,
+    def _readout_union(self, graph: HeteroGraph, guidance: Tensor,
                        plan: BatchedStatics) -> Tensor:
-        """Forward ``plan.batch`` replicas over one block-diagonal union.
+        """Pooled embeddings of ``plan.batch`` replicas over one union.
 
         The union keeps all APs first (replica-major), mirroring the
         unbatched ``concat([aps, modules])`` node layout, so the flattened
         ``(b * num_aps, 3)`` guidance stack indexes it directly.  Replicas
         share parameters but exchange no messages (no cross-replica
-        edges), so row ``b`` of the output equals the unbatched forward of
-        candidate ``b`` up to floating-point summation order.  A
-        :class:`UnionBlockPlan` routes aggregation through the contiguous
-        CSR reduction; a plain :class:`BatchedStatics` keeps the bincount
-        path.
+        edges), and every replica keeps the graph's edge order, so row
+        ``b`` equals the unbatched readout of candidate ``b`` up to the
+        pooling sum's order.
         """
         batch = plan.batch
         dtype = guidance.data.dtype
         plan = plan.as_dtype(dtype)
-        block_plan = plan if isinstance(plan, UnionBlockPlan) else None
         flat = guidance.reshape(batch * graph.num_aps, 3)
         guidance_all = (
             concat([flat, Tensor(plan.neutral_guidance)], axis=0)
@@ -306,9 +290,8 @@ class Gnn3d(Module):
         h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
 
         for layer in self.layers:
-            h = layer(h, plan.edge_cache, dist_feats, plan.num_nodes,
-                      plan=block_plan)
-        return self.head(h, graph_ids=plan.graph_ids, num_graphs=batch)
+            h = layer(h, plan.edge_cache, dist_feats)
+        return self.head.readout(h, pool=plan.pool)
 
     @staticmethod
     def _features(features: np.ndarray, dtype: np.dtype) -> Tensor:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import MLP, Module, Tensor, segment_sum
+from repro.nn import MLP, Module, Scatter, Tensor, segment_sum
 
 #: Number of predicted metrics (offset, CMRR, UGB, gain, noise).
 NUM_METRICS = 5
@@ -26,34 +26,33 @@ class ReadoutHead(Module):
         self.fc = MLP([hidden, hidden, num_metrics], rng)
         self.num_metrics = num_metrics
 
-    def forward(
-        self,
-        node_embeddings: Tensor,
-        graph_ids: np.ndarray | None = None,
-        num_graphs: int = 1,
-    ) -> Tensor:
-        """Predict normalized metrics from final node embeddings.
+    def readout(self, node_embeddings: Tensor,
+                pool: Scatter | None = None) -> Tensor:
+        """Pooled graph embeddings ``u`` from final node embeddings.
 
         Args:
             node_embeddings: (num_nodes, hidden) tensor after L layers of
                 message passing.  For a batched (disjoint-union) forward
-                this holds ``num_graphs`` replicas' nodes.
-            graph_ids: per-node graph id for batched pooling; ``None``
-                pools all nodes into a single graph.
-            num_graphs: number of graphs in the union when ``graph_ids``
-                is given.
+                this holds several replicas' nodes.
+            pool: for batched pooling, the scatter of each node into its
+                graph (one segment per graph); ``None`` pools all nodes
+                into a single graph.
 
         Returns:
-            Length-``num_metrics`` tensor of predictions, or a
-            ``(num_graphs, num_metrics)`` tensor when ``graph_ids`` is
+            ``(1, hidden)``, or ``(num_graphs, hidden)`` when ``pool`` is
             given.
         """
         per_node = self.node_mlp(node_embeddings)
-        if graph_ids is None:
+        if pool is None:
             pooled = per_node.sum(axis=0) * (1.0 / max(len(node_embeddings), 1))
-            return self.fc(pooled.reshape(1, -1)).reshape(-1)
-        nodes_per_graph = len(node_embeddings) // max(num_graphs, 1)
-        pooled = segment_sum(per_node, graph_ids, num_graphs) * (
-            1.0 / max(nodes_per_graph, 1)
-        )
-        return self.fc(pooled)
+            return pooled.reshape(1, -1)
+        nodes_per_graph = len(node_embeddings) // max(pool.num_segments, 1)
+        return segment_sum(per_node, pool) * (1.0 / max(nodes_per_graph, 1))
+
+    def forward(self, node_embeddings: Tensor) -> Tensor:
+        """Length-``num_metrics`` predictions for one graph's nodes.
+
+        Batched forwards pool each block with :meth:`readout` and run
+        :attr:`fc` once over all pooled rows.
+        """
+        return self.fc(self.readout(node_embeddings)).reshape(-1)

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.graph.hetero import HeteroGraph
 from repro.model.gnn3d import Gnn3d
-from repro.nn import Adam, Tensor
+from repro.nn import Adam, Tensor, no_grad
 from repro.obs import NULL_CONTEXT, RunContext
 
 
@@ -89,12 +89,13 @@ class Trainer:
 
     def evaluate(self, samples: list[TrainSample],
                  graph: HeteroGraph | None = None) -> float:
-        """Mean L2 loss over samples (no gradient)."""
+        """Mean L2 loss over samples (no gradient: runs tape-free)."""
         if not samples:
             return float("nan")
         total = 0.0
-        for sample in samples:
-            total += self._sample_loss(sample, graph=graph).item()
+        with no_grad():
+            for sample in samples:
+                total += self._sample_loss(sample, graph=graph).item()
         return total / len(samples)
 
     def fit(self, samples: list[TrainSample]) -> TrainHistory:
@@ -197,8 +198,10 @@ class Trainer:
 
                 if val:
                     total = 0.0
-                    for graph, sample in val:
-                        total += self._sample_loss(sample, graph=graph).item()
+                    with no_grad():
+                        for graph, sample in val:
+                            total += self._sample_loss(
+                                sample, graph=graph).item()
                     val_loss = total / len(val)
                     self.history.val_loss.append(val_loss)
                     span.set(val_loss=val_loss)

@@ -5,28 +5,29 @@ tape-based autograd (DESIGN.md section 2).  Autograd is load-bearing beyond
 training: potential relaxation (Section 4.3) needs ``dV/dC`` through the
 trained network, which falls out of the same machinery by marking the
 guidance tensor ``requires_grad``.
+
+Two context managers shape the tape.  ``no_grad`` turns it off: scoring
+forwards record nothing.  ``frozen(params)`` holds a parameter list
+fixed: relaxation's forward-backward records only the nodes that depend
+on the guidance, so it computes ``dV/dC`` and no weight gradient.
 """
 
-from repro.nn.functional import (
-    concat,
-    segment_sum,
-    segment_sum_csr,
-    stack,
-    where_positive,
-)
+from repro.nn.functional import concat, segment_sum, stack, where_positive
 from repro.nn.modules import MLP, Linear, Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.rbf import RBFExpansion
 from repro.nn.serialization import load_state, save_state
-from repro.nn.tensor import Tensor, as_tensor, no_grad
+from repro.nn.scatter import Scatter
+from repro.nn.tensor import Tensor, as_tensor, frozen, no_grad
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "no_grad",
+    "frozen",
     "concat",
+    "Scatter",
     "segment_sum",
-    "segment_sum_csr",
     "stack",
     "where_positive",
     "Module",

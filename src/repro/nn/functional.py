@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.scatter import Scatter
 from repro.nn.tensor import Tensor, as_tensor
 
 
@@ -38,83 +39,24 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_data, parents=tuple(ts), backward=backward)
 
 
-def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``values`` into ``num_segments`` buckets.
+def segment_sum(values: Tensor, scatter: Scatter) -> Tensor:
+    """Sum rows of ``values`` into the segments of ``scatter``.
 
     The GNN aggregation primitive: message rows with the same segment id
-    (receiver node) sum into that node's slot.  Gradient is a row gather.
+    (receiver node) sum into that node's slot, through the prebuilt
+    :class:`~repro.nn.scatter.Scatter` operator of the ids.  Gradient is
+    a row gather.
     """
     values = as_tensor(values)
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim != 1 or len(ids) != values.shape[0]:
-        raise ValueError(
-            f"segment_ids must be 1-D with length {values.shape[0]}, got {ids.shape}"
-        )
-    if len(ids) and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ValueError("segment id out of range")
-    out_shape = (num_segments,) + values.shape[1:]
-    dtype = values.data.dtype
-    if values.data.ndim == 2 and len(ids):
-        # Column-wise bincount beats the unbuffered np.add.at scatter by
-        # >2x on GNN-message shapes and accumulates in the same sequential
-        # index order, so the result is bit-identical.
-        cols = np.ascontiguousarray(values.data.T)
-        out_t = np.empty((values.shape[1], num_segments), dtype=dtype)
-        for j in range(out_t.shape[0]):
-            out_t[j] = np.bincount(ids, weights=cols[j], minlength=num_segments)
-        out_data = np.ascontiguousarray(out_t.T)
-    else:
-        out_data = np.zeros(out_shape, dtype=dtype)
-        np.add.at(out_data, ids, values.data)
+    if values.ndim == 0 or len(values) != len(scatter):
+        raise ValueError(f"segment ids cover {len(scatter)} rows, values "
+                         f"have shape {values.shape}")
+    ids = scatter.ids
 
     def backward(grad: np.ndarray) -> None:
         values._accumulate(grad[ids])
 
-    return Tensor(out_data, parents=(values,), backward=backward)
-
-
-def segment_sum_csr(values: Tensor, seg_nodes: np.ndarray,
-                    seg_starts: np.ndarray, sorted_ids: np.ndarray,
-                    num_segments: int) -> Tensor:
-    """Segment sum over rows pre-sorted by segment id (CSR layout).
-
-    The blocked GNN forward's aggregation primitive: message rows come
-    out of the plan already grouped by receiving node, so one contiguous
-    ``np.add.reduceat`` sweep replaces :func:`segment_sum`'s per-column
-    bincount scatter.  ``seg_nodes``/``seg_starts`` are the plan's
-    precomputed distinct receivers and row offsets
-    (:class:`repro.perf.cache.UnionBlockPlan`); ``sorted_ids`` is the
-    full dst-sorted id array the gradient gather needs.  Reduceat sums
-    left to right within each segment — same order as bincount over the
-    sorted rows — but the sort itself reorders same-receiver messages,
-    so results match :func:`segment_sum` on unsorted edges only to
-    summation-order tolerance, not bitwise.
-    """
-    values = as_tensor(values)
-    ids = np.asarray(sorted_ids, dtype=np.int64)
-    if ids.ndim != 1 or len(ids) != values.shape[0]:
-        raise ValueError(
-            f"sorted_ids must be 1-D with length {values.shape[0]}, "
-            f"got {ids.shape}"
-        )
-    if len(seg_nodes) != len(seg_starts):
-        raise ValueError(
-            f"seg_nodes/seg_starts length mismatch: "
-            f"{len(seg_nodes)} != {len(seg_starts)}"
-        )
-    if len(seg_nodes) and (seg_nodes.min() < 0
-                           or seg_nodes.max() >= num_segments):
-        raise ValueError("segment id out of range")
-    out_data = np.zeros((num_segments,) + values.shape[1:],
-                        dtype=values.data.dtype)
-    if len(seg_nodes):
-        out_data[seg_nodes] = np.add.reduceat(values.data, seg_starts,
-                                              axis=0)
-
-    def backward(grad: np.ndarray) -> None:
-        values._accumulate(grad[ids])
-
-    return Tensor(out_data, parents=(values,), backward=backward)
+    return Tensor(scatter(values.data), parents=(values,), backward=backward)
 
 
 def where_positive(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

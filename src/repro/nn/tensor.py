@@ -8,9 +8,11 @@ accumulate into ``.grad`` on tensors created with ``requires_grad=True``.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.nn.scatter import Scatter
 
 
 #: Global tape switch (see :class:`no_grad`).
@@ -39,6 +41,35 @@ class no_grad:
     def __exit__(self, *exc_info) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
+
+
+class frozen:
+    """Context manager that holds a list of tensors fixed for the tape.
+
+    Inside the context every listed tensor (typically a model's
+    parameters) has ``requires_grad=False``, so a new tensor records a
+    backward only when it depends on some other grad-requiring input;
+    unlike :class:`no_grad` the tape stays on.  Potential relaxation
+    differentiates the trained model with respect to its guidance
+    alone: under ``frozen(params)`` the backward skips every weight
+    gradient and the parameter-only subgraph, leaves the parameters'
+    ``.grad`` untouched, and computes bitwise the input gradient a full
+    backward would.  On exit each tensor gets its own flag back, also
+    when the body raises.
+    """
+
+    def __init__(self, tensors: Sequence["Tensor"]) -> None:
+        self.tensors = tensors
+
+    def __enter__(self) -> "frozen":
+        self._flags = [t.requires_grad for t in self.tensors]
+        for t in self.tensors:
+            t.requires_grad = False
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for t, flag in zip(self.tensors, self._flags):
+            t.requires_grad = flag
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -124,7 +155,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape, self.data.dtype)
         self.grad += grad
 
     def zero_grad(self) -> None:
@@ -395,15 +426,25 @@ class Tensor:
 
         return Tensor(out_data, parents=(self,), backward=backward)
 
-    def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows by integer index (supports repeats)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[idx]
+    def gather_rows(self, indices: "np.ndarray | Scatter") -> "Tensor":
+        """Select rows by integer index (supports repeats).
+
+        ``indices`` is an index array or a prebuilt
+        :class:`~repro.nn.scatter.Scatter` over this tensor's rows, whose
+        ids are the index; the backward scatters the gradient rows back
+        through it.  Hot paths pass the operator their forward cache
+        built; an array builds one on the spot.
+        """
+        scatter = (indices if isinstance(indices, Scatter)
+                   else Scatter(indices, len(self.data), self.data.dtype))
+        if scatter.num_segments != len(self.data):
+            raise ValueError(
+                f"scatter over {scatter.num_segments} rows gathers from a "
+                f"tensor of {len(self.data)}")
+        out_data = self.data[scatter.ids]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, grad)
-            self._accumulate(full)
+            self._accumulate(scatter(grad))
 
         return Tensor(out_data, parents=(self,), backward=backward)
 

@@ -10,6 +10,10 @@ evaluation; everything in that pass that does not depend on the guidance
   ``|pos[dst] - pos[src]|`` decomposition that guidance merely reweights;
 * the plain Euclidean distances used when ``use_cost_distance`` is off
   (fully static, so the whole Eq. 2-3 input is cacheable);
+* one prebuilt CSR scatter operator (:class:`repro.nn.Scatter`) per
+  edge endpoint array, which serves every segment sum of the forward
+  (message aggregation, batched readout pooling) and every row-gather
+  backward, so index ranges are checked once per build;
 * the **disjoint-union batching plan**: to evaluate ``B`` guidance
   candidates in one forward, the graph is replicated ``B`` times into one
   block-diagonal graph.  Union node layout: access point ``(b, a)`` maps
@@ -34,9 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
+from repro.nn.scatter import Scatter
 
-#: Per-entry cap on cached per-``B`` plans (batched statics, block plans,
-#: union plans each have their own LRU of this size).  Eviction is
+#: Per-entry cap on cached per-``B`` plans (batched statics and union
+#: plans each have their own LRU of this size).  Eviction is
 #: strictly LRU — a hit refreshes recency and capacity evicts only the
 #: stalest plan, never the whole plan dict at once (wholesale clearing
 #: made alternation across ``MAX_PLANS_PER_GRAPH + 1`` batch sizes
@@ -75,12 +80,14 @@ class GraphStatics:
     """Per-graph static geometry shared by every forward pass.
 
     Attributes:
-        edge_cache: directed (src, dst) index arrays per edge type.
+        edge_cache: per edge type, the directed (src, dst) endpoints as
+            :class:`Scatter` operators over the graph's nodes (``.ids``
+            is the index array).
         deltas: per edge type, the (E, 3) absolute (h, w, z) edge-vector
             decomposition of Eq. 1 — guidance-independent.
     """
 
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]]
+    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]]
     deltas: dict[EdgeType, np.ndarray]
     _euclidean: dict[EdgeType, np.ndarray] = field(default_factory=dict)
     _casts: dict[str, "GraphStatics"] = field(default_factory=dict, repr=False)
@@ -98,9 +105,9 @@ class GraphStatics:
         """This statics object with float arrays cast to ``dtype``.
 
         ``float64`` returns ``self``; other dtypes return a cached cast
-        copy (index arrays are shared — only the geometry is cast), so
-        the reduced-precision scoring path pays the cast once per plan,
-        not once per forward.
+        copy (index arrays are shared — the geometry and the scatter
+        operators are cast), so the reduced-precision scoring path pays
+        the cast once per plan, not once per forward.
         """
         dtype = np.dtype(dtype)
         if dtype == np.float64:
@@ -109,6 +116,7 @@ class GraphStatics:
         if cast is None:
             cast = dataclasses.replace(
                 self,
+                edge_cache=_cast_edges(self.edge_cache, dtype),
                 deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
                 _euclidean={},
                 _casts={},
@@ -124,23 +132,23 @@ class BatchedStatics:
     Attributes:
         batch: number of replicas ``B``.
         num_nodes: total union nodes, ``B * (A + M)``.
-        edge_cache: per edge type, (src, dst) arrays in union indexing,
-            length ``B * E``.
+        edge_cache: per edge type, (src, dst) :class:`Scatter` operators
+            in union indexing, length ``B * E``.
         deltas: per edge type, the statics' deltas tiled ``B`` times.
         ap_features: (B * A, F) tiled static AP features.
         module_features: (B * M, F) tiled static module features.
-        graph_ids: (B * N,) candidate id per union node, for per-candidate
-            readout pooling.
+        pool: the per-candidate readout scatter: ``B`` segments, whose
+            ids are the candidate of each union node.
         neutral_guidance: (B * M, 3) ones, the module receivers' guidance.
     """
 
     batch: int
     num_nodes: int
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]]
+    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]]
     deltas: dict[EdgeType, np.ndarray]
     ap_features: np.ndarray
     module_features: np.ndarray
-    graph_ids: np.ndarray
+    pool: Scatter
     neutral_guidance: np.ndarray
     _euclidean: dict[EdgeType, np.ndarray] = field(default_factory=dict)
     _casts: dict[str, "BatchedStatics"] = field(default_factory=dict,
@@ -158,9 +166,9 @@ class BatchedStatics:
     def as_dtype(self, dtype) -> "BatchedStatics":
         """This plan with float arrays cast to ``dtype`` (cached).
 
-        ``float64`` returns ``self``.  Index arrays (edge indices,
-        graph ids, CSR segment metadata) are dtype-independent and
-        shared with the original plan.
+        ``float64`` returns ``self``.  Index arrays are dtype-independent
+        and shared with the original plan; the scatter operators carry
+        ``dtype`` ones, so float32 segment sums stay float32.
         """
         dtype = np.dtype(dtype)
         if dtype == np.float64:
@@ -169,6 +177,8 @@ class BatchedStatics:
         if cast is None:
             cast = dataclasses.replace(
                 self,
+                edge_cache=_cast_edges(self.edge_cache, dtype),
+                pool=self.pool.astype(dtype),
                 deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
                 ap_features=self.ap_features.astype(dtype),
                 module_features=self.module_features.astype(dtype),
@@ -180,14 +190,22 @@ class BatchedStatics:
         return cast
 
 
+def _cast_edges(edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
+                dtype) -> dict[EdgeType, tuple[Scatter, Scatter]]:
+    return {et: (src.astype(dtype), dst.astype(dtype))
+            for et, (src, dst) in edge_cache.items()}
+
+
 def build_statics(graph: HeteroGraph) -> GraphStatics:
     """Hoist the guidance-independent per-edge geometry of one graph."""
     positions = graph.positions
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
+    num_nodes = graph.num_nodes
+    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]] = {}
     deltas: dict[EdgeType, np.ndarray] = {}
     for edge_type in EdgeType:
         src, dst = graph.directed_edges(edge_type)
-        edge_cache[edge_type] = (src, dst)
+        edge_cache[edge_type] = (Scatter(src, num_nodes),
+                                 Scatter(dst, num_nodes))
         if len(src):
             deltas[edge_type] = np.abs(positions[dst] - positions[src])
         else:
@@ -207,63 +225,38 @@ def _union_indices(idx: np.ndarray, replica: int, num_aps: int,
 
 def build_batched(graph: HeteroGraph, statics: GraphStatics,
                   batch: int) -> BatchedStatics:
-    """Replicate a graph ``batch`` times into one block-diagonal union."""
+    """Replicate a graph ``batch`` times into one block-diagonal union.
+
+    Each replica keeps the graph's edge order, so every union node's
+    scatter row lists its replica's edges in the unbatched order.
+    """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     num_aps, num_modules = graph.num_aps, graph.num_modules
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    deltas: dict[EdgeType, np.ndarray] = {}
-    for edge_type, (src, dst) in statics.edge_cache.items():
-        if len(src) == 0:
-            edge_cache[edge_type] = (src, dst)
-            deltas[edge_type] = statics.deltas[edge_type]
-            continue
-        src_u = np.concatenate([
-            _union_indices(src, b, num_aps, num_modules, batch)
+    num_nodes = batch * graph.num_nodes
+
+    def union(scatter: Scatter) -> Scatter:
+        return Scatter(np.concatenate([
+            _union_indices(scatter.ids, b, num_aps, num_modules, batch)
             for b in range(batch)
-        ])
-        dst_u = np.concatenate([
-            _union_indices(dst, b, num_aps, num_modules, batch)
-            for b in range(batch)
-        ])
-        edge_cache[edge_type] = (src_u.astype(np.int64),
-                                 dst_u.astype(np.int64))
-        deltas[edge_type] = np.tile(statics.deltas[edge_type], (batch, 1))
+        ]), num_nodes)
+
     graph_ids = np.concatenate([
         np.repeat(np.arange(batch, dtype=np.int64), num_aps),
         np.repeat(np.arange(batch, dtype=np.int64), num_modules),
     ])
     return BatchedStatics(
         batch=batch,
-        num_nodes=batch * graph.num_nodes,
-        edge_cache=edge_cache,
-        deltas=deltas,
+        num_nodes=num_nodes,
+        edge_cache={et: (union(src), union(dst))
+                    for et, (src, dst) in statics.edge_cache.items()},
+        deltas={et: np.tile(d, (batch, 1))
+                for et, d in statics.deltas.items()},
         ap_features=np.tile(graph.ap_features, (batch, 1)),
         module_features=np.tile(graph.module_features, (batch, 1)),
-        graph_ids=graph_ids,
+        pool=Scatter(graph_ids, batch),
         neutral_guidance=np.ones((batch * num_modules, 3)),
     )
-
-
-@dataclass
-class UnionBlockPlan(BatchedStatics):
-    """A :class:`BatchedStatics` in CSR-contiguous (dst-sorted) order.
-
-    The cache-block unit of the blocked forward: edge indices, deltas,
-    and therefore the message rows they produce are laid out sorted by
-    receiving node, so the segment reduction is one contiguous
-    ``np.add.reduceat`` sweep per edge type instead of a per-column
-    bincount scatter.
-
-    Attributes:
-        seg_nodes: per edge type, the distinct receiving nodes in
-            ascending order (the reduction's output rows).
-        seg_starts: per edge type, the CSR row offsets into the sorted
-            edge arrays (``np.add.reduceat`` boundaries).
-    """
-
-    seg_nodes: dict[EdgeType, np.ndarray] = field(default_factory=dict)
-    seg_starts: dict[EdgeType, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -275,76 +268,30 @@ class UnionPlan:
     RBF -> message -> segment-sum pass over its own small union before
     the next block starts, so the working set per block is bounded by
     ``block`` replicas regardless of ``B``.  Full blocks share a single
-    :class:`UnionBlockPlan` object (their unions are congruent).
+    :class:`BatchedStatics` object (their unions are congruent).
 
     Attributes:
         batch: total replicas ``B``.
         block: cache-block size the plan was built for.
         slices: per block, the ``(start, stop)`` replica range.
-        plans: per block, its :class:`UnionBlockPlan` (aligned with
+        plans: per block, its :class:`BatchedStatics` (aligned with
             ``slices``).
     """
 
     batch: int
     block: int
     slices: tuple[tuple[int, int], ...]
-    plans: tuple[UnionBlockPlan, ...]
-
-
-def build_block_plan(graph: HeteroGraph, statics: GraphStatics,
-                     batch: int) -> UnionBlockPlan:
-    """Build one CSR-contiguous cache block of ``batch`` replicas.
-
-    Reorders the union's directed edges by receiving node (stable sort,
-    so same-receiver edges keep their relative order) and precomputes
-    the reduceat segment metadata.  Reordering changes the summation
-    order of same-receiver messages, which is why the blocked forward's
-    parity contract is <1e-10, not bitwise.
-    """
-    base = build_batched(graph, statics, batch)
-    edge_cache: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    deltas: dict[EdgeType, np.ndarray] = {}
-    seg_nodes: dict[EdgeType, np.ndarray] = {}
-    seg_starts: dict[EdgeType, np.ndarray] = {}
-    for edge_type, (src, dst) in base.edge_cache.items():
-        if len(src) == 0:
-            edge_cache[edge_type] = (src, dst)
-            deltas[edge_type] = base.deltas[edge_type]
-            seg_nodes[edge_type] = np.zeros(0, dtype=np.int64)
-            seg_starts[edge_type] = np.zeros(0, dtype=np.int64)
-            continue
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = np.ascontiguousarray(dst[order])
-        nodes, starts = np.unique(dst_sorted, return_index=True)
-        edge_cache[edge_type] = (np.ascontiguousarray(src[order]), dst_sorted)
-        deltas[edge_type] = np.ascontiguousarray(
-            base.deltas[edge_type][order])
-        seg_nodes[edge_type] = nodes.astype(np.int64)
-        seg_starts[edge_type] = starts.astype(np.int64)
-    return UnionBlockPlan(
-        batch=base.batch,
-        num_nodes=base.num_nodes,
-        edge_cache=edge_cache,
-        deltas=deltas,
-        ap_features=base.ap_features,
-        module_features=base.module_features,
-        graph_ids=base.graph_ids,
-        neutral_guidance=base.neutral_guidance,
-        seg_nodes=seg_nodes,
-        seg_starts=seg_starts,
-    )
+    plans: tuple[BatchedStatics, ...]
 
 
 class _Entry:
-    __slots__ = ("ref", "fingerprint", "statics", "batched", "blocks",
-                 "unions")
+    __slots__ = ("ref", "fingerprint", "statics", "batched", "unions")
 
     def __init__(self, graph: HeteroGraph) -> None:
         self.ref = weakref.ref(graph)
         self.fingerprint = graph_fingerprint(graph)
         self.statics: GraphStatics | None = None
         self.batched: dict[int, BatchedStatics] = {}
-        self.blocks: dict[int, UnionBlockPlan] = {}
         self.unions: dict[tuple[int, int], UnionPlan] = {}
 
 
@@ -383,7 +330,7 @@ class ForwardCacheStore:
         self._entries[key] = entry
         return entry
 
-    # Per-entry plan dicts (batched / blocks / unions) are LRU caches:
+    # Per-entry plan dicts (batched / unions) are LRU caches:
     # a hit moves the plan to the back (most recent), an insert at
     # capacity evicts exactly the front (least recent) plan.  Dicts
     # preserve insertion order, so recency is the dict order itself.
@@ -410,20 +357,15 @@ class ForwardCacheStore:
         return self._statics(self._entry(graph), graph)
 
     def batched(self, graph: HeteroGraph, batch: int) -> BatchedStatics:
-        """The single-union (no cache blocking) plan for batch ``B``."""
-        entry = self._entry(graph)
+        """The single-union plan of ``B`` replicas (one cache block)."""
+        return self._batched(self._entry(graph), graph, batch)
+
+    def _batched(self, entry: _Entry, graph: HeteroGraph,
+                 batch: int) -> BatchedStatics:
         plan = self._plan_hit(entry.batched, batch)
         if plan is None:
             plan = build_batched(graph, self._statics(entry, graph), batch)
             self._plan_put(entry.batched, batch, plan)
-        return plan
-
-    def _block_plan(self, entry: _Entry, graph: HeteroGraph,
-                    batch: int) -> UnionBlockPlan:
-        plan = self._plan_hit(entry.blocks, batch)
-        if plan is None:
-            plan = build_block_plan(graph, self._statics(entry, graph), batch)
-            self._plan_put(entry.blocks, batch, plan)
         return plan
 
     def union_plan(self, graph: HeteroGraph, batch: int,
@@ -431,9 +373,9 @@ class ForwardCacheStore:
         """The blocked decomposition of a ``B``-candidate forward.
 
         Keyed per ``(graph fingerprint, B, block)``; the underlying
-        cache blocks are additionally shared across batch sizes (a
-        ``B=12`` and a ``B=8`` plan at ``block=4`` reuse the same
-        4-replica :class:`UnionBlockPlan`), so relaxation waves and
+        cache blocks are the :meth:`batched` plans, shared across batch
+        sizes (a ``B=12`` and a ``B=8`` plan at ``block=4`` reuse the
+        same 4-replica :class:`BatchedStatics`), so relaxation waves and
         serving micro-batches of different widths amortize one block
         build.
         """
@@ -450,11 +392,11 @@ class ForwardCacheStore:
             # their recency too, so a hot union's blocks are never the
             # eviction victims when a new block size comes along.
             for size in dict.fromkeys(p.batch for p in plan.plans):
-                self._plan_hit(entry.blocks, size)
+                self._plan_hit(entry.batched, size)
         if plan is None:
             full, remainder = divmod(batch, block)
             sizes = [block] * full + ([remainder] if remainder else [])
-            by_size = {size: self._block_plan(entry, graph, size)
+            by_size = {size: self._batched(entry, graph, size)
                        for size in dict.fromkeys(sizes)}
             slices = []
             start = 0

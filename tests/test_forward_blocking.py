@@ -178,7 +178,7 @@ class TestUnionPlanCache:
         assert plan.batch == 7 and plan.block == 3
         assert plan.slices == ((0, 3), (3, 6), (6, 7))
         assert [p.batch for p in plan.plans] == [3, 3, 1]
-        # Full blocks share one UnionBlockPlan object.
+        # Full blocks share one plan object.
         assert plan.plans[0] is plan.plans[1]
         # Block larger than batch degenerates to one union.
         assert store.union_plan(graph, 2, 16).block == 2
@@ -210,9 +210,9 @@ class TestUnionPlanCache:
         eviction of exactly the stalest plan, with hits refreshing
         recency."""
         builds: list[int] = []
-        real_build = cache_mod.build_block_plan
+        real_build = cache_mod.build_batched
         monkeypatch.setattr(
-            cache_mod, "build_block_plan",
+            cache_mod, "build_batched",
             lambda graph, statics, batch:
                 builds.append(batch) or real_build(graph, statics, batch))
         graph = synthetic_graph(4, 1, seed=9)

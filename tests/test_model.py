@@ -134,6 +134,31 @@ class TestTrainer:
         assert len(history.val_loss) == len(history.train_loss)
         assert np.isfinite(history.best_val)
 
+    def test_evaluate_is_tape_free_and_bitwise(self, ota1_graph,
+                                               monkeypatch):
+        """Regression: validation built a full backward tape it never
+        used.  Losses stay bitwise those of the taped forward."""
+        model = Gnn3d(
+            ota1_graph.ap_features.shape[1],
+            ota1_graph.module_features.shape[1],
+            Gnn3dConfig(hidden=8, num_layers=2, seed=0),
+        )
+        trainer = Trainer(model, ota1_graph, TrainConfig(epochs=1))
+        samples = self._samples(ota1_graph, n=4)
+        taped = [trainer._sample_loss(s) for s in samples]
+        assert all(loss.requires_grad for loss in taped)
+        expected = sum(loss.item() for loss in taped) / len(taped)
+
+        losses = []
+        real = Trainer._sample_loss
+        monkeypatch.setattr(
+            Trainer, "_sample_loss",
+            lambda self, *a, **k: losses.append(real(self, *a, **k))
+            or losses[-1])
+        assert trainer.evaluate(samples) == expected
+        assert len(losses) == 4
+        assert not any(loss.requires_grad for loss in losses)
+
     def test_too_few_samples_raises(self, ota1_graph, model):
         trainer = Trainer(model, ota1_graph, TrainConfig(epochs=1))
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor, as_tensor, concat, segment_sum, stack, where_positive
+from repro.nn import (Scatter, Tensor, as_tensor, concat, segment_sum,
+                      stack, where_positive)
 
 
 def numgrad(f, x, eps=1e-6):
@@ -202,20 +203,21 @@ class TestFunctional:
 
     def test_segment_sum_values(self):
         vals = Tensor(np.arange(6.0).reshape(3, 2))
-        out = segment_sum(vals, np.array([1, 0, 1]), 2)
+        out = segment_sum(vals, Scatter(np.array([1, 0, 1]), 2))
         np.testing.assert_allclose(out.data, [[2.0, 3.0], [4.0, 6.0]])
 
     def test_segment_sum_grad(self):
         vals = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        (segment_sum(vals, np.array([1, 0, 1]), 2) *
+        (segment_sum(vals, Scatter(np.array([1, 0, 1]), 2)) *
          Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).sum().backward()
         np.testing.assert_allclose(vals.grad, [[3, 4], [1, 2], [3, 4]])
 
     def test_segment_sum_validates_ids(self):
+        # Ids are range-checked once, when the operator is built.
         with pytest.raises(ValueError):
-            segment_sum(Tensor(np.ones((2, 2))), np.array([0, 5]), 2)
+            Scatter(np.array([0, 5]), 2)
         with pytest.raises(ValueError):
-            segment_sum(Tensor(np.ones((2, 2))), np.array([0]), 2)
+            segment_sum(Tensor(np.ones((2, 2))), Scatter(np.array([0]), 2))
 
     def test_where_positive(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -259,3 +261,114 @@ class TestTapeMechanics:
         t = Tensor(np.ones(2))
         assert as_tensor(t) is t
         assert isinstance(as_tensor([1.0, 2.0]), Tensor)
+
+
+def bincount_segment_sum(values: np.ndarray, ids: np.ndarray,
+                         num_segments: int) -> np.ndarray:
+    """Reference: the per-column ``np.bincount`` aggregation kernel."""
+    out = np.empty((values.shape[1], num_segments))
+    for j, column in enumerate(np.ascontiguousarray(values.T)):
+        out[j] = np.bincount(ids, weights=column, minlength=num_segments)
+    return np.ascontiguousarray(out.T)
+
+
+def add_at_scatter(values: np.ndarray, ids: np.ndarray,
+                   num_segments: int) -> np.ndarray:
+    """Reference: the sequential ``np.add.at`` gather-backward kernel."""
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, ids, values)
+    return out
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    """Raw bit patterns, so ``-0.0`` and ``0.0`` compare unequal."""
+    return array.view(np.int64 if array.dtype == np.float64 else np.int32)
+
+
+@st.composite
+def segment_cases(draw):
+    """(values, ids, num_segments): repeated ids, empty id arrays, and
+    values mixing magnitudes with exact zeros of both signs."""
+    num_segments = draw(st.integers(1, 8))
+    rows = draw(st.integers(0, 30))
+    cols = draw(st.integers(1, 4))
+    ids = np.array(draw(st.lists(st.integers(0, num_segments - 1),
+                                 min_size=rows, max_size=rows)),
+                   dtype=np.int64)
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+        -8, 9, size=(rows, cols))
+    values[rng.random((rows, cols)) < 0.2] = -0.0
+    values[rng.random((rows, cols)) < 0.1] = 0.0
+    return values, ids, num_segments
+
+
+class TestScatterOracles:
+    """The prebuilt CSR scatter against the kernels it replaced."""
+
+    @given(case=segment_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_segment_sum_bitwise_equals_bincount_and_add_at(self, case):
+        values, ids, num_segments = case
+        out = segment_sum(Tensor(values), Scatter(ids, num_segments)).data
+        assert out.dtype == np.float64
+        assert np.array_equal(
+            bits(out), bits(bincount_segment_sum(values, ids, num_segments)))
+        assert np.array_equal(
+            bits(out), bits(add_at_scatter(values, ids, num_segments)))
+
+    @given(case=segment_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_gather_rows_backward_bitwise_equals_add_at(self, case):
+        grad, ids, num_segments = case
+        rows = np.random.default_rng(0).normal(
+            size=(num_segments, grad.shape[1]))
+        expected = np.zeros_like(rows) + add_at_scatter(grad, ids,
+                                                        num_segments)
+        for index in (ids, Scatter(ids, num_segments)):
+            x = Tensor(rows, requires_grad=True)
+            gathered = x.gather_rows(index)
+            assert np.array_equal(gathered.data, rows[ids])
+            gathered.backward(grad)
+            assert np.array_equal(bits(x.grad), bits(expected))
+
+    @given(case=segment_cases())
+    @settings(deadline=None, max_examples=50)
+    def test_float32_stays_float32(self, case):
+        values, ids, num_segments = case
+        values = values.astype(np.float32)
+        base = Scatter(ids, num_segments)
+        scatter = base.astype(np.float32)
+        assert scatter.ids is base.ids
+        out = segment_sum(Tensor(values), scatter).data
+        assert out.dtype == np.float32
+        assert np.array_equal(
+            bits(out), bits(add_at_scatter(values, ids, num_segments)))
+        x = Tensor(np.ones((num_segments, values.shape[1]), np.float32),
+                   requires_grad=True)
+        x.gather_rows(ids).backward(values)
+        assert x.grad.dtype == np.float32
+
+    @given(num_segments=st.integers(1, 6), bad=st.sampled_from([-1, 0]),
+           rows=st.integers(1, 6))
+    @settings(deadline=None, max_examples=30)
+    def test_out_of_range_ids_rejected_at_build(self, num_segments, bad,
+                                                rows):
+        ids = np.zeros(rows, dtype=np.int64)
+        ids[-1] = bad if bad < 0 else num_segments
+        with pytest.raises(ValueError, match="out of range"):
+            Scatter(ids, num_segments)
+        with pytest.raises(ValueError, match="out of range"):
+            Tensor(np.ones((num_segments, 2))).gather_rows(ids)
+
+    def test_empty_ids_sum_to_zeros(self):
+        """An edge type with no edges (e.g. MM/MP on a zero-module
+        graph) scatters nothing."""
+        scatter = Scatter(np.zeros(0, dtype=np.int64), 5)
+        out = segment_sum(Tensor(np.zeros((0, 3))), scatter)
+        assert out.shape == (5, 3) and not out.data.any()
+
+    def test_scatter_must_span_gathered_rows(self):
+        with pytest.raises(ValueError, match="rows"):
+            Tensor(np.ones((4, 2))).gather_rows(Scatter(np.array([0, 1]), 3))
