@@ -86,8 +86,7 @@ RELAX_EVAL_REPEATS = 20
 FORWARD_MAX_AMORTIZED_RATIO = 0.9
 
 
-def _route_once(placement, tech, guidance_seed, engine: str,
-                workers: int = 0):
+def _route_once(placement, tech, guidance_seed, engine: str):
     """One timed ``route_all`` on a fresh grid; returns (dt, paths, exp)."""
     grid = RoutingGrid(placement, tech)
     if guidance_seed is None:
@@ -97,7 +96,7 @@ def _route_once(placement, tech, guidance_seed, engine: str,
         keys = [ap.key for aps in grid.access_points.values() for ap in aps]
         guidance = random_guidance(keys, rng)
     router = IterativeRouter(
-        grid, guidance, RouterConfig(engine=engine, workers=workers))
+        grid, guidance, RouterConfig(engine=engine))
     start = time.perf_counter()
     result = router.route_all()
     elapsed = time.perf_counter() - start
@@ -106,14 +105,14 @@ def _route_once(placement, tech, guidance_seed, engine: str,
     return elapsed, paths, router.astar.expansions_total
 
 
-def measure_route(workers: int = 2) -> dict:
+def measure_route() -> dict:
     """Router benchmark: in-run reference vs. new engines on every OTA.
 
     Each scenario routes the same placement with the seed (reference)
     router and the new auto engine (bucketed dial queue on neutral
-    guidance, scalar heap fallback on continuous guidance), then once
-    more with speculative net-parallel workers.  Identity of routed
-    paths across all three is part of the record (and the CI gate).
+    guidance, scalar heap fallback on continuous guidance).  Identity of
+    routed paths and expansion counts across the two is part of the
+    record (and the CI gate).
     """
     tech = generic_40nm()
     scenarios: dict[str, dict] = {}
@@ -135,18 +134,14 @@ def measure_route(workers: int = 2) -> dict:
                     placement, tech, seed, "reference")[0])
                 new_t = min(new_t, _route_once(
                     placement, tech, seed, "auto")[0])
-            par_t, par_paths, _ = _route_once(
-                placement, tech, seed, "auto", workers=workers)
             nets = max(len(ref_paths), 1)
-            same = (new_paths == ref_paths and par_paths == ref_paths
-                    and new_exp == ref_exp)
+            same = new_paths == ref_paths and new_exp == ref_exp
             identical = identical and same
             totals[label][0] += ref_t
             totals[label][1] += new_t
             scenarios[f"{circuit_name}.{label}"] = {
                 "reference_seconds": round(ref_t, 4),
                 "auto_seconds": round(new_t, 4),
-                "workers_seconds": round(par_t, 4),
                 "speedup": round(ref_t / new_t, 2),
                 "expansions": new_exp,
                 "expansions_per_sec": round(new_exp / new_t),
@@ -160,7 +155,6 @@ def measure_route(workers: int = 2) -> dict:
             "guided": round(totals["guided"][0] / totals["guided"][1], 2),
         },
         "paths_identical": identical,
-        "workers_checked": workers,
         "repeats": ROUTE_REPEATS,
     }
 
@@ -449,13 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="fail when a stage regressed > 3x vs baseline "
                              "or a route gate fails")
-    parser.add_argument("--route-workers", type=int, default=2,
-                        help="worker count for the net-parallel identity "
-                             "check of the route section")
     args = parser.parse_args(argv)
 
     payload = measure(args.scale, workers=args.workers)
-    payload["route"] = measure_route(workers=args.route_workers)
+    payload["route"] = measure_route()
     payload["forward"] = measure_forward()
     payload["ingest"] = measure_ingest()
 

@@ -218,6 +218,8 @@ class AttemptOutcome:
             absorbs them in submission order.
         obs_counters: counter totals of the recording context, merged
             into the parent's registry alongside ``obs_events``.
+        obs_histograms: histogram ``(count, sum, min, max)`` summaries of
+            the recording context, folded in alongside ``obs_counters``.
     """
 
     index: int
@@ -227,6 +229,7 @@ class AttemptOutcome:
     stage_timer: StageTimer = field(default_factory=StageTimer)
     obs_events: list = field(default_factory=list)
     obs_counters: dict = field(default_factory=dict)
+    obs_histograms: dict = field(default_factory=dict)
 
 
 def attempt_sample(
@@ -250,10 +253,10 @@ def attempt_sample(
 
     ``obs`` should be a *recording* context (serial and parallel callers
     alike hand one in, so traces are identical for any worker count); its
-    buffered spans and counters ride back on the outcome.  The emitted
-    ``dataset.sample`` span carries outcome ``ok`` / ``retried`` /
-    ``skipped`` plus the consumed retry count, and every retry increments
-    ``retry_total{stage=<failing stage>}``.
+    buffered spans, counters and histogram summaries ride back on the
+    outcome.  The emitted ``dataset.sample`` span carries outcome ``ok`` /
+    ``retried`` / ``skipped`` plus the consumed retry count, and every
+    retry increments ``retry_total{stage=<failing stage>}``.
     """
     outcome = AttemptOutcome(index=index, sample=None)
     ctx = obs if obs is not None else NULL_CONTEXT
@@ -305,6 +308,7 @@ def attempt_sample(
     if obs is not None and obs.enabled:
         outcome.obs_events = obs.drain_events()
         outcome.obs_counters = obs.counter_values()
+        outcome.obs_histograms = obs.metrics.histogram_summaries()
     return outcome
 
 
@@ -438,7 +442,8 @@ def generate_dataset(
                     router_config, testbench_config,
                     obs=RunContext.recording() if obs.enabled else None,
                 )
-            obs.absorb(outcome.obs_events, outcome.obs_counters)
+            obs.absorb(outcome.obs_events, outcome.obs_counters,
+                       outcome.obs_histograms)
             report.retried += outcome.retries
             if timer is not None:
                 timer.absorb(outcome.stage_timer)

@@ -277,7 +277,8 @@ class RunContext:
         return self.metrics.counter_values()
 
     def absorb(self, events: list[dict[str, Any]],
-               counters: dict[str, int] | None = None) -> None:
+               counters: dict[str, int] | None = None,
+               histograms: dict[str, tuple] | None = None) -> None:
         """Merge a recording context's output into this one.
 
         Span ids are remapped into this context's id space and orphan
@@ -308,6 +309,8 @@ class RunContext:
             )
         if counters:
             self.metrics.absorb_counters(counters)
+        if histograms:
+            self.metrics.absorb_histograms(histograms)
 
     # -- emission -------------------------------------------------------------------
 

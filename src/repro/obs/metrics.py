@@ -3,10 +3,11 @@
 A metric is addressed by a name plus optional labels, rendered into a
 single flat string key (``retry_total{stage=routing}``) so serialized
 manifests stay plain JSON objects and cross-process merging is a dict
-merge.  Counters are the only metric type that crosses process
-boundaries: parallel workers return their counter values with each
-:class:`~repro.core.dataset.AttemptOutcome` and the parent merges them in
-submission order, so totals are identical for any worker count.
+merge.  Counters and histograms cross process boundaries: parallel
+workers return counter values and histogram ``(count, sum, min, max)``
+summaries with each :class:`~repro.core.dataset.AttemptOutcome`, and the
+parent merges them in submission order, so totals are identical for any
+worker count.  Gauges stay process-local.
 """
 
 from __future__ import annotations
@@ -157,6 +158,19 @@ class MetricsRegistry:
             if metric is None:
                 metric = self.counters[key] = Counter(key)
             metric.value += int(value)
+
+    def histogram_summaries(self) -> dict[str, tuple]:
+        """Histogram ``(count, sum, min, max)`` summaries (sorted keys)."""
+        return {key: (h.count, h.total, h.min, h.max)
+                for key, h in sorted(self.histograms.items())}
+
+    def absorb_histograms(self, summaries: dict[str, tuple]) -> None:
+        """Fold histogram summaries from another registry in."""
+        for key, summary in summaries.items():
+            metric = self.histograms.get(key)
+            if metric is None:
+                metric = self.histograms[key] = Histogram(key)
+            metric.merge_summary(*summary)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot of every metric, keys sorted."""

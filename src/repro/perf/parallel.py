@@ -100,74 +100,6 @@ def _worker_run(task: tuple[int, Any]):
     )
 
 
-#: Per-worker routing context, installed by :func:`_init_net_worker`.
-_NET_CTX: dict[str, Any] | None = None
-
-
-def _init_net_worker(ctx: dict[str, Any]) -> None:
-    """Build the worker's private router over the shipped grid."""
-    global _NET_CTX
-    from repro.router.iterative import IterativeRouter
-
-    router = IterativeRouter(ctx["grid"], ctx["guidance"], ctx["config"])
-    _NET_CTX = {"router": router}
-
-
-def _net_worker_run(task: tuple[str, Any, Any]):
-    """Speculatively route one net against a snapshot grid state."""
-    assert _NET_CTX is not None, "worker used before initialization"
-    net_name, occupancy, history = task
-    return _NET_CTX["router"].speculate_net(net_name, occupancy, history)
-
-
-class NetPool:
-    """A process pool that speculatively routes nets of one grid.
-
-    Used by :meth:`repro.router.iterative.IterativeRouter.route_all` when
-    ``RouterConfig.workers > 0``: each rip-up round's nets are routed
-    concurrently against a round-start snapshot of occupancy/history, and
-    the parent validates each outcome's read set against the cells that
-    actually changed by its turn in the committed (serial) merge order —
-    so routed paths stay bit-identical to a serial run for any worker
-    count.
-
-    Args:
-        grid: the routing grid (workers get their own pickled copy).
-        guidance: routing guidance shared by all nets.
-        config: the router configuration (``workers`` is ignored inside
-            workers — they only ever route single nets).
-        workers: worker process count.
-        start_method: multiprocessing start method (see
-            :class:`ParallelConfig`).
-    """
-
-    def __init__(self, grid: Any, guidance: Any, config: Any,
-                 workers: int, start_method: str | None = None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_resolve_context(start_method),
-            initializer=_init_net_worker,
-            initargs=({"grid": grid, "guidance": guidance,
-                       "config": config},),
-        )
-
-    def submit(self, net_name: str, occupancy: Any, history: Any) -> Future:
-        """Schedule one net; the future yields a SpeculativeNetOutcome."""
-        return self._executor.submit(
-            _net_worker_run, (net_name, occupancy, history))
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "NetPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class SamplePool:
     """A process pool pre-loaded with one design's construction context.
 

@@ -129,8 +129,7 @@ class AStarRouter:
         self.grid = grid
         self.params = params or CostParams()
         self.engine = engine
-        #: Nodes expanded across every search this router has run; the
-        #: ``astar_expansions`` observability counter reads the deltas.
+        #: Nodes expanded across every search this router has run.
         self.expansions_total = 0
         #: Expansions split by the engine that performed them
         #: (``route_expansions_total{mode=...}``).
@@ -143,12 +142,6 @@ class AStarRouter:
         #: iterative router drains it per net for per-net observability.
         self.batch_window = {"count": 0, "sum": 0.0,
                              "min": float("inf"), "max": float("-inf")}
-        #: When True, every search unions the cells whose occupancy or
-        #: history it examined into :attr:`reads` (used by the
-        #: speculative net-parallel router to validate that a search
-        #: would be identical against a mutated grid).
-        self.record_reads = False
-        self.reads: set[GridNode] = set()
         # Engine state, lazily allocated per family.
         self._ref_state: _SearchState | None = None
         self._list_state: _SearchState | None = None
@@ -157,15 +150,6 @@ class AStarRouter:
         self._man_cache: dict = {}
 
     # -- state management ---------------------------------------------------
-
-    @property
-    def _generation(self) -> int:
-        """Reference-engine generation (kept for test compatibility)."""
-        return self._get_ref_state().generation
-
-    @_generation.setter
-    def _generation(self, value: int) -> None:
-        self._get_ref_state().generation = value
 
     def _get_ref_state(self) -> _SearchState:
         if self._ref_state is None:
@@ -250,13 +234,6 @@ class AStarRouter:
         """
         if not sources or not targets:
             return None
-        if self.record_reads:
-            # Source / target occupancy is consumed outside the search
-            # (the iterative router's conflict scan reads ``owner()`` on
-            # every path cell, and a path starts on a source); count them
-            # as reads so speculative validation sees those dependencies.
-            self.reads.update(sources)
-            self.reads.update(targets)
         guid, mult = validate_connection_inputs(
             guidance_vec, layer_multipliers, self.grid.num_layers)
         p = self.params
@@ -315,7 +292,6 @@ class AStarRouter:
         dy = nlp
         hf = field.h_factor
         t_set = field.target_nodes
-        reads: list[int] | None = [] if self.record_reads else None
         heap: list[tuple[float, float, int]] = []
         push, pop = heapq.heappush, heapq.heappop
         for s in sorted(sources):
@@ -328,22 +304,20 @@ class AStarRouter:
         if field.extra_list is None:
             expansions, found = self._scalar_hard(
                 heap, g_l, par_l, st_l, gen, add_l, h_l, hf, step_x, step_y,
-                via, nlp, dx, dy, t_set, max_expansions, reads)
+                via, nlp, dx, dy, t_set, max_expansions)
         else:
             expansions, found = self._scalar_soft(
                 heap, g_l, par_l, st_l, gen, field.extra_list,
                 field.hist_list, h_l, hf, step_x, step_y, via, nlp, dx, dy,
-                t_set, max_expansions, reads)
+                t_set, max_expansions)
         self._note_expansions("scalar", expansions)
-        if reads is not None:
-            self._absorb_reads(field, reads)
         if found < 0:
             return None
         return self._reconstruct_padded(field, par_l, found)
 
     @staticmethod
     def _scalar_hard(heap, g_l, par_l, st_l, gen, add_l, h_l, hf, step_x,
-                     step_y, via, nlp, dx, dy, t_set, max_expansions, reads):
+                     step_y, via, nlp, dx, dy, t_set, max_expansions):
         """Hard-blocked inner loop: ``new_g = (g + step) + add``.
 
         With hard blocking the seed router's ``extra`` term is always
@@ -362,9 +336,6 @@ class AStarRouter:
                 found = node
                 break
             expansions += 1
-            if reads is not None:
-                reads.extend((node + dx, node - dx, node + dy, node - dy,
-                              node + 1, node - 1))
             layer = node % nlp
             cx = step_x[layer]
             cy = step_y[layer]
@@ -454,7 +425,7 @@ class AStarRouter:
     @staticmethod
     def _scalar_soft(heap, g_l, par_l, st_l, gen, extra_l, hist_l, h_l, hf,
                      step_x, step_y, via, nlp, dx, dy, t_set,
-                     max_expansions, reads):
+                     max_expansions):
         """Soft-mode inner loop: ``new_g = ((g + step) + extra) + hist``.
 
         Keeps the present-penalty and history terms as separate additions
@@ -474,8 +445,6 @@ class AStarRouter:
                 found = node
                 break
             expansions += 1
-            if reads is not None:
-                reads.extend(node + d for d in deltas)
             layer = node % nlp
             cx = step_x[layer]
             cy = step_y[layer]
@@ -537,7 +506,6 @@ class AStarRouter:
         key_heap = queue.key_heap
         heappush, heappop = heapq.heappush, heapq.heappop
         vector_min = self.VECTOR_BATCH_MIN
-        reads: set[int] | None = set() if self.record_reads else None
         for s in sorted(sources):
             node = field.encode(s)
             g_l[node] = 0
@@ -560,7 +528,7 @@ class AStarRouter:
                 if len(nodes) >= vector_min:
                     expansions, found, stop = self._expand_batch_vector(
                         quantized, field, queue, nodes, g, gen, state,
-                        expansions, max_expansions, reads)
+                        expansions, max_expansions)
                     if stop:
                         break
                     continue
@@ -575,9 +543,6 @@ class AStarRouter:
                     break
                 expansions += 1
                 batch_size += 1
-                if reads is not None:
-                    reads.update((node + dx, node - dx, node + dy,
-                                  node - dy, node + 1, node - 1))
                 layer = node % nlp
                 cx = step_x[layer]
                 cy = step_y[layer]
@@ -749,14 +714,12 @@ class AStarRouter:
                 if b_max > stats["max"]:
                     stats["max"] = b_max
         self._note_expansions("bucketed", expansions)
-        if reads is not None:
-            self._absorb_reads(field, reads)
         if found < 0:
             return None
         return self._reconstruct_padded(field, par_l, found)
 
     def _expand_batch_vector(self, quantized, field, queue, nodes, g, gen,
-                             state, expansions, max_expansions, reads):
+                             state, expansions, max_expansions):
         """Vectorized expansion of one large equal-priority batch.
 
         Returns ``(expansions, found, stop)``; exact emulation of popping
@@ -792,8 +755,6 @@ class AStarRouter:
             nb_flat = (batch[:, None] + strides[None, :]).ravel()
             add_flat = quantized.add[nb_flat]
             valid = add_flat < quantized.impassable
-            if reads is not None:
-                reads.update(nb_flat.tolist())
             nb_v = nb_flat[valid]
             if nb_v.size:
                 ng_v = g + costs.ravel()[valid] + add_flat[valid]
@@ -941,14 +902,6 @@ class AStarRouter:
         return found
 
     # -- shared helpers -----------------------------------------------------
-
-    def _absorb_reads(self, field: CostField, touched) -> None:
-        """Union examined cells into :attr:`reads` (grid cells only)."""
-        nx, ny, nl = field.nx, field.ny, field.nl
-        for node in touched:
-            cell = field.decode(node)
-            if 0 <= cell[0] < nx and 0 <= cell[1] < ny and 0 <= cell[2] < nl:
-                self.reads.add(cell)
 
     @staticmethod
     def _reconstruct_padded(field: CostField, parent, end: int

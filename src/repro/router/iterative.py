@@ -17,7 +17,6 @@ function along different directions for different pin access points").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -46,9 +45,8 @@ class RouterConfig:
             push supply routing onto the thick upper metals.
         engine: A* engine selection (see
             :class:`~repro.router.astar.AStarRouter`).
-        workers: route independent nets of a rip-up round speculatively on
-            worker processes (0 = serial).  Routed paths are bit-identical
-            to serial for any worker count.
+        workers: must be 0.  Routing is one serial rip-up loop; the
+            field only keeps ``RouterConfig(workers=0)`` callers working.
     """
 
     cost: CostParams = field(default_factory=CostParams)
@@ -59,36 +57,11 @@ class RouterConfig:
     engine: str = "auto"
     workers: int = 0
 
-
-@dataclass
-class SpeculativeNetOutcome:
-    """Everything a speculative (worker-side) net route hands back.
-
-    The parent accepts the outcome only when ``reads`` is disjoint from
-    the cells mutated since the snapshot the worker routed against; the
-    fields then *replay* the exact side effects a serial
-    :meth:`IterativeRouter._route_net` call would have had.
-
-    Attributes:
-        net: the routed net.
-        route: the routed paths, or None when routing failed.
-        conflicts: nets whose cells a soft-mode path crossed.
-        reads: every grid cell whose occupancy / history the route
-            examined (search probes plus sources/targets), packed into a
-            sorted int64 array (``(x * ny + y) * nl + l``).
-        history_updates: ``(cell, new_value)`` pairs for every history
-            cell the soft fallback bumped.
-        expansions: per-engine-mode expansion counts.
-        batch_stats: frontier-batch summary (count/sum/min/max).
-    """
-
-    net: str
-    route: NetRoute | None
-    conflicts: set[str]
-    reads: np.ndarray
-    history_updates: tuple
-    expansions: dict[str, int]
-    batch_stats: dict[str, float]
+    def __post_init__(self) -> None:
+        if self.workers != 0:
+            raise ValueError(
+                f"RouterConfig.workers must be 0, got {self.workers}: "
+                f"net-parallel routing was removed and the router is serial")
 
 
 #: Net ordering classes: lower routes earlier.
@@ -127,84 +100,56 @@ class IterativeRouter:
         """Route every net with >= 2 terminals; returns the full solution.
 
         With an enabled obs context, every routing attempt emits a
-        ``route.net`` span (outcome ``ok`` / ``mirrored`` / ``failed``)
-        and the run's A* expansion total feeds the ``astar_expansions``
-        counter.
+        ``route.net`` span (outcome ``ok`` / ``mirrored`` / ``failed``),
+        and every routed net adds its A* expansions to
+        ``route_expansions_total{mode=...}`` and its frontier batches to
+        the ``route_frontier_batch`` histogram.
 
         Raises :class:`~repro.reliability.errors.RoutingError` under an
         active fault-injection plan for the ``"routing"`` stage.
         """
         maybe_inject("routing")
         result = RoutingResult()
-        order = self._net_order()
-        queue: list[str] = list(order)
+        queue: list[str] = self._net_order()
         routed: dict[str, NetRoute] = {}
         mirrored_from: dict[str, str] = self._mirror_partners()
         iterations = 0
-        expansions_before = self.astar.expansions_total
-
-        pool = None
-        if self.config.workers > 0:
-            from repro.perf.parallel import NetPool
-            pool = NetPool(self.grid, self.guidance, self.config,
-                           workers=self.config.workers)
-        try:
-            while queue and iterations < self.config.max_iterations:
-                iterations += 1
-                futures = self._speculate_round(pool, queue, routed)
-                # Cells whose occupancy or history changed since the
-                # round-start snapshot the speculative routes saw; only
-                # tracked while there are outcomes left to validate.
-                dirty: set[GridNode] = set()
-                track = bool(futures)
-                requeue: list[str] = []
-                for net_name in queue:
-                    if net_name in routed:
-                        continue
-                    with self.obs.span("route.net", net=net_name,
-                                       iteration=iterations) as span:
-                        partner = mirrored_from.get(net_name)
-                        if partner is not None and partner in routed:
-                            # Try exact mirror of the already-routed left
-                            # partner.
-                            mirror = mirror_route(self.grid, routed[partner],
-                                                  net_name)
-                            if mirror is not None:
-                                self._commit(mirror)
-                                routed[net_name] = mirror
-                                if track:
-                                    dirty |= mirror.cells()
-                                span.set(outcome="mirrored")
-                                continue
-                        route, conflicts = self._merge_net(
-                            net_name, futures, dirty, track)
-                        if route is None:
-                            span.set(outcome="failed")
-                            requeue.append(net_name)
+        while queue and iterations < self.config.max_iterations:
+            iterations += 1
+            requeue: list[str] = []
+            for net_name in queue:
+                if net_name in routed:
+                    continue
+                with self.obs.span("route.net", net=net_name,
+                                   iteration=iterations) as span:
+                    partner = mirrored_from.get(net_name)
+                    if partner is not None and partner in routed:
+                        # Try exact mirror of the already-routed left partner.
+                        mirror = mirror_route(self.grid, routed[partner],
+                                              net_name)
+                        if mirror is not None:
+                            self._commit(mirror)
+                            routed[net_name] = mirror
+                            span.set(outcome="mirrored")
                             continue
-                        if conflicts:
-                            span.set(conflicts=len(conflicts))
-                            # Sorted for cross-process determinism (set
-                            # order varies with string hash randomization).
-                            for victim in sorted(conflicts):
-                                if victim in routed:
-                                    victim_route = routed.pop(victim)
-                                    if track:
-                                        dirty |= victim_route.cells()
-                                    self._rip_up(victim_route)
-                                    requeue.append(victim)
-                        if partner is not None and partner not in routed:
-                            route.symmetric_ok = False
-                        self._commit(route)
-                        if track:
-                            dirty |= route.cells()
-                        routed[net_name] = route
-                queue = requeue
-        finally:
-            if pool is not None:
-                pool.close()
-        self.obs.counter("astar_expansions").inc(
-            self.astar.expansions_total - expansions_before)
+                    route, conflicts = self._route_net_observed(net_name)
+                    if route is None:
+                        span.set(outcome="failed")
+                        requeue.append(net_name)
+                        continue
+                    if conflicts:
+                        span.set(conflicts=len(conflicts))
+                        # Sorted for cross-process determinism (set order
+                        # varies with string hash randomization).
+                        for victim in sorted(conflicts):
+                            if victim in routed:
+                                self._rip_up(routed.pop(victim))
+                                requeue.append(victim)
+                    if partner is not None and partner not in routed:
+                        route.symmetric_ok = False
+                    self._commit(route)
+                    routed[net_name] = route
+            queue = requeue
 
         # Mark right-side nets that had to route independently.
         for right, left in mirrored_from.items():
@@ -266,169 +211,26 @@ class IterativeRouter:
             partners[second] = first
         return partners
 
-    # -- speculative net-parallel routing ----------------------------------------------
+    # -- single-net routing -----------------------------------------------------------
 
-    def _speculate_round(self, pool, queue: list[str],
-                         routed: dict[str, NetRoute]) -> dict:
-        """Submit every net of a rip-up round against a grid snapshot.
-
-        Returns ``net -> future`` of :class:`SpeculativeNetOutcome`;
-        empty when routing serially or the round has nothing to overlap.
-        """
-        if pool is None or len(queue) < 2:
-            return {}
-        occupancy = self.grid.occupancy.copy()
-        history = self.grid.history.copy()
-        futures: dict[str, Any] = {}
-        for net_name in dict.fromkeys(queue):
-            if net_name not in routed:
-                futures[net_name] = pool.submit(net_name, occupancy, history)
-        return futures
-
-    def _merge_net(self, net_name: str, futures: dict,
-                   dirty: "set[GridNode]", track: bool
-                   ) -> tuple[NetRoute | None, set[str]]:
-        """One net's turn in the committed merge order.
-
-        Accepts the speculative outcome when every cell it examined is
-        untouched since the round snapshot — the serial route would have
-        seen identical costs, so replaying the outcome is bit-identical —
-        and falls back to an in-process route otherwise.  A future that
-        is not done by its turn in the merge order is bypassed rather
-        than awaited: blocking would serialize on the worker, and the
-        fallback computes the identical result anyway.
-        """
-        future = futures.pop(net_name, None)
-        outcome = None
-        if future is not None:
-            if future.done():
-                try:
-                    outcome = future.result()
-                except Exception:  # repro-lint: disable=EXC001 -- serial fallback recomputes and re-raises real errors
-                    # A worker failure is never fatal: the serial
-                    # fallback recomputes and re-raises any real
-                    # routing error, so nothing is swallowed here.
-                    self.obs.counter("route_speculation_total",
-                                     outcome="error").inc()
-            else:
-                future.cancel()
-                self.obs.counter("route_speculation_total",
-                                 outcome="bypassed").inc()
-        if outcome is not None:
-            if self._reads_clean(outcome.reads, dirty):
-                self.obs.counter("route_speculation_total",
-                                 outcome="accepted").inc()
-                return self._apply_outcome(outcome, dirty, track)
-            self.obs.counter("route_speculation_total",
-                             outcome="rejected").inc()
-
+    def _route_net_observed(self, net_name: str
+                            ) -> tuple[NetRoute | None, set[str]]:
+        """:meth:`_route_net` plus its per-net expansion and batch metrics."""
         astar = self.astar
-        exp_before = dict(astar.expansions_by_mode)
+        before = dict(astar.expansions_by_mode)
         astar.take_batch_window()
-        history_before = self.grid.history.copy() if track else None
         route, conflicts = self._route_net(net_name)
-        if track:
-            changed = np.argwhere(self.grid.history != history_before)
-            for i, j, k in changed:
-                dirty.add((int(i), int(j), int(k)))
-        expansions = {
-            mode: count - exp_before.get(mode, 0)
-            for mode, count in astar.expansions_by_mode.items()
-            if count - exp_before.get(mode, 0)
-        }
-        self._emit_route_metrics(expansions, astar.take_batch_window())
-        return route, conflicts
-
-    def _pack_cells(self, cells) -> np.ndarray:
-        """Pack grid cells into flat int64 codes (``(x*ny + y)*nl + l``)."""
-        ny, nl = self.grid.ny, self.grid.num_layers
-        return np.fromiter(
-            ((c[0] * ny + c[1]) * nl + c[2] for c in cells),
-            dtype=np.int64, count=len(cells))
-
-    def _reads_clean(self, reads: np.ndarray,
-                     dirty: "set[GridNode]") -> bool:
-        """True when no examined cell changed since the round snapshot."""
-        if reads.size == 0 or not dirty:
-            return True
-        packed = self._pack_cells(dirty)
-        idx = np.searchsorted(reads, packed)
-        idx[idx == reads.size] = 0
-        return not bool(np.any(reads[idx] == packed))
-
-    def _apply_outcome(self, outcome: SpeculativeNetOutcome,
-                       dirty: "set[GridNode]", track: bool
-                       ) -> tuple[NetRoute | None, set[str]]:
-        """Replay an accepted speculative route's side effects."""
-        for cell, value in outcome.history_updates:
-            self.grid.history[cell] = value
-            if track:
-                dirty.add(cell)
-        astar = self.astar
-        astar.expansions_total += sum(outcome.expansions.values())
-        for mode, count in outcome.expansions.items():
-            astar.expansions_by_mode[mode] = (
-                astar.expansions_by_mode.get(mode, 0) + count)
-        batch = outcome.batch_stats
-        if batch["count"]:
-            stats = astar.batch_stats
-            stats["count"] += batch["count"]
-            stats["sum"] += batch["sum"]
-            if batch["min"] < stats["min"]:
-                stats["min"] = batch["min"]
-            if batch["max"] > stats["max"]:
-                stats["max"] = batch["max"]
-        self._emit_route_metrics(outcome.expansions, batch)
-        return outcome.route, outcome.conflicts
-
-    def _emit_route_metrics(self, expansions: dict[str, int],
-                            batch: dict[str, float]) -> None:
-        """Per-net observability: expansion counters and batch histogram."""
-        for mode in sorted(expansions):
-            self.obs.counter("route_expansions_total",
-                             mode=mode).inc(expansions[mode])
+        for mode in sorted(astar.expansions_by_mode):
+            count = astar.expansions_by_mode[mode] - before.get(mode, 0)
+            if count:
+                self.obs.counter("route_expansions_total",
+                                 mode=mode).inc(count)
+        batch = astar.take_batch_window()
         if batch["count"]:
             self.obs.histogram("route_frontier_batch").merge_summary(
                 int(batch["count"]), batch["sum"],
                 batch["min"], batch["max"])
-
-    def speculate_net(self, net_name: str, occupancy: np.ndarray,
-                      history: np.ndarray) -> SpeculativeNetOutcome:
-        """Route one net against a snapshot grid state (worker side).
-
-        Resets this router's grid to the snapshot, records every cell the
-        search examines, and packages the route plus its side effects so
-        the parent can validate and replay them (see :meth:`_merge_net`).
-        """
-        grid = self.grid
-        grid.occupancy[...] = occupancy
-        grid.history[...] = history
-        astar = self.astar
-        astar.record_reads = True
-        astar.reads.clear()
-        astar.expansions_total = 0
-        astar.expansions_by_mode = {}
-        astar.batch_stats = {"count": 0, "sum": 0.0,
-                             "min": float("inf"), "max": float("-inf")}
-        route, conflicts = self._route_net(net_name)
-        changed = np.argwhere(grid.history != history)
-        updates = tuple(
-            ((int(i), int(j), int(k)), float(grid.history[i, j, k]))
-            for i, j, k in changed
-        )
-        reads = self._pack_cells(astar.reads)
-        reads.sort()
-        return SpeculativeNetOutcome(
-            net=net_name,
-            route=route,
-            conflicts=conflicts,
-            reads=reads,
-            history_updates=updates,
-            expansions=dict(astar.expansions_by_mode),
-            batch_stats=dict(astar.batch_stats),
-        )
-
-    # -- single-net routing -----------------------------------------------------------
+        return route, conflicts
 
     def _route_net(self, net_name: str) -> tuple[NetRoute | None, set[str]]:
         """Route one net; returns (route, conflicting nets ripped through).

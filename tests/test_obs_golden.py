@@ -148,7 +148,6 @@ class TestGoldenSchemas:
         """The documented metric names are part of the contract."""
         counters = traced_run["manifest"]["counters"]
         assert set(counters) == {
-            "astar_expansions",
             "route_expansions_total{mode=bucketed}",
             "route_expansions_total{mode=scalar}",
             "samples_requested",

@@ -7,9 +7,9 @@ Three families of invariants from the observability design:
 * under fault injection, every ``retry_total`` increment corresponds to
   a retry recorded on a ``dataset.sample`` span (outcome ``retried`` or
   ``skipped`` with a matching ``retries`` attribute);
-* traces and counters are identical for ``workers=1`` and ``workers=4``
-  on the same seed — observability inherits the pipeline's bit-identical
-  parallelism guarantee.
+* traces, counters and histograms are identical for ``workers=1`` and
+  ``workers=4`` on the same seed — observability inherits the pipeline's
+  bit-identical parallelism guarantee.
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ class TestParallelIdentity:
         else:
             generate_dataset(circuit, placement, tech, cfg,
                              policy=policy, workers=workers, obs=obs)
-        return obs.drain_events(), obs.counter_values(), obs.aggregates
+        return (obs.drain_events(), obs.counter_values(), obs.aggregates,
+                obs.metrics.to_dict()["histograms"])
 
     def test_counters_and_trace_identical_across_worker_counts(
             self, ota1, ota1_placement, tech):
@@ -197,6 +198,15 @@ class TestParallelIdentity:
         p_agg = {n: (a.count, a.outcomes) for n, a in parallel[2].items()}
         assert s_agg == p_agg
         assert_well_nested(parallel[0])
+
+    def test_attempt_histograms_merged_identically(
+            self, ota1, ota1_placement, tech):
+        # Histograms recorded inside a database attempt (the router's
+        # frontier batches) ride back on the outcome like counters do.
+        serial = self._build(ota1, ota1_placement, tech, seed=3, workers=1)
+        parallel = self._build(ota1, ota1_placement, tech, seed=3, workers=4)
+        assert serial[3]["route_frontier_batch"]["count"] > 0
+        assert serial[3] == parallel[3]
 
     def test_identity_holds_under_faults(self, ota1, ota1_placement, tech):
         # Unit-scoped selection (sample 1, first attempt) is the only

@@ -1,11 +1,11 @@
 """Equivalence and unit tests for the rebuilt A* engines.
 
 The rebuilt router (PR 7) must be *bit-identical* to the seed router:
-same paths, same expansion counts, for every engine, guidance vector,
-and worker count.  These tests pin that contract — the bucket queue in
-isolation, engine-vs-reference equivalence under hypothesis-generated
-obstacles and guidance, quantization detection, speculative
-net-parallel identity, and the new observability surface.
+same paths, same expansion counts, for every engine and guidance vector.
+These tests pin that contract — the bucket queue in isolation,
+engine-vs-reference equivalence under hypothesis-generated obstacles and
+guidance, whole-circuit reference-vs-auto identity, quantization
+detection, and the router's observability surface.
 """
 
 import numpy as np
@@ -329,44 +329,38 @@ class TestCostFieldReuse:
         assert len(core.field_cache) == 2
 
 
-class TestNetParallelIdentity:
-    """Speculative net-parallel routing is bit-identical to serial."""
+class TestWholeRouterIdentity:
+    """Routing a whole OTA is bit-identical across engines."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_workers_match_serial(self, ota1_placement, tech, workers):
-        def run(n_workers):
-            grid = RoutingGrid(ota1_placement, tech)
-            router = IterativeRouter(
-                grid, RoutingGuidance(),
-                RouterConfig(workers=n_workers))
-            result = router.route_all()
-            paths = {name: tuple(tuple(p) for p in route.paths)
-                     for name, route in result.routes.items()}
-            return paths, result.failed_nets, router.astar.expansions_total
+    @staticmethod
+    def _route(placement, tech, engine, guidance_seed):
+        grid = RoutingGrid(placement, tech)
+        guidance = RoutingGuidance()
+        if guidance_seed is not None:
+            keys = [ap.key for aps in grid.access_points.values()
+                    for ap in aps]
+            guidance = random_guidance(
+                keys, np.random.default_rng(guidance_seed))
+        router = IterativeRouter(grid, guidance, RouterConfig(engine=engine))
+        result = router.route_all()
+        paths = {name: tuple(tuple(p) for p in route.paths)
+                 for name, route in result.routes.items()}
+        return paths, result.failed_nets, router.astar.expansions_total
 
-        serial = run(0)
-        assert run(workers) == serial
+    @pytest.mark.parametrize("guidance_seed", [None, 7],
+                             ids=["neutral", "guided"])
+    def test_reference_matches_auto(self, ota1_placement, tech,
+                                    guidance_seed):
+        auto = self._route(ota1_placement, tech, "auto", guidance_seed)
+        reference = self._route(ota1_placement, tech, "reference",
+                                guidance_seed)
+        assert auto[0] and auto[2] > 0
+        assert auto == reference
 
-    def test_workers_match_serial_with_guidance(self, ota1_placement, tech):
-        rng = np.random.default_rng(7)
-        grid0 = RoutingGrid(ota1_placement, tech)
-        keys = [ap.key for aps in grid0.access_points.values() for ap in aps]
-        guidance = random_guidance(keys, rng)
-
-        def run(n_workers):
-            grid = RoutingGrid(ota1_placement, tech)
-            router = IterativeRouter(grid, guidance,
-                                     RouterConfig(workers=n_workers))
-            result = router.route_all()
-            return {name: tuple(tuple(p) for p in route.paths)
-                    for name, route in result.routes.items()}
-
-        assert run(2) == run(0)
-
-    def test_worker_count_validated(self):
-        from repro.perf.parallel import NetPool
-        with pytest.raises(ValueError, match="workers"):
-            NetPool(None, None, None, workers=0)
+    def test_workers_must_be_zero(self):
+        assert RouterConfig(workers=0).workers == 0
+        with pytest.raises(ValueError, match="net-parallel"):
+            RouterConfig(workers=2)
 
 
 class TestRouterObservability:
@@ -397,21 +391,6 @@ class TestRouterObservability:
         assert hist["min"] == stats["min"] >= 1
         assert hist["max"] == stats["max"]
 
-    def test_speculation_outcome_counters(self, ota1_placement, tech):
-        obs = RunContext.recording()
-        grid = RoutingGrid(ota1_placement, tech)
-        router = IterativeRouter(grid, obs=obs,
-                                 config=RouterConfig(workers=2))
-        router.route_all()
-        spec = {name: v for name, v
-                in obs.metrics.counter_values().items()
-                if name.startswith("route_speculation_total")}
-        allowed = {"accepted", "rejected", "bypassed", "error"}
-        assert spec and sum(spec.values()) > 0
-        for name in spec:
-            outcome = name.split("outcome=")[1].rstrip("}")
-            assert outcome in allowed
-
     def test_histogram_merge_summary(self):
         reg = MetricsRegistry()
         h = reg.histogram("h")
@@ -440,124 +419,3 @@ class TestRouterObservability:
         assert router.take_batch_window()["count"] == 0
         # Cumulative stats survive the drain.
         assert router.batch_stats["count"] == window["count"]
-
-
-class _DoneFuture:
-    def __init__(self, outcome):
-        self._outcome = outcome
-
-    def done(self):
-        return True
-
-    def result(self):
-        return self._outcome
-
-
-class _PendingFuture:
-    def __init__(self):
-        self.cancelled = False
-
-    def done(self):
-        return False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class _FailingFuture:
-    def done(self):
-        return True
-
-    def result(self):
-        raise RuntimeError("worker died")
-
-
-class TestSpeculativeMerge:
-    """In-process replay of the worker/parent speculation protocol."""
-
-    @pytest.fixture()
-    def first_net(self, ota1_placement, tech):
-        grid = RoutingGrid(ota1_placement, tech)
-        router = IterativeRouter(grid)
-        for name in router._net_order():
-            if len(grid.access_points[name]) >= 2:
-                return name
-        raise AssertionError("no routable net")
-
-    def _outcome(self, ota1_placement, tech, net):
-        worker = IterativeRouter(RoutingGrid(ota1_placement, tech))
-        occ = worker.grid.occupancy.copy()
-        hist = worker.grid.history.copy()
-        return worker, worker.speculate_net(net, occ, hist)
-
-    def test_speculate_matches_serial_route(self, ota1_placement, tech,
-                                            first_net):
-        worker, outcome = self._outcome(ota1_placement, tech, first_net)
-        serial = IterativeRouter(RoutingGrid(ota1_placement, tech))
-        route, conflicts = serial._route_net(first_net)
-        assert outcome.route.paths == route.paths
-        assert outcome.conflicts == conflicts
-        assert outcome.reads.size > 0
-        assert list(outcome.reads) == sorted(outcome.reads)
-        # Sources/targets are part of the read set (conflict-scan reads).
-        packed = serial._pack_cells([outcome.route.paths[0][0]])
-        assert packed[0] in outcome.reads
-
-    def test_merge_accepts_clean_outcome(self, ota1_placement, tech,
-                                         first_net):
-        worker, outcome = self._outcome(ota1_placement, tech, first_net)
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        dirty = set()
-        route, _ = parent._merge_net(
-            first_net, {first_net: _DoneFuture(outcome)}, dirty, True)
-        assert route.paths == outcome.route.paths
-        assert np.array_equal(parent.grid.history, worker.grid.history)
-        assert parent.astar.expansions_total == sum(
-            outcome.expansions.values())
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=accepted}"] == 1
-
-    def test_merge_rejects_dirty_reads_and_falls_back(
-            self, ota1_placement, tech, first_net):
-        _, outcome = self._outcome(ota1_placement, tech, first_net)
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        dirty = {outcome.route.paths[0][0]}  # a source cell: always read
-        route, _ = parent._merge_net(
-            first_net, {first_net: _DoneFuture(outcome)}, dirty, True)
-        assert route.paths == outcome.route.paths  # fallback is identical
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=rejected}"] == 1
-
-    def test_merge_bypasses_pending_future(self, ota1_placement, tech,
-                                           first_net):
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        pending = _PendingFuture()
-        route, _ = parent._merge_net(
-            first_net, {first_net: pending}, set(), False)
-        assert pending.cancelled
-        assert route is not None
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=bypassed}"] == 1
-
-    def test_merge_survives_worker_error(self, ota1_placement, tech,
-                                         first_net):
-        obs = RunContext.recording()
-        parent = IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs)
-        route, _ = parent._merge_net(
-            first_net, {first_net: _FailingFuture()}, set(), False)
-        assert route is not None
-        counters = obs.metrics.counter_values()
-        assert counters["route_speculation_total{outcome=error}"] == 1
-
-    def test_reads_clean_detects_overlap(self, ota1_placement, tech):
-        router = IterativeRouter(RoutingGrid(ota1_placement, tech))
-        reads = router._pack_cells([(1, 2, 3), (0, 0, 0), (4, 1, 2)])
-        reads.sort()
-        assert router._reads_clean(reads, set())
-        assert router._reads_clean(np.empty(0, dtype=np.int64), {(1, 2, 3)})
-        assert router._reads_clean(reads, {(9, 9, 1)})
-        assert not router._reads_clean(reads, {(1, 2, 3)})
-        assert not router._reads_clean(reads, {(9, 9, 1), (0, 0, 0)})
