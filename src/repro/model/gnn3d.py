@@ -25,8 +25,9 @@ from repro.nn import (
     Scatter,
     Tensor,
     concat,
-    segment_sum,
+    cost_distance,
 )
+from repro.nn.functional import _message_sum
 from repro.perf.cache import BatchedStatics, ForwardCacheStore, GraphStatics
 
 #: Default cache-block size of the blocked batched forward: replicas per
@@ -71,16 +72,26 @@ class Gnn3dConfig:
 
 
 class _MessageBlock(Module):
-    """Eq. 5 for one edge type: MLP(MLP(v_src) * MLP(Psi(d)))."""
+    """Eq. 5 for one edge type: MLP(MLP(v_src) * MLP(Psi(d))).
+
+    Each MLP is a single affine layer, so the block runs as the fused
+    :func:`repro.nn.message_sum` over their weights (through its private
+    form, which takes the layer fold of :meth:`Gnn3d._message_passing`).
+    """
 
     def __init__(self, hidden: int, dist_dim: int, rng: np.random.Generator) -> None:
         self.src_mlp = MLP([hidden, hidden], rng)
         self.dist_mlp = MLP([dist_dim, hidden], rng)
         self.out_mlp = MLP([hidden, hidden], rng)
 
-    def forward(self, h: Tensor, src: Scatter, dist_feat: Tensor) -> Tensor:
-        gathered = h.gather_rows(src)
-        return self.out_mlp(self.src_mlp(gathered) * self.dist_mlp(dist_feat))
+    def forward(self, h: Tensor, src: Scatter, dst: Scatter, dist_feat: Tensor,
+                psi_fold: list | None) -> Tensor:
+        """The messages along ``src -> dst`` summed at each receiver."""
+        weights = []
+        for mlp in (self.src_mlp, self.dist_mlp, self.out_mlp):
+            (layer,) = mlp.layers
+            weights += (layer.weight, layer.bias)
+        return _message_sum(h, dist_feat, src, dst, weights, psi_fold)
 
 
 class _PassingLayer(Module):
@@ -103,13 +114,14 @@ class _PassingLayer(Module):
         h: Tensor,
         edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
         dist_feats: dict[EdgeType, Tensor],
+        psi_folds: dict[EdgeType, list],
     ) -> Tensor:
         aggregated = None
         for edge_type, (src, dst) in edge_cache.items():
             if len(src) == 0:
                 continue
-            messages = self.blocks[edge_type](h, src, dist_feats[edge_type])
-            summed = segment_sum(messages, dst)
+            summed = self.blocks[edge_type](h, src, dst, dist_feats[edge_type],
+                                            psi_folds.get(edge_type))
             aggregated = summed if aggregated is None else aggregated + summed
         if aggregated is None:
             return h
@@ -154,9 +166,8 @@ class Gnn3d(Module):
                 feats[edge_type] = Tensor(np.zeros((0, 1), dtype=dtype))
                 continue
             if self.config.use_cost_distance:
-                c_recv = guidance_all.gather_rows(dst)
-                weighted = c_recv * Tensor(statics.deltas[edge_type])
-                dist = ((weighted * weighted).sum(axis=1) + 1e-6).sqrt()
+                dist = cost_distance(guidance_all, dst,
+                                     statics.deltas[edge_type])
             else:
                 dist = Tensor(statics.euclidean(edge_type))
             if self.config.use_rbf:
@@ -164,6 +175,26 @@ class Gnn3d(Module):
             else:
                 feats[edge_type] = dist.reshape(-1, 1)
         return feats
+
+    def _message_passing(self, h: Tensor,
+                         edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
+                         dist_feats: dict[EdgeType, Tensor]) -> Tensor:
+        """Run the ``L`` passing layers over one graph or union.
+
+        The op-by-op composition of the message blocks, the bitwise
+        reference in ``tests/test_fused_ops.py``, adds the distance
+        feature gradient of the edge type a layer aggregates last first
+        layer first, and every other type's last layer first, the order
+        the fused ops run in.  That type's ops therefore share a fold
+        (see ``repro.nn.functional._message_sum``), so ``dV/dC`` keeps
+        its bits also on graphs without MM edges, where that type's
+        receivers are access points.
+        """
+        nonempty = [et for et, (src, _dst) in edge_cache.items() if len(src)]
+        psi_folds = {nonempty[-1]: []} if nonempty else {}
+        for layer in self.layers:
+            h = layer(h, edge_cache, dist_feats, psi_folds)
+        return h
 
     # -- forward -----------------------------------------------------------------------
 
@@ -201,8 +232,7 @@ class Gnn3d(Module):
         h_mod = self.module_embed(self._features(graph.module_features, dtype))
         h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
 
-        for layer in self.layers:
-            h = layer(h, statics.edge_cache, dist_feats)
+        h = self._message_passing(h, statics.edge_cache, dist_feats)
         return self.head(h)
 
     def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
@@ -211,14 +241,13 @@ class Gnn3d(Module):
 
         The candidates are processed in blocks of at most ``block``
         (default :data:`DEFAULT_CACHE_BLOCK`) replicas; each block runs
-        the complete fused RBF -> message -> segment-sum -> readout pass
+        the complete distance -> RBF -> message-sum -> readout pass
         over its own union
         (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
         the next block starts, so the per-block working set stays
-        L2-resident regardless of ``B``.  Gradients flow to ``guidance``
-        exactly as in :meth:`forward_union` — block readouts concatenate
-        and block backward passes scatter into the corresponding
-        guidance slices.
+        L2-resident regardless of ``B``.  ``block=B`` runs all ``B``
+        replicas as one union.  Block readouts concatenate, and block
+        backward passes scatter into the corresponding guidance slices.
 
         Parity contract: float64 results match the unbatched forward to
         <1e-10 per row (not bitwise: the readout pools by segment sum
@@ -247,22 +276,6 @@ class Gnn3d(Module):
         return self.head.fc(pooled[0] if len(pooled) == 1
                             else concat(pooled, axis=0))
 
-    def forward_union(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
-        """One forward over a single union of all ``B`` replicas at once.
-
-        The pre-blocking reference path: the blocked forward with one
-        block of all ``B`` replicas.  Kept as the parity baseline for the
-        blocked path and for working sets known to fit cache.
-        """
-        batch = guidance.shape[0]
-        if guidance.shape != (batch, graph.num_aps, 3):
-            raise ValueError(
-                f"guidance shape {guidance.shape} != "
-                f"({batch}, {graph.num_aps}, 3)"
-            )
-        return self.head.fc(self._readout_union(
-            graph, guidance, self.cache.batched(graph, batch)))
-
     def _readout_union(self, graph: HeteroGraph, guidance: Tensor,
                        plan: BatchedStatics) -> Tensor:
         """Pooled embeddings of ``plan.batch`` replicas over one union.
@@ -289,8 +302,7 @@ class Gnn3d(Module):
         h_mod = self.module_embed(Tensor(plan.module_features))
         h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
 
-        for layer in self.layers:
-            h = layer(h, plan.edge_cache, dist_feats)
+        h = self._message_passing(h, plan.edge_cache, dist_feats)
         return self.head.readout(h, pool=plan.pool)
 
     @staticmethod

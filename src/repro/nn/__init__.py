@@ -12,7 +12,15 @@ fixed: relaxation's forward-backward records only the nodes that depend
 on the guidance, so it computes ``dV/dC`` and no weight gradient.
 """
 
-from repro.nn.functional import concat, segment_sum, stack, where_positive
+from repro.nn.functional import (
+    concat,
+    cost_distance,
+    message_sum,
+    rbf_expand,
+    segment_sum,
+    stack,
+    where_positive,
+)
 from repro.nn.modules import MLP, Linear, Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.rbf import RBFExpansion
@@ -28,6 +36,9 @@ __all__ = [
     "concat",
     "Scatter",
     "segment_sum",
+    "cost_distance",
+    "rbf_expand",
+    "message_sum",
     "stack",
     "where_positive",
     "Module",

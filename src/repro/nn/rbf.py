@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.functional import rbf_expand
 from repro.nn.modules import Module
 from repro.nn.tensor import Tensor, as_tensor
 
@@ -45,5 +46,4 @@ class RBFExpansion(Module):
         # Match the input dtype so the float32 scoring path is not
         # promoted back to float64 by the (float64) center bank.
         centers = self.centers.astype(d.data.dtype, copy=False)
-        diff = d.reshape(-1, 1) - Tensor(centers.reshape(1, -1))
-        return ((diff * diff) * (-self.gamma)).exp()
+        return rbf_expand(d, centers, self.gamma)

@@ -155,8 +155,14 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape, self.data.dtype)
-        self.grad += grad
+            # One pass instead of zeros-then-add, with the same bits:
+            # adding 0.0 is exact and turns ``-0.0`` into ``0.0``, the
+            # output broadcasts and casts as ``zeros += grad`` does, and
+            # the fresh C-ordered buffer never aliases ``grad``.
+            self.grad = np.add(grad, 0.0,
+                               out=np.empty(self.data.shape, self.data.dtype))
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None

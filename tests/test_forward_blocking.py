@@ -3,9 +3,9 @@
 The contracts under test (see docs/PERFORMANCE.md, "Forward blocking"):
 
 * the blocked float64 forward matches both the per-candidate unbatched
-  forward and the single-union reference path to <1e-10 for arbitrary
-  graphs, batch sizes, and block sizes — including degenerate graphs
-  (no modules, empty edge types) and remainder blocks;
+  forward and the single union of all replicas (``block=B``) to <1e-10
+  for arbitrary graphs, batch sizes, and block sizes — including
+  degenerate graphs (no modules, empty edge types) and remainder blocks;
 * gradients flow through block slicing exactly as through the union;
 * the float32 scoring path stays within ``FLOAT32_PARITY_RTOL`` of
   float64 on every built-in OTA;
@@ -91,7 +91,8 @@ class TestBlockedForwardParity:
 
         blocked = model.forward_batch(graph, Tensor(cand),
                                       block=block).numpy()
-        union = model.forward_union(graph, Tensor(cand)).numpy()
+        union = model.forward_batch(graph, Tensor(cand),
+                                    block=batch).numpy()
         singles = np.stack(
             [model(graph, Tensor(row)).numpy() for row in cand])
 
@@ -243,5 +244,3 @@ class TestUnionPlanCache:
         model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY)
         with pytest.raises(ValueError, match="guidance shape"):
             model.forward_batch(graph, Tensor(np.ones((2, 3, 3))))
-        with pytest.raises(ValueError, match="guidance shape"):
-            model.forward_union(graph, Tensor(np.ones((2, 3, 3))))
