@@ -196,8 +196,9 @@ def measure_forward() -> dict:
     Times the cache-blocked union forward (``Gnn3d.forward_batch``) on
     OTA1 across :data:`FORWARD_BATCHES` in both execution dtypes, and
     records the parity numbers the serving contract promises: float64
-    blocked output vs the unbatched seed forward (< 1e-10) and float32
-    vs float64 (relative, gated at ``FLOAT32_PARITY_RTOL``).  Also
+    blocked output vs the single-candidate forward (< 1e-10; only the
+    metric head differs, one multi-row against one-row products) and
+    float32 vs float64 (relative, gated at ``FLOAT32_PARITY_RTOL``).  Also
     times relaxation's unit of work, one serial
     ``PotentialFunction.value_and_grad`` (forward and ``dV/dC``
     backward) on OTA1, as ``relax_eval_ms``.
@@ -228,7 +229,7 @@ def measure_forward() -> dict:
             per_candidate[dtype_name][str(batch)] = round(
                 best / batch * 1e3, 4)
 
-    # Parity at the largest batch: blocked vs unbatched seed forward.
+    # Parity at the largest batch: blocked vs single-candidate forward.
     blocked = model64.forward_batch(graph, Tensor(pool)).numpy()
     unbatched = np.stack([model64(graph, Tensor(g)).numpy() for g in pool])
     f64_abs = float(np.abs(blocked - unbatched).max())
@@ -239,7 +240,7 @@ def measure_forward() -> dict:
 
     potential = PotentialFunction(model64, graph)
     point = pool[0].reshape(-1)
-    potential.value_and_grad(point)  # warm the statics cache
+    potential.value_and_grad(point)  # warm the plan cache
     relax_best = float("inf")
     for _ in range(RELAX_EVAL_REPEATS):
         start = time.perf_counter()
@@ -268,7 +269,7 @@ def check_forward(forward: dict, baseline: dict | None,
     problems: list[str] = []
     if forward["float64_blocked_vs_unbatched_max_abs"] >= 1e-10:
         problems.append(
-            f"float64 blocked forward differs from the unbatched seed "
+            f"float64 blocked forward differs from the single-candidate "
             f"forward by {forward['float64_blocked_vs_unbatched_max_abs']:g} "
             f"(contract: < 1e-10)")
     if forward["float32_vs_float64_max_rel"] >= FLOAT32_PARITY_RTOL:

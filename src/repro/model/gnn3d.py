@@ -28,7 +28,7 @@ from repro.nn import (
     cost_distance,
 )
 from repro.nn.functional import _message_sum
-from repro.perf.cache import BatchedStatics, ForwardCacheStore, GraphStatics
+from repro.perf.cache import BatchedStatics, ForwardCacheStore
 
 #: Default cache-block size of the blocked batched forward: replicas per
 #: union processed before moving to the next block.  Per-candidate cost
@@ -150,26 +150,26 @@ class Gnn3d(Module):
     # -- distance machinery ------------------------------------------------------
 
     def _edge_distances(
-        self, guidance_all: Tensor, statics: GraphStatics | BatchedStatics
+        self, guidance_all: Tensor, plan: BatchedStatics
     ) -> dict[EdgeType, Tensor]:
         """Cost-aware distance features per edge type (Eq. 1-3).
 
         ``C_k`` of the *receiving* node modulates the (h, w, z) decomposition
         of the edge vector; module receivers use neutral guidance.  The
         decomposition itself (``|pos[dst] - pos[src]|``) is
-        guidance-independent and comes precomputed from ``statics``.
+        guidance-independent and comes precomputed from ``plan``.
         """
         feats: dict[EdgeType, Tensor] = {}
         dtype = guidance_all.data.dtype
-        for edge_type, (src, dst) in statics.edge_cache.items():
+        for edge_type, (src, dst) in plan.edge_cache.items():
             if len(src) == 0:
                 feats[edge_type] = Tensor(np.zeros((0, 1), dtype=dtype))
                 continue
             if self.config.use_cost_distance:
                 dist = cost_distance(guidance_all, dst,
-                                     statics.deltas[edge_type])
+                                     plan.deltas[edge_type])
             else:
-                dist = Tensor(statics.euclidean(edge_type))
+                dist = Tensor(plan.euclidean(edge_type))
             if self.config.use_rbf:
                 feats[edge_type] = self.rbf(dist)
             else:
@@ -201,13 +201,17 @@ class Gnn3d(Module):
     def forward(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
         """Predict normalized metrics for guidance ``C`` on graph ``G_H``.
 
+        One candidate runs the blocked pass of :meth:`forward_batch` at
+        ``B=1``: its one-replica plan is the graph itself, and the metric
+        head runs on its single pooled row.
+
         Args:
             graph: the heterogeneous routing graph.
             guidance: (num_aps, 3) tensor of per-AP guidance vectors, in the
                 order of ``graph.ap_keys``.  Mark ``requires_grad`` to get
                 ``dV/dC`` after ``backward()``.  A (B, num_aps, 3) tensor
-                evaluates ``B`` guidance candidates in one batched pass
-                over a disjoint union of ``B`` graph replicas.
+                evaluates ``B`` guidance candidates through
+                :meth:`forward_batch`.
 
         Returns:
             Length-5 tensor of normalized metric predictions (see
@@ -220,20 +224,11 @@ class Gnn3d(Module):
             raise ValueError(
                 f"guidance shape {guidance.shape} != ({graph.num_aps}, 3)"
             )
-        dtype = guidance.data.dtype
-        statics = self.cache.statics(graph).as_dtype(dtype)
-        num_modules = graph.num_modules
-        neutral = Tensor(np.ones((num_modules, 3), dtype=dtype))
-        guidance_all = (concat([guidance, neutral], axis=0)
-                        if num_modules else guidance)
-        dist_feats = self._edge_distances(guidance_all, statics)
-
-        h_ap = self.ap_embed(self._features(graph.ap_features, dtype))
-        h_mod = self.module_embed(self._features(graph.module_features, dtype))
-        h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
-
-        h = self._message_passing(h, statics.edge_cache, dist_feats)
-        return self.head(h)
+        # Fetch the one-replica plan directly, not through union_plan:
+        # union plans (and their counters) belong to batched forwards.
+        pooled = self._readout_union(graph, guidance,
+                                     self.cache.batched(graph, 1))
+        return self.head.fc(pooled).reshape(-1)
 
     def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
                       block: int | None = None) -> Tensor:
@@ -249,11 +244,12 @@ class Gnn3d(Module):
         replicas as one union.  Block readouts concatenate, and block
         backward passes scatter into the corresponding guidance slices.
 
-        Parity contract: float64 results match the unbatched forward to
-        <1e-10 per row (not bitwise: the readout pools by segment sum
-        where the unbatched head sums with numpy's pairwise ``sum``);
-        the float32 scoring path is gated at
-        :data:`repro.serve.registry.FLOAT32_PARITY_RTOL`.
+        Parity contract: float64 results match the single-candidate
+        forward to <1e-10 per row.  The pooled rows are the same at every
+        block size; the gap is the metric head, which runs here as one
+        multi-row product and in :meth:`forward` as a one-row product,
+        and BLAS rounds the two differently.  The float32 scoring path is
+        gated at :data:`repro.serve.registry.FLOAT32_PARITY_RTOL`.
         """
         batch = guidance.shape[0]
         if guidance.shape != (batch, graph.num_aps, 3):
@@ -281,17 +277,18 @@ class Gnn3d(Module):
         """Pooled embeddings of ``plan.batch`` replicas over one union.
 
         The union keeps all APs first (replica-major), mirroring the
-        unbatched ``concat([aps, modules])`` node layout, so the flattened
-        ``(b * num_aps, 3)`` guidance stack indexes it directly.  Replicas
-        share parameters but exchange no messages (no cross-replica
-        edges), and every replica keeps the graph's edge order, so row
-        ``b`` equals the unbatched readout of candidate ``b`` up to the
-        pooling sum's order.
+        graph's own ``[aps, modules]`` node layout, so the flattened
+        ``(b * num_aps, 3)`` guidance stack indexes it directly; a
+        ``(num_aps, 3)`` guidance is the one-replica stack already.
+        Replicas share parameters but exchange no messages (no
+        cross-replica edges), and every replica keeps the graph's edge
+        order, so row ``b`` is the one-replica readout of candidate ``b``.
         """
         batch = plan.batch
         dtype = guidance.data.dtype
         plan = plan.as_dtype(dtype)
-        flat = guidance.reshape(batch * graph.num_aps, 3)
+        flat = (guidance if guidance.ndim == 2
+                else guidance.reshape(batch * graph.num_aps, 3))
         guidance_all = (
             concat([flat, Tensor(plan.neutral_guidance)], axis=0)
             if graph.num_modules else flat
@@ -304,10 +301,3 @@ class Gnn3d(Module):
 
         h = self._message_passing(h, plan.edge_cache, dist_feats)
         return self.head.readout(h, pool=plan.pool)
-
-    @staticmethod
-    def _features(features: np.ndarray, dtype: np.dtype) -> Tensor:
-        """Wrap static node features, cast to the guidance dtype."""
-        if features.dtype != dtype:
-            features = features.astype(dtype)
-        return Tensor(features)

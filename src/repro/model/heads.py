@@ -26,33 +26,20 @@ class ReadoutHead(Module):
         self.fc = MLP([hidden, hidden, num_metrics], rng)
         self.num_metrics = num_metrics
 
-    def readout(self, node_embeddings: Tensor,
-                pool: Scatter | None = None) -> Tensor:
+    def readout(self, node_embeddings: Tensor, pool: Scatter) -> Tensor:
         """Pooled graph embeddings ``u`` from final node embeddings.
 
         Args:
             node_embeddings: (num_nodes, hidden) tensor after L layers of
-                message passing.  For a batched (disjoint-union) forward
-                this holds several replicas' nodes.
-            pool: for batched pooling, the scatter of each node into its
-                graph (one segment per graph); ``None`` pools all nodes
-                into a single graph.
+                message passing over a disjoint union of graph replicas
+                (one replica for a single candidate).
+            pool: the scatter of each node into its graph (one segment
+                per graph).
 
         Returns:
-            ``(1, hidden)``, or ``(num_graphs, hidden)`` when ``pool`` is
-            given.
+            ``(num_graphs, hidden)``; :attr:`fc` maps each row to the
+            metric predictions.
         """
         per_node = self.node_mlp(node_embeddings)
-        if pool is None:
-            pooled = per_node.sum(axis=0) * (1.0 / max(len(node_embeddings), 1))
-            return pooled.reshape(1, -1)
-        nodes_per_graph = len(node_embeddings) // max(pool.num_segments, 1)
+        nodes_per_graph = len(node_embeddings) // pool.num_segments
         return segment_sum(per_node, pool) * (1.0 / max(nodes_per_graph, 1))
-
-    def forward(self, node_embeddings: Tensor) -> Tensor:
-        """Length-``num_metrics`` predictions for one graph's nodes.
-
-        Batched forwards pool each block with :meth:`readout` and run
-        :attr:`fc` once over all pooled rows.
-        """
-        return self.fc(self.readout(node_embeddings)).reshape(-1)

@@ -19,9 +19,8 @@ from repro.nn.functional import (
     rbf_expand,
     segment_sum,
     stack,
-    where_positive,
 )
-from repro.nn.modules import MLP, Linear, Module, Parameter, Sequential
+from repro.nn.modules import MLP, Linear, Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.rbf import RBFExpansion
 from repro.nn.serialization import load_state, save_state
@@ -40,12 +39,10 @@ __all__ = [
     "rbf_expand",
     "message_sum",
     "stack",
-    "where_positive",
     "Module",
     "Parameter",
     "Linear",
     "MLP",
-    "Sequential",
     "Optimizer",
     "Adam",
     "SGD",

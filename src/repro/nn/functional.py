@@ -73,21 +73,6 @@ def segment_sum(values: Tensor, scatter: Scatter) -> Tensor:
     return Tensor(scatter(values.data), parents=(values,), backward=backward)
 
 
-def where_positive(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select ``a`` where condition > 0 else ``b`` (no grad to cond)."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = np.asarray(condition) > 0
-    out_data = np.where(mask, a.data, b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.where(mask, grad, 0.0))
-        if b.requires_grad:
-            b._accumulate(np.where(mask, 0.0, grad))
-
-    return Tensor(out_data, parents=(a, b), backward=backward)
-
-
 def cost_distance(guidance: Tensor, receivers: Scatter,
                   deltas: np.ndarray) -> Tensor:
     """Eq. 1 cost-aware edge lengths as one tape node.

@@ -1,4 +1,4 @@
-"""Neural-network building blocks: Module, Linear, MLP, Sequential."""
+"""Neural-network building blocks: Module, Linear, MLP."""
 
 from __future__ import annotations
 
@@ -99,59 +99,40 @@ class Linear(Module):
         return x.affine(self.weight, self.bias)
 
 
-_ACTIVATIONS = {
-    "relu": lambda t: t.relu(),
-    "tanh": lambda t: t.tanh(),
-    "sigmoid": lambda t: t.sigmoid(),
-    "softplus": lambda t: t.softplus(),
+#: Activations after an MLP's last layer, by name.
+_FINAL_ACTIVATIONS = {
     "identity": lambda t: t,
+    "sigmoid": lambda t: t.sigmoid(),
 }
 
 
 class MLP(Module):
-    """Multi-layer perceptron with a configurable activation.
+    """Multi-layer perceptron with softplus hidden activations.
 
     Args:
         dims: layer widths, e.g. ``[in, hidden, out]``.
         rng: parameter-init RNG.
-        activation: hidden activation name.
-        final_activation: activation after the last layer ("identity"
-            by default).
+        final_activation: activation after the last layer: "identity"
+            (default) or "sigmoid".
     """
 
     def __init__(
         self,
         dims: list[int],
         rng: np.random.Generator,
-        activation: str = "softplus",
         final_activation: str = "identity",
     ) -> None:
         if len(dims) < 2:
             raise ValueError(f"MLP needs at least [in, out] dims, got {dims}")
-        for name in (activation, final_activation):
-            if name not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {name!r}")
+        if final_activation not in _FINAL_ACTIVATIONS:
+            raise ValueError(f"unknown activation {final_activation!r}")
         self.layers = [
             Linear(d_in, d_out, rng) for d_in, d_out in zip(dims[:-1], dims[1:])
         ]
-        self.activation = activation
         self.final_activation = final_activation
 
     def forward(self, x: Tensor) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
         for layer in self.layers[:-1]:
-            x = act(layer(x))
+            x = layer(x).softplus()
         x = self.layers[-1](x)
-        return _ACTIVATIONS[self.final_activation](x)
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, modules: list[Module]) -> None:
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x
+        return _FINAL_ACTIVATIONS[self.final_activation](x)

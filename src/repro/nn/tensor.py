@@ -366,22 +366,6 @@ class Tensor:
 
         return Tensor(out_data, parents=(self,), backward=backward)
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor(self.data * mask, parents=(self,), backward=backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return Tensor(out_data, parents=(self,), backward=backward)
-
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 

@@ -14,9 +14,7 @@ hardware allows" north star:
 from repro.perf.cache import (
     BatchedStatics,
     ForwardCacheStore,
-    GraphStatics,
     build_batched,
-    build_statics,
     graph_fingerprint,
 )
 from repro.perf.timing import (
@@ -41,9 +39,7 @@ __all__ = [
     "write_bench_json",
     "BatchedStatics",
     "ForwardCacheStore",
-    "GraphStatics",
     "build_batched",
-    "build_statics",
     "graph_fingerprint",
     "ParallelConfig",
     "SamplePool",

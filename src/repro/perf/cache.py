@@ -12,14 +12,15 @@ evaluation; everything in that pass that does not depend on the guidance
   (fully static, so the whole Eq. 2-3 input is cacheable);
 * one prebuilt CSR scatter operator (:class:`repro.nn.Scatter`) per
   edge endpoint array, which serves every segment sum of the forward
-  (message aggregation, batched readout pooling) and every row-gather
+  (message aggregation, readout pooling) and every row-gather
   backward, so index ranges are checked once per build;
 * the **disjoint-union batching plan**: to evaluate ``B`` guidance
   candidates in one forward, the graph is replicated ``B`` times into one
   block-diagonal graph.  Union node layout: access point ``(b, a)`` maps
   to ``b * A + a`` and module ``(b, m)`` to ``B * A + b * M + m`` — all
-  APs first, mirroring the unbatched ``concat([aps, modules])`` layout so
-  a ``(B * A, 3)`` guidance stack lines up with union indices directly.
+  APs first, mirroring the graph's own ``[aps, modules]`` layout so a
+  ``(B * A, 3)`` guidance stack lines up with union indices directly.
+  A single candidate runs on the ``B=1`` plan, which is the graph itself.
 
 Caches are keyed on the *live* graph object (weak reference, so entries
 die with their graph and a recycled ``id()`` can never alias) and
@@ -50,14 +51,14 @@ MAX_PLANS_PER_GRAPH = 8
 
 
 def graph_fingerprint(graph: HeteroGraph) -> tuple[int, int, int, str]:
-    """Content fingerprint of everything :func:`build_statics` reads.
+    """Content fingerprint of everything :func:`build_batched` reads.
 
     Counts alone are not enough: mutating ``ap_positions`` in place (or
     swapping an edge array for one of equal length) changes the Eq. 1
     deltas without changing any count, and a count-only fingerprint
-    would keep serving stale statics.  The digest covers positions and
+    would keep serving stale plans.  The digest covers positions and
     edge arrays byte-for-byte; features are deliberately excluded (the
-    statics never read them — they are tiled verbatim, never derived).
+    plans tile them verbatim and derive nothing from them).
 
     Also the identity the serving layer pins a checkpoint to: a
     :class:`repro.serve.registry.ModelRegistry` manifest records it at
@@ -76,56 +77,6 @@ def graph_fingerprint(graph: HeteroGraph) -> tuple[int, int, int, str]:
 
 
 @dataclass
-class GraphStatics:
-    """Per-graph static geometry shared by every forward pass.
-
-    Attributes:
-        edge_cache: per edge type, the directed (src, dst) endpoints as
-            :class:`Scatter` operators over the graph's nodes (``.ids``
-            is the index array).
-        deltas: per edge type, the (E, 3) absolute (h, w, z) edge-vector
-            decomposition of Eq. 1 — guidance-independent.
-    """
-
-    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]]
-    deltas: dict[EdgeType, np.ndarray]
-    _euclidean: dict[EdgeType, np.ndarray] = field(default_factory=dict)
-    _casts: dict[str, "GraphStatics"] = field(default_factory=dict, repr=False)
-
-    def euclidean(self, edge_type: EdgeType) -> np.ndarray:
-        """Static Euclidean edge lengths (the Eq. 1 ablation path)."""
-        dist = self._euclidean.get(edge_type)
-        if dist is None:
-            d = self.deltas[edge_type]
-            dist = np.sqrt((d * d).sum(axis=1) + 1e-6)
-            self._euclidean[edge_type] = dist
-        return dist
-
-    def as_dtype(self, dtype) -> "GraphStatics":
-        """This statics object with float arrays cast to ``dtype``.
-
-        ``float64`` returns ``self``; other dtypes return a cached cast
-        copy (index arrays are shared — the geometry and the scatter
-        operators are cast), so the reduced-precision scoring path pays
-        the cast once per plan, not once per forward.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == np.float64:
-            return self
-        cast = self._casts.get(dtype.name)
-        if cast is None:
-            cast = dataclasses.replace(
-                self,
-                edge_cache=_cast_edges(self.edge_cache, dtype),
-                deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
-                _euclidean={},
-                _casts={},
-            )
-            self._casts[dtype.name] = cast
-        return cast
-
-
-@dataclass
 class BatchedStatics:
     """The disjoint-union replication plan for a fixed batch size ``B``.
 
@@ -134,7 +85,9 @@ class BatchedStatics:
         num_nodes: total union nodes, ``B * (A + M)``.
         edge_cache: per edge type, (src, dst) :class:`Scatter` operators
             in union indexing, length ``B * E``.
-        deltas: per edge type, the statics' deltas tiled ``B`` times.
+        deltas: per edge type, the graph's (E, 3) absolute (h, w, z)
+            edge-vector decomposition of Eq. 1, tiled ``B`` times; it is
+            guidance-independent.
         ap_features: (B * A, F) tiled static AP features.
         module_features: (B * M, F) tiled static module features.
         pool: the per-candidate readout scatter: ``B`` segments, whose
@@ -177,7 +130,8 @@ class BatchedStatics:
         if cast is None:
             cast = dataclasses.replace(
                 self,
-                edge_cache=_cast_edges(self.edge_cache, dtype),
+                edge_cache={et: (src.astype(dtype), dst.astype(dtype))
+                            for et, (src, dst) in self.edge_cache.items()},
                 pool=self.pool.astype(dtype),
                 deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
                 ap_features=self.ap_features.astype(dtype),
@@ -190,32 +144,9 @@ class BatchedStatics:
         return cast
 
 
-def _cast_edges(edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
-                dtype) -> dict[EdgeType, tuple[Scatter, Scatter]]:
-    return {et: (src.astype(dtype), dst.astype(dtype))
-            for et, (src, dst) in edge_cache.items()}
-
-
-def build_statics(graph: HeteroGraph) -> GraphStatics:
-    """Hoist the guidance-independent per-edge geometry of one graph."""
-    positions = graph.positions
-    num_nodes = graph.num_nodes
-    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]] = {}
-    deltas: dict[EdgeType, np.ndarray] = {}
-    for edge_type in EdgeType:
-        src, dst = graph.directed_edges(edge_type)
-        edge_cache[edge_type] = (Scatter(src, num_nodes),
-                                 Scatter(dst, num_nodes))
-        if len(src):
-            deltas[edge_type] = np.abs(positions[dst] - positions[src])
-        else:
-            deltas[edge_type] = np.zeros((0, 3))
-    return GraphStatics(edge_cache=edge_cache, deltas=deltas)
-
-
 def _union_indices(idx: np.ndarray, replica: int, num_aps: int,
                    num_modules: int, batch: int) -> np.ndarray:
-    """Map unbatched node indices into replica ``replica`` of the union."""
+    """Map the graph's node indices into replica ``replica`` of the union."""
     return np.where(
         idx < num_aps,
         replica * num_aps + idx,
@@ -223,24 +154,33 @@ def _union_indices(idx: np.ndarray, replica: int, num_aps: int,
     )
 
 
-def build_batched(graph: HeteroGraph, statics: GraphStatics,
-                  batch: int) -> BatchedStatics:
+def build_batched(graph: HeteroGraph, batch: int) -> BatchedStatics:
     """Replicate a graph ``batch`` times into one block-diagonal union.
 
     Each replica keeps the graph's edge order, so every union node's
-    scatter row lists its replica's edges in the unbatched order.
+    scatter row lists its replica's edges in the graph's order.  At
+    ``batch=1`` the union is the graph itself: its scatter ids are the
+    graph's directed edges and its deltas are the graph's own.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     num_aps, num_modules = graph.num_aps, graph.num_modules
     num_nodes = batch * graph.num_nodes
+    positions = graph.positions
 
-    def union(scatter: Scatter) -> Scatter:
+    def union(ids: np.ndarray) -> Scatter:
         return Scatter(np.concatenate([
-            _union_indices(scatter.ids, b, num_aps, num_modules, batch)
+            _union_indices(ids, b, num_aps, num_modules, batch)
             for b in range(batch)
         ]), num_nodes)
 
+    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]] = {}
+    deltas: dict[EdgeType, np.ndarray] = {}
+    for edge_type in EdgeType:
+        src, dst = graph.directed_edges(edge_type)
+        edge_cache[edge_type] = (union(src), union(dst))
+        deltas[edge_type] = np.tile(np.abs(positions[dst] - positions[src]),
+                                    (batch, 1))
     graph_ids = np.concatenate([
         np.repeat(np.arange(batch, dtype=np.int64), num_aps),
         np.repeat(np.arange(batch, dtype=np.int64), num_modules),
@@ -248,10 +188,8 @@ def build_batched(graph: HeteroGraph, statics: GraphStatics,
     return BatchedStatics(
         batch=batch,
         num_nodes=num_nodes,
-        edge_cache={et: (union(src), union(dst))
-                    for et, (src, dst) in statics.edge_cache.items()},
-        deltas={et: np.tile(d, (batch, 1))
-                for et, d in statics.deltas.items()},
+        edge_cache=edge_cache,
+        deltas=deltas,
         ap_features=np.tile(graph.ap_features, (batch, 1)),
         module_features=np.tile(graph.module_features, (batch, 1)),
         pool=Scatter(graph_ids, batch),
@@ -285,18 +223,17 @@ class UnionPlan:
 
 
 class _Entry:
-    __slots__ = ("ref", "fingerprint", "statics", "batched", "unions")
+    __slots__ = ("ref", "fingerprint", "batched", "unions")
 
     def __init__(self, graph: HeteroGraph) -> None:
         self.ref = weakref.ref(graph)
         self.fingerprint = graph_fingerprint(graph)
-        self.statics: GraphStatics | None = None
         self.batched: dict[int, BatchedStatics] = {}
         self.unions: dict[tuple[int, int], UnionPlan] = {}
 
 
 class ForwardCacheStore:
-    """Per-model cache of :class:`GraphStatics` / :class:`BatchedStatics`.
+    """Per-model cache of :class:`BatchedStatics` and :class:`UnionPlan`.
 
     A model is typically used with one graph (plus occasionally a
     validation graph), so the store keeps at most ``max_graphs`` live
@@ -348,23 +285,18 @@ class ForwardCacheStore:
             del plans[next(iter(plans))]
         plans[key] = plan
 
-    def _statics(self, entry: _Entry, graph: HeteroGraph) -> GraphStatics:
-        if entry.statics is None:
-            entry.statics = build_statics(graph)
-        return entry.statics
-
-    def statics(self, graph: HeteroGraph) -> GraphStatics:
-        return self._statics(self._entry(graph), graph)
-
     def batched(self, graph: HeteroGraph, batch: int) -> BatchedStatics:
-        """The single-union plan of ``B`` replicas (one cache block)."""
+        """The single-union plan of ``B`` replicas (one cache block).
+
+        ``B=1`` is the plan a single-candidate forward runs on.
+        """
         return self._batched(self._entry(graph), graph, batch)
 
     def _batched(self, entry: _Entry, graph: HeteroGraph,
                  batch: int) -> BatchedStatics:
         plan = self._plan_hit(entry.batched, batch)
         if plan is None:
-            plan = build_batched(graph, self._statics(entry, graph), batch)
+            plan = build_batched(graph, batch)
             self._plan_put(entry.batched, batch, plan)
         return plan
 

@@ -74,8 +74,10 @@ PRECISIONS = ("float64", "float32")
 #: (relative to the O(1) normalized-metric scale — enforced as
 #: ``|f32 - f64| <= FLOAT32_PARITY_RTOL * max(1, |f64|)``).  Measured
 #: error on the built-in OTAs is ~1e-6; the bound leaves two decades of
-#: margin for trained weights.  float64 stays <1e-10 of the unbatched
-#: seed forward (see ``tests/test_forward_blocking.py``).
+#: margin for trained weights.  float64 batches stay <1e-10 of the
+#: single-candidate forward: the pooled rows are equal, and only the
+#: metric head differs, a multi-row against a one-row product (see
+#: ``tests/test_forward_blocking.py``).
 FLOAT32_PARITY_RTOL = 1e-4
 
 #: Manifest fields absent from pre-``precision`` (still schema v1)

@@ -2,10 +2,18 @@
 
 The contracts under test (see docs/PERFORMANCE.md, "Forward blocking"):
 
-* the blocked float64 forward matches both the per-candidate unbatched
-  forward and the single union of all replicas (``block=B``) to <1e-10
-  for arbitrary graphs, batch sizes, and block sizes — including
-  degenerate graphs (no modules, empty edge types) and remainder blocks;
+* a single-candidate forward is the blocked pass at ``B=1``: its
+  one-replica plan is the graph itself (scatter ids, deltas, features,
+  one pooling segment), its output is bitwise the ``B=1`` batch row,
+  and it never enters ``forward_batch`` or the union-plan cache;
+* the blocked float64 forward matches both the per-candidate forward
+  and the single union of all replicas (``block=B``) to <1e-10 for
+  arbitrary graphs, batch sizes, and block sizes — including
+  degenerate graphs (no modules, empty edge types) and remainder
+  blocks.  Not bitwise against the per-candidate forward: the batch
+  runs the metric head once over all pooled rows, a multi-row product,
+  where a single candidate runs it on one row, and BLAS rounds the two
+  differently;
 * gradients flow through block slicing exactly as through the union;
 * the float32 scoring path stays within ``FLOAT32_PARITY_RTOL`` of
   float64 on every built-in OTA;
@@ -28,7 +36,7 @@ from repro import build_benchmark, place_benchmark
 from repro.graph import build_hetero_graph
 from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.model.gnn3d import DEFAULT_CACHE_BLOCK, Gnn3d, Gnn3dConfig
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.perf.cache import MAX_PLANS_PER_GRAPH, ForwardCacheStore
 from repro.router import RoutingGrid
 from repro.serve import FLOAT32_PARITY_RTOL
@@ -159,6 +167,67 @@ class TestBlockedForwardParity:
         assert np.array_equal(after, fresh)
 
 
+class TestSingleForward:
+    @given(num_aps=st.integers(1, 8), num_modules=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 16))
+    @settings(deadline=None, max_examples=40)
+    def test_one_replica_plan_is_the_graph(self, num_aps, num_modules,
+                                           seed):
+        graph = synthetic_graph(num_aps, num_modules, seed)
+        plan = ForwardCacheStore().batched(graph, 1)
+        positions = graph.positions
+        assert plan.batch == 1 and plan.num_nodes == graph.num_nodes
+        for edge_type in EdgeType:
+            src, dst = graph.directed_edges(edge_type)
+            plan_src, plan_dst = plan.edge_cache[edge_type]
+            for scatter, ids in ((plan_src, src), (plan_dst, dst)):
+                assert scatter.num_segments == graph.num_nodes
+                assert scatter.ids.tobytes() == ids.tobytes()
+            deltas = np.abs(positions[dst] - positions[src])
+            assert plan.deltas[edge_type].shape == deltas.shape
+            assert plan.deltas[edge_type].tobytes() == deltas.tobytes()
+        assert plan.ap_features.tobytes() == graph.ap_features.tobytes()
+        assert (plan.module_features.tobytes()
+                == graph.module_features.tobytes())
+        assert plan.pool.num_segments == 1
+        assert not plan.pool.ids.any() and len(plan.pool) == graph.num_nodes
+        assert np.array_equal(plan.neutral_guidance,
+                              np.ones((num_modules, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_single_forward_is_the_one_replica_batch(self, dtype):
+        graph = synthetic_graph(6, 2, seed=13)
+        model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY).to_dtype(dtype)
+        cand = np.random.default_rng(4).uniform(
+            0.5, 2.0, size=(6, 3)).astype(dtype)
+        single = model(graph, Tensor(cand)).numpy()
+        batch = model.forward_batch(graph, Tensor(cand[None])).numpy()
+        assert single.dtype == dtype and single.shape == (5,)
+        assert single.tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
+    def test_single_forward_skips_batched_entry_points(self, tape,
+                                                       monkeypatch):
+        """perfbench counts ``model.forward_batch`` and
+        ``cache.union_plan`` calls apart from single forwards."""
+        graph = synthetic_graph(6, 2, seed=13)
+        model = Gnn3d(AP_DIM, MODULE_DIM, config=TINY)
+        cand = np.random.default_rng(4).uniform(0.5, 2.0, size=(6, 3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("single forward reached a batched path")
+
+        monkeypatch.setattr(Gnn3d, "forward_batch", refuse)
+        monkeypatch.setattr(ForwardCacheStore, "union_plan", refuse)
+        guidance = Tensor(cand, requires_grad=tape)
+        if tape:
+            model(graph, guidance).sum().backward()
+            assert guidance.grad.shape == (6, 3)
+        else:
+            with no_grad():
+                assert model(graph, guidance).shape == (5,)
+
+
 class TestUnionPlanCache:
     def test_plan_reused_until_fingerprint_changes(self):
         graph = synthetic_graph(6, 2, seed=5)
@@ -214,8 +283,8 @@ class TestUnionPlanCache:
         real_build = cache_mod.build_batched
         monkeypatch.setattr(
             cache_mod, "build_batched",
-            lambda graph, statics, batch:
-                builds.append(batch) or real_build(graph, statics, batch))
+            lambda graph, batch:
+                builds.append(batch) or real_build(graph, batch))
         graph = synthetic_graph(4, 1, seed=9)
         store = ForwardCacheStore()
         cap = MAX_PLANS_PER_GRAPH

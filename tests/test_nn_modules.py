@@ -11,7 +11,6 @@ from repro.nn import (
     Parameter,
     RBFExpansion,
     SGD,
-    Sequential,
     Tensor,
     load_state,
     save_state,
@@ -51,7 +50,7 @@ class TestMLP:
 
     def test_unknown_activation(self, rng):
         with pytest.raises(ValueError):
-            MLP([4, 2], rng, activation="gelu")
+            MLP([4, 2], rng, final_activation="gelu")
 
     def test_final_activation_sigmoid_bounds(self, rng):
         mlp = MLP([4, 8, 2], rng, final_activation="sigmoid")
@@ -77,16 +76,6 @@ class TestMLP:
         names = [n for n, _ in mlp.named_parameters()]
         assert len(names) == len(set(names))
         assert len(names) == 4  # 2 layers x (weight, bias)
-
-
-class TestSequential:
-    def test_applies_in_order(self, rng):
-        seq = Sequential([Linear(3, 3, rng), Linear(3, 2, rng)])
-        assert seq(Tensor(np.ones((1, 3)))).shape == (1, 2)
-
-    def test_parameters_from_children(self, rng):
-        seq = Sequential([Linear(3, 3, rng), Linear(3, 2, rng)])
-        assert len(seq.parameters()) == 4
 
 
 class TestOptim:

@@ -166,8 +166,8 @@ class TestBatchedForward:
     def test_forward_cache_invalidation(self, ota1_placement, tech):
         graph = build_hetero_graph(RoutingGrid(ota1_placement, tech))
         store = ForwardCacheStore()
-        statics = store.statics(graph)
-        assert store.statics(graph) is statics  # cached
+        single = store.batched(graph, 1)
+        assert store.batched(graph, 1) is single  # cached
         plan = store.batched(graph, 3)
         assert store.batched(graph, 3) is plan
         assert plan.num_nodes == 3 * graph.num_nodes
@@ -176,7 +176,7 @@ class TestBatchedForward:
         pairs = graph.edges[et]
         graph.edges[et] = pairs[:-1]
         try:
-            assert store.statics(graph) is not statics
+            assert store.batched(graph, 1) is not single
         finally:
             graph.edges[et] = pairs
 
@@ -186,24 +186,24 @@ class TestBatchedForward:
         after ``ap_positions`` was mutated in place."""
         graph = build_hetero_graph(RoutingGrid(ota1_placement, tech))
         store = ForwardCacheStore()
-        statics = store.statics(graph)
+        single = store.batched(graph, 1)
         graph.ap_positions[0, 0] += 3.0
-        fresh = store.statics(graph)
-        assert fresh is not statics
+        fresh = store.batched(graph, 1)
+        assert fresh is not single
         et = next(t for t, p in graph.edges.items() if len(p))
-        assert not np.array_equal(fresh.deltas[et], statics.deltas[et])
+        assert not np.array_equal(fresh.deltas[et], single.deltas[et])
 
     def test_equal_length_edge_swap_invalidates(self, ota1_placement, tech):
         """Regression: swapping an edge array for one of equal length
         kept every count identical and the cache never noticed."""
         graph = build_hetero_graph(RoutingGrid(ota1_placement, tech))
         store = ForwardCacheStore()
-        statics = store.statics(graph)
+        single = store.batched(graph, 1)
         et = next(t for t, p in graph.edges.items() if len(p) > 1)
         original = graph.edges[et]
         graph.edges[et] = np.ascontiguousarray(original[::-1])
         try:
-            assert store.statics(graph) is not statics
+            assert store.batched(graph, 1) is not single
         finally:
             graph.edges[et] = original
 
@@ -216,21 +216,22 @@ class TestBatchedForward:
         grid = RoutingGrid(ota1_placement, tech)
         g1, g2, g3 = (build_hetero_graph(grid) for _ in range(3))
         builds = []
-        real_build = cache_mod.build_statics
+        real_build = cache_mod.build_batched
         monkeypatch.setattr(
-            cache_mod, "build_statics",
-            lambda graph: builds.append(id(graph)) or real_build(graph))
+            cache_mod, "build_batched",
+            lambda graph, batch:
+                builds.append(id(graph)) or real_build(graph, batch))
         store = ForwardCacheStore(max_graphs=2)
-        store.statics(g1)
-        store.statics(g2)
-        store.statics(g2)          # hit refreshes recency
+        store.batched(g1, 1)
+        store.batched(g2, 1)
+        store.batched(g2, 1)       # hit refreshes recency
         assert len(builds) == 2
-        store.statics(g3)          # at capacity: evicts g1 only (stalest)
+        store.batched(g3, 1)       # at capacity: evicts g1 only (stalest)
         assert len(builds) == 3
-        store.statics(g3)
-        store.statics(g2)          # still cached — was NOT wholesale-evicted
+        store.batched(g3, 1)
+        store.batched(g2, 1)       # still cached — was NOT wholesale-evicted
         assert len(builds) == 3
-        store.statics(g1)          # g1 was the one evicted
+        store.batched(g1, 1)       # g1 was the one evicted
         assert len(builds) == 4
 
 
