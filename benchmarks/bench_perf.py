@@ -34,7 +34,8 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+# ``src`` for the package, the root for the test-side router oracle.
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from repro.router import IterativeRouter, RoutingGrid
 from repro.router.guidance import RoutingGuidance, random_guidance
 from repro.router.iterative import RouterConfig
 from repro.serve import FLOAT32_PARITY_RTOL
+from tests.router_oracle import FloodingRouter
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
 
@@ -63,12 +65,14 @@ ROUTE_CIRCUITS = ("OTA1", "OTA2", "OTA3")
 #: Timed repetitions per router scenario (best-of, interleaved).
 ROUTE_REPEATS = 3
 
-#: Gates for the ``route`` section under ``--check``.  The neutral
-#: scenarios exercise the bucketed (dial) queue — the tentpole engine —
-#: and must clear 3x over the in-run reference router; continuous
-#: random-guidance scenarios fall back to the scalar heap engine, whose
-#: floor is lower.  Both are in-run comparisons, so the gate does not
-#: depend on runner speed.
+#: Engine gates for the ``route`` section under ``--check``, timed on
+#: the flooding oracle (every hard search runs, as before the
+#: reachability check), the workload these floors were set on.  The
+#: neutral scenarios exercise the bucketed (dial) queue and must clear
+#: 3x over the in-run reference engine; continuous random-guidance
+#: scenarios fall back to the scalar heap engine, whose floor is lower.
+#: Both are in-run comparisons, so the gate does not depend on runner
+#: speed.
 ROUTE_MIN_SPEEDUP_NEUTRAL = 3.0
 ROUTE_MIN_SPEEDUP_GUIDED = 1.5
 
@@ -88,8 +92,11 @@ RELAX_EVAL_REPEATS = 20
 FORWARD_MAX_AMORTIZED_RATIO = 0.9
 
 
-def _route_once(placement, tech, guidance_seed, engine: str):
-    """One timed ``route_all`` on a fresh grid; returns (dt, paths, exp)."""
+def _route_once(placement, tech, guidance_seed, router_cls, engine):
+    """One timed ``route_all`` on a fresh grid.
+
+    Returns (seconds, paths, failed nets, expansions).
+    """
     grid = RoutingGrid(placement, tech)
     if guidance_seed is None:
         guidance = RoutingGuidance()
@@ -97,72 +104,103 @@ def _route_once(placement, tech, guidance_seed, engine: str):
         rng = np.random.default_rng(guidance_seed)
         keys = [ap.key for aps in grid.access_points.values() for ap in aps]
         guidance = random_guidance(keys, rng)
-    router = IterativeRouter(
-        grid, guidance, RouterConfig(engine=engine))
+    router = router_cls(grid, guidance, RouterConfig(engine=engine))
     start = time.perf_counter()
     result = router.route_all()
     elapsed = time.perf_counter() - start
     paths = {name: tuple(tuple(path) for path in route.paths)
              for name, route in result.routes.items()}
-    return elapsed, paths, router.astar.expansions_total
+    return (elapsed, paths, result.failed_nets,
+            router.astar.expansions_total)
+
+
+#: The timed arms of one router scenario: (name, router class, engine).
+ROUTE_ARMS = (
+    ("reference", FloodingRouter, "reference"),
+    ("oracle", FloodingRouter, "auto"),
+    ("shipped", IterativeRouter, "auto"),
+)
 
 
 def measure_route() -> dict:
-    """Router benchmark: in-run reference vs. new engines on every OTA.
+    """Router benchmark on every OTA, neutral and guided.
 
-    Each scenario routes the same placement with the seed (reference)
-    router and the new auto engine (bucketed dial queue on neutral
-    guidance, scalar heap fallback on continuous guidance).  Identity of
-    routed paths and expansion counts across the two is part of the
-    record (and the CI gate).
+    Each scenario routes the same placement three ways.  The engine
+    comparison runs the flooding oracle (``tests/router_oracle.py``) on
+    the seed (reference) engine and on the auto engine (bucketed dial
+    queue on neutral guidance, scalar heap fallback on continuous
+    guidance); identity of their routed paths and expansion counts is
+    part of the record (and the CI gate).  The shipped router, which
+    skips hard searches whose target is unreachable, runs on the auto
+    engine; it must route exactly as the oracle does with no more
+    expansions, and the oracle/shipped time ratio is what the skip saves.
     """
     tech = generic_40nm()
     scenarios: dict[str, dict] = {}
-    totals = {"neutral": [0.0, 0.0], "guided": [0.0, 0.0]}
+    labels = ("neutral", "guided")
+    seconds = {label: dict.fromkeys((arm[0] for arm in ROUTE_ARMS), 0.0)
+               for label in labels}
+    expansions = {label: {"oracle": 0, "shipped": 0} for label in labels}
     identical = True
+    matches = True
     for circuit_name in ROUTE_CIRCUITS:
         circuit = build_benchmark(circuit_name)
         placement = place_benchmark(circuit, variant="A", seed=0,
                                     iterations=200)
-        for label, seed in (("neutral", None), ("guided", 7)):
-            # Interleave reference/auto trials so slow drift on the
-            # runner (thermal, background load) biases neither side.
-            ref_t, ref_paths, ref_exp = _route_once(
-                placement, tech, seed, "reference")
-            new_t, new_paths, new_exp = _route_once(
-                placement, tech, seed, "auto")
+        for label, seed in zip(labels, (None, 7)):
+            # Interleave the arms so slow drift on the runner (thermal,
+            # background load) biases none of them.
+            runs = {name: _route_once(placement, tech, seed, cls, engine)
+                    for name, cls, engine in ROUTE_ARMS}
+            best = {name: run[0] for name, run in runs.items()}
             for _ in range(ROUTE_REPEATS - 1):
-                ref_t = min(ref_t, _route_once(
-                    placement, tech, seed, "reference")[0])
-                new_t = min(new_t, _route_once(
-                    placement, tech, seed, "auto")[0])
-            nets = max(len(ref_paths), 1)
-            same = new_paths == ref_paths and new_exp == ref_exp
+                for name, cls, engine in ROUTE_ARMS:
+                    best[name] = min(best[name], _route_once(
+                        placement, tech, seed, cls, engine)[0])
+            _, ref_paths, _, ref_exp = runs["reference"]
+            _, oracle_paths, oracle_failed, oracle_exp = runs["oracle"]
+            _, new_paths, new_failed, new_exp = runs["shipped"]
+            same = oracle_paths == ref_paths and oracle_exp == ref_exp
             identical = identical and same
-            totals[label][0] += ref_t
-            totals[label][1] += new_t
+            matched = new_paths == oracle_paths and new_failed == oracle_failed
+            matches = matches and matched
+            for name in best:
+                seconds[label][name] += best[name]
+            expansions[label]["oracle"] += oracle_exp
+            expansions[label]["shipped"] += new_exp
+            nets = max(len(ref_paths), 1)
             scenarios[f"{circuit_name}.{label}"] = {
-                "reference_seconds": round(ref_t, 4),
-                "auto_seconds": round(new_t, 4),
-                "speedup": round(ref_t / new_t, 2),
-                "expansions": new_exp,
-                "expansions_per_sec": round(new_exp / new_t),
-                "per_net_route_seconds": round(new_t / nets, 5),
+                "reference_seconds": round(best["reference"], 4),
+                "auto_seconds": round(best["oracle"], 4),
+                "speedup": round(best["reference"] / best["oracle"], 2),
+                "expansions": oracle_exp,
+                "expansions_per_sec": round(oracle_exp / best["oracle"]),
+                "per_net_route_seconds": round(best["oracle"] / nets, 5),
                 "paths_identical": same,
+                "shipped_seconds": round(best["shipped"], 4),
+                "shipped_expansions": new_exp,
+                "shipped_matches_oracle": matched,
             }
     return {
         "scenarios": scenarios,
-        "speedup": {
-            "neutral": round(totals["neutral"][0] / totals["neutral"][1], 2),
-            "guided": round(totals["guided"][0] / totals["guided"][1], 2),
-        },
+        "speedup": {label: round(seconds[label]["reference"]
+                                 / seconds[label]["oracle"], 2)
+                    for label in labels},
         "paths_identical": identical,
+        "reachability": {
+            "speedup": {label: round(seconds[label]["oracle"]
+                                     / seconds[label]["shipped"], 2)
+                        for label in labels},
+            "expansions": expansions,
+            "matches_oracle": matches,
+        },
         "repeats": ROUTE_REPEATS,
     }
 
 
 def check_route(route: dict, baseline: dict | None) -> list[str]:
-    """Route-section gates: in-run speedups and path identity."""
+    """Route-section gates: engine speedups and identity on the flooding
+    oracle, and the shipped router against that oracle."""
     problems: list[str] = []
     speedup = route.get("speedup", {})
     neutral = float(speedup.get("neutral", 0.0))
@@ -175,11 +213,29 @@ def check_route(route: dict, baseline: dict | None) -> list[str]:
         problems.append(
             f"route speedup (guided/scalar) {guided:.2f}x below the "
             f"{ROUTE_MIN_SPEEDUP_GUIDED:.1f}x gate")
+    scenarios = route.get("scenarios", {})
     if not route.get("paths_identical", False):
-        bad = [name for name, s in route.get("scenarios", {}).items()
+        bad = [name for name, s in scenarios.items()
                if not s.get("paths_identical", False)]
         problems.append(f"routed paths differ from the reference router "
                         f"in: {', '.join(bad) or 'unknown'}")
+    reach = route.get("reachability", {})
+    if not reach.get("matches_oracle", False):
+        bad = [name for name, s in scenarios.items()
+               if not s.get("shipped_matches_oracle", False)]
+        problems.append(f"routed paths or failed nets differ from the "
+                        f"flooding oracle in: {', '.join(bad) or 'unknown'}")
+    for name, s in scenarios.items():
+        if s.get("shipped_expansions", 0) > s.get("expansions", 0):
+            problems.append(
+                f"{name}: the router expanded {s['shipped_expansions']} "
+                f"nodes, more than the flooding oracle's {s['expansions']}")
+    for label, counts in reach.get("expansions", {}).items():
+        if counts["shipped"] >= counts["oracle"]:
+            problems.append(
+                f"reachability check skipped no flood on {label} "
+                f"scenarios: {counts['shipped']} expansions vs the "
+                f"flooding oracle's {counts['oracle']}")
     if baseline is not None and "route" in baseline:
         base_route = float(
             baseline["route"].get("speedup", {}).get("neutral", 0.0))
@@ -493,9 +549,13 @@ def main(argv: list[str] | None = None) -> int:
           f"{payload['relax_candidates_batched']} candidates in "
           f"{payload['relax_seconds_batched']:.2f}s")
     route = payload["route"]
+    reach = route["reachability"]
     print(f"  route: {route['speedup']['neutral']}x neutral / "
-          f"{route['speedup']['guided']}x guided vs in-run reference, "
-          f"paths_identical={route['paths_identical']}")
+          f"{route['speedup']['guided']}x guided vs in-run reference "
+          f"(flooding oracle), paths_identical={route['paths_identical']}; "
+          f"reachability {reach['speedup']['neutral']}x neutral / "
+          f"{reach['speedup']['guided']}x guided vs the oracle, "
+          f"matches_oracle={reach['matches_oracle']}")
     fwd = payload["forward"]
     print(f"  forward: B={fwd['batch_sweep'][-1]} amortizes to "
           f"{fwd['amortized_ratio']}x the B=1 per-candidate time "

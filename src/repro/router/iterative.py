@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from repro.netlist.nets import Net, NetType
 from repro.obs import NULL_CONTEXT, RunContext
 from repro.reliability.faults import maybe_inject
 from repro.router.astar import AStarRouter, CostParams
 from repro.router.costfield import build_add_core
-from repro.router.grid import GridNode, RoutingGrid
+from repro.router.grid import FREE, GridNode, RoutingGrid
 from repro.router.guidance import AccessPoint, RoutingGuidance
 from repro.router.result import NetRoute, RoutingResult
 from repro.router.symmetry import mirror_route
@@ -75,6 +76,26 @@ _TYPE_PRIORITY = {
     NetType.GROUND: 3,
 }
 
+#: Face connectivity (+-x, +-y, +-z): the moves every A* engine makes.
+_FACE_NEIGHBOURS = ndimage.generate_binary_structure(3, 1)
+
+#: Offsets of a cell and its six face neighbours.
+_CELL_AND_NEIGHBOURS = np.argwhere(_FACE_NEIGHBOURS) - 1
+
+
+def _components_entered(labels: np.ndarray, cells) -> set[int]:
+    """Labels of the hard-passable components a search from ``cells`` enters.
+
+    A search pushes its sources whether or not they are passable, and
+    from each one only its passable neighbours, so it can enter the
+    components of its sources and of their in-bounds face neighbours.
+    """
+    near = (np.array(list(cells), dtype=np.int64)[:, None, :]
+            + _CELL_AND_NEIGHBOURS).reshape(-1, 3)
+    near = near[np.all((near >= 0) & (near < labels.shape), axis=1)]
+    found = labels[near[:, 0], near[:, 1], near[:, 2]]
+    return set(found[found > 0].tolist())
+
 
 class IterativeRouter:
     """Routes a whole circuit on a grid, honoring symmetry and guidance."""
@@ -100,8 +121,9 @@ class IterativeRouter:
         """Route every net with >= 2 terminals; returns the full solution.
 
         With an enabled obs context, every routing attempt emits a
-        ``route.net`` span (outcome ``ok`` / ``mirrored`` / ``failed``),
-        and every routed net adds its A* expansions to
+        ``route.net`` span (outcome ``ok`` / ``mirrored`` / ``failed``;
+        ``unreachable=n`` when the attempt skipped n hard searches), and
+        every routed net adds its A* expansions to
         ``route_expansions_total{mode=...}`` and its frontier batches to
         the ``route_frontier_batch`` histogram.
 
@@ -132,7 +154,10 @@ class IterativeRouter:
                             routed[net_name] = mirror
                             span.set(outcome="mirrored")
                             continue
-                    route, conflicts = self._route_net_observed(net_name)
+                    route, conflicts, unreachable = (
+                        self._route_net_observed(net_name))
+                    if unreachable:
+                        span.set(unreachable=unreachable)
                     if route is None:
                         span.set(outcome="failed")
                         requeue.append(net_name)
@@ -214,12 +239,12 @@ class IterativeRouter:
     # -- single-net routing -----------------------------------------------------------
 
     def _route_net_observed(self, net_name: str
-                            ) -> tuple[NetRoute | None, set[str]]:
+                            ) -> tuple[NetRoute | None, set[str], int]:
         """:meth:`_route_net` plus its per-net expansion and batch metrics."""
         astar = self.astar
         before = dict(astar.expansions_by_mode)
         astar.take_batch_window()
-        route, conflicts = self._route_net(net_name)
+        route, conflicts, unreachable = self._route_net(net_name)
         for mode in sorted(astar.expansions_by_mode):
             count = astar.expansions_by_mode[mode] - before.get(mode, 0)
             if count:
@@ -230,19 +255,29 @@ class IterativeRouter:
             self.obs.histogram("route_frontier_batch").merge_summary(
                 int(batch["count"]), batch["sum"],
                 batch["min"], batch["max"])
-        return route, conflicts
+        return route, conflicts, unreachable
 
-    def _route_net(self, net_name: str) -> tuple[NetRoute | None, set[str]]:
-        """Route one net; returns (route, conflicting nets ripped through).
+    def _route_net(self, net_name: str
+                   ) -> tuple[NetRoute | None, set[str], int]:
+        """Route one net; returns (route, nets ripped through, unreachable).
 
-        First tries hard-blocked routing; when a connection fails, falls
-        back to soft (negotiation) mode and reports the nets whose cells the
-        path crosses so the caller can rip them up.
+        Each connection first tries hard-blocked routing; when that fails,
+        it falls back to soft (negotiation) mode and reports the nets
+        whose cells the path crosses so the caller can rip them up.
+
+        A hard search whose target lies in no hard-passable component its
+        sources can enter would flood that region and return None, so it
+        is skipped: the connection goes straight to soft mode, and
+        ``unreachable`` counts the skips.  The skip is exact.  The hard
+        search only ever pushes cells of those components, and one
+        labelling serves the whole attempt, because occupancy changes
+        only at commit and rip-up (a soft fallback raises history only).
+        Paths, failures and rip-ups are those of running every search.
         """
         aps = self.grid.access_points[net_name]
         route = NetRoute(net=net_name, access_points=aps)
         if len(aps) < 2:
-            return route, set()
+            return route, set(), 0
 
         layer_mult = None
         if self.config.layer_cost_by_type is not None:
@@ -254,6 +289,10 @@ class IterativeRouter:
         conflicts: set[str] = set()
         tree_cells: set[GridNode] = {aps[0].cell}
         remaining = list(self._mst_order(aps))
+        labels = self._hard_components(net_name)
+        entered = (set() if labels is None
+                   else _components_entered(labels, tree_cells))
+        unreachable = 0
         # The hard-mode additive cost field only depends on (net, grid
         # state); reuse it across this net's connections, rebuilding after
         # any history bump from a soft fallback.
@@ -262,16 +301,21 @@ class IterativeRouter:
             if target_ap.cell in tree_cells:
                 continue
             guid = self._connection_guidance(target_ap, aps)
-            if hard_core is None:
-                hard_core = build_add_core(
-                    self.grid, net=net_name, soft=False,
-                    present_penalty=self.config.cost.present_penalty,
-                    history_weight=self.config.cost.history_weight)
-            path = self.astar.route_connection(
-                net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
-                soft=False, max_expansions=self.config.max_expansions,
-                layer_multipliers=layer_mult, add_core=hard_core,
-            )
+            path = None
+            if (labels is not None
+                    and int(labels[target_ap.cell]) not in entered):
+                unreachable += 1
+            else:
+                if hard_core is None:
+                    hard_core = build_add_core(
+                        self.grid, net=net_name, soft=False,
+                        present_penalty=self.config.cost.present_penalty,
+                        history_weight=self.config.cost.history_weight)
+                path = self.astar.route_connection(
+                    net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
+                    soft=False, max_expansions=self.config.max_expansions,
+                    layer_multipliers=layer_mult, add_core=hard_core,
+                )
             if path is None:
                 path = self.astar.route_connection(
                     net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
@@ -279,7 +323,7 @@ class IterativeRouter:
                     layer_multipliers=layer_mult,
                 )
                 if path is None:
-                    return None, conflicts
+                    return None, conflicts, unreachable
                 for cell in path:
                     owner = self.grid.owner(cell)
                     if owner >= 0 and self.grid.net_names[owner] != net_name:
@@ -288,7 +332,21 @@ class IterativeRouter:
                 hard_core = None
             route.paths.append(path)
             tree_cells.update(path)
-        return route, conflicts
+            if labels is not None:
+                entered |= _components_entered(labels, path)
+        return route, conflicts, unreachable
+
+    def _hard_components(self, net_name: str) -> np.ndarray | None:
+        """Face-connected components of the cells a hard search may enter.
+
+        Those cells are the free ones and the net's own; they are labelled
+        from 1, blocked and foreign cells 0.  An override returning None
+        runs every hard search (the flooding oracle of the router tests).
+        """
+        occ = self.grid.occupancy
+        passable = (occ == FREE) | (occ == self.grid.net_index[net_name])
+        labels, _ = ndimage.label(passable, structure=_FACE_NEIGHBOURS)
+        return labels
 
     def _mst_order(self, aps: list[AccessPoint]) -> list[AccessPoint]:
         """Order terminals by nearest-neighbour growth from the first AP."""

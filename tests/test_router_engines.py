@@ -5,18 +5,25 @@ same paths, same expansion counts, for every engine and guidance vector.
 These tests pin that contract — the bucket queue in isolation,
 engine-vs-reference equivalence under hypothesis-generated obstacles and
 guidance, whole-circuit reference-vs-auto identity, quantization
-detection, and the router's observability surface.
+detection, and the router's observability surface.  The iterative
+router skips hard searches whose target is unreachable; the skip verdict
+is held to the engines' own searches, and the whole router to the
+flooding oracle that runs every search.
 """
+
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import build_benchmark, place_benchmark
 from repro.obs import RunContext
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability.errors import RoutingError
 from repro.router import (
     BLOCKED,
+    FREE,
     AStarRouter,
     BucketQueue,
     CostField,
@@ -28,7 +35,9 @@ from repro.router import (
 )
 from repro.router.astar import _STAMP_MAX
 from repro.router.guidance import RoutingGuidance, random_guidance
+from repro.router.iterative import _components_entered
 from repro.router.pqueue import BucketQueue as PQBucketQueue
+from tests.router_oracle import FloodingRouter
 
 
 def _free_cell(grid, layer=1, start=(0, 0)):
@@ -202,6 +211,120 @@ class TestEngineEquivalence:
             assert state.generation == 1
 
 
+def _small_grid(template, occupancy):
+    """``template`` cut down to ``occupancy``'s shape, with zero history."""
+    grid = copy.copy(template)
+    grid.nx, grid.ny, grid.num_layers = occupancy.shape
+    grid.occupancy = occupancy
+    grid.history = np.zeros(occupancy.shape)
+    return grid
+
+
+def _skip_verdict(grid, net, sources, target):
+    """The iterative router's verdict: True when it skips the hard search."""
+    labels = IterativeRouter(grid)._hard_components(net)
+    return int(labels[target]) not in _components_entered(labels, sources)
+
+
+def _hard_searches(grid, net, sources, target):
+    """Unbounded hard-mode search on every engine, keyed by engine."""
+    return {engine: AStarRouter(grid, engine=engine).route_connection(
+                net, set(sources), {target}, soft=False,
+                max_expansions=10**9)
+            for engine in ("reference", "scalar", "bucketed")}
+
+
+class TestReachabilityVerdict:
+    """The router skips a hard search exactly when that search, run
+    without an expansion budget, would return None — on every engine."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 7), st.integers(2, 7),
+                        st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        p_blocked=st.floats(0.0, 0.5),
+        p_foreign=st.floats(0.0, 0.5),
+        n_sources=st.integers(1, 4),
+    )
+    def test_verdict_matches_hard_search(self, ota1_grid, shape, seed,
+                                         p_blocked, p_foreign, n_sources):
+        net, other = ota1_grid.net_names[:2]
+        own = ota1_grid.net_index[net]
+        rng = np.random.default_rng(seed)
+        draw = rng.random(shape)
+        occ = np.full(shape, FREE, dtype=np.int32)
+        occ[draw < p_blocked] = BLOCKED
+        occ[(draw >= p_blocked) & (draw < p_blocked + p_foreign)] = (
+            ota1_grid.net_index[other])
+        occ[draw > 0.9] = own
+        grid = _small_grid(ota1_grid, occ)
+        # Sources and target are drawn from every kind of cell, so
+        # foreign, blocked and own sources (and targets) all occur.
+        total = occ.size
+        picks = rng.permutation(total)[:min(n_sources, total - 1) + 1]
+        cells = [tuple(int(v) for v in np.unravel_index(i, shape))
+                 for i in picks]
+        sources, target = cells[:-1], cells[-1]
+        skipped = _skip_verdict(grid, net, sources, target)
+        for engine, path in _hard_searches(grid, net, sources,
+                                           target).items():
+            assert (path is None) == skipped, engine
+
+    @staticmethod
+    def _open_grid(template):
+        return _small_grid(template, np.full((5, 5, 3), FREE, dtype=np.int32))
+
+    @staticmethod
+    def _box_in(grid, cell, foreign):
+        """Wall ``cell`` off on all six sides, alternating blockage kinds."""
+        x, y, layer = cell
+        around = [(x + 1, y, layer), (x - 1, y, layer), (x, y + 1, layer),
+                  (x, y - 1, layer), (x, y, layer + 1), (x, y, layer - 1)]
+        for i, nb in enumerate(around):
+            grid.occupancy[nb] = BLOCKED if i % 2 else foreign
+
+    def test_boxed_in_target_is_skipped(self, ota1_grid):
+        net, other = ota1_grid.net_names[:2]
+        grid = self._open_grid(ota1_grid)
+        target = (2, 2, 1)
+        grid.occupancy[target] = grid.net_index[net]
+        self._box_in(grid, target, grid.net_index[other])
+        assert _skip_verdict(grid, net, [(0, 0, 0)], target)
+        for path in _hard_searches(grid, net, [(0, 0, 0)],
+                                   target).values():
+            assert path is None
+
+    def test_boxed_in_source_is_skipped(self, ota1_grid):
+        net, other = ota1_grid.net_names[:2]
+        grid = self._open_grid(ota1_grid)
+        source = (2, 2, 1)
+        grid.occupancy[source] = grid.net_index[net]
+        self._box_in(grid, source, grid.net_index[other])
+        assert _skip_verdict(grid, net, [source], (4, 4, 2))
+        for path in _hard_searches(grid, net, [source], (4, 4, 2)).values():
+            assert path is None
+
+    def test_foreign_source_next_to_target_component(self, ota1_grid):
+        """A soft path's foreign cells become sources: impassable
+        themselves, they still open their neighbours' components."""
+        net, other = ota1_grid.net_names[:2]
+        grid = self._open_grid(ota1_grid)
+        grid.occupancy[2, :, :] = BLOCKED  # wall between x<2 and x>2
+        gate = (2, 2, 1)
+        grid.occupancy[gate] = grid.net_index[other]
+        target = (4, 4, 2)
+        left = (0, 0, 0)
+        assert _skip_verdict(grid, net, [left], target)
+        for path in _hard_searches(grid, net, [left], target).values():
+            assert path is None
+        assert not _skip_verdict(grid, net, [left, gate], target)
+        paths = _hard_searches(grid, net, [left, gate], target)
+        assert paths["reference"] is not None
+        assert paths["reference"][0] == gate
+        assert all(path == paths["reference"] for path in paths.values())
+
+
 def _path_cost(field: CostField, path) -> float:
     """Accumulate a path's g the way every engine does."""
     cost = 0.0
@@ -363,6 +486,54 @@ class TestWholeRouterIdentity:
             RouterConfig(workers=2)
 
 
+@pytest.fixture(scope="module")
+def ota_placements():
+    return {name: place_benchmark(build_benchmark(name), variant="A",
+                                  seed=0, iterations=200)
+            for name in ("OTA1", "OTA2", "OTA3")}
+
+
+def _route_whole(router_cls, placement, tech, guidance_seed):
+    """Route a whole OTA; returns the outcome and the expansion count."""
+    grid = RoutingGrid(placement, tech)
+    guidance = RoutingGuidance()
+    if guidance_seed is not None:
+        keys = [ap.key for aps in grid.access_points.values() for ap in aps]
+        guidance = random_guidance(keys, np.random.default_rng(guidance_seed))
+    router = router_cls(grid, guidance)
+    result = router.route_all()
+    outcome = {
+        "paths": {name: tuple(tuple(p) for p in route.paths)
+                  for name, route in result.routes.items()},
+        "failed_nets": result.failed_nets,
+        "iterations": result.iterations,
+        "symmetric_ok": {name: route.symmetric_ok
+                         for name, route in result.routes.items()},
+    }
+    return outcome, router.astar.expansions_total
+
+
+class TestShippedMatchesFloodingOracle:
+    """Skipping unreachable hard searches changes no routing decision,
+    and only ever removes expansions."""
+
+    @pytest.mark.parametrize("guidance_seed", [None, 7],
+                             ids=["neutral", "guided"])
+    @pytest.mark.parametrize("circuit", ["OTA1", "OTA2", "OTA3"])
+    def test_same_routes_fewer_expansions(self, ota_placements, tech,
+                                          circuit, guidance_seed):
+        placement = ota_placements[circuit]
+        shipped, shipped_exp = _route_whole(IterativeRouter, placement, tech,
+                                            guidance_seed)
+        oracle, oracle_exp = _route_whole(FloodingRouter, placement, tech,
+                                          guidance_seed)
+        assert shipped["paths"]
+        assert shipped == oracle
+        assert shipped_exp <= oracle_exp
+        if circuit in ("OTA1", "OTA3") and guidance_seed is None:
+            assert shipped_exp < oracle_exp
+
+
 class TestRouterObservability:
     """Satellite (f): expansion counters and frontier-batch histogram."""
 
@@ -390,6 +561,31 @@ class TestRouterObservability:
         assert hist["sum"] == pytest.approx(stats["sum"])
         assert hist["min"] == stats["min"] >= 1
         assert hist["max"] == stats["max"]
+
+    def test_unreachable_spans_count_the_oracle_floods(self, ota1_placement,
+                                                        tech):
+        """``route.net`` spans count the skipped hard searches: as many as
+        the flooding oracle's hard searches that return None."""
+        oracle = FloodingRouter(RoutingGrid(ota1_placement, tech))
+        search = oracle.astar.route_connection
+        floods = []
+
+        def counting_search(*args, **kwargs):
+            path = search(*args, **kwargs)
+            if not kwargs["soft"] and path is None:
+                floods.append(args[0])
+            return path
+
+        oracle.astar.route_connection = counting_search
+        oracle.route_all()
+
+        obs = RunContext.recording()
+        IterativeRouter(RoutingGrid(ota1_placement, tech), obs=obs).route_all()
+        spans = [e for e in obs.drain_events() if e["name"] == "route.net"]
+        counts = [e["attrs"]["unreachable"] for e in spans
+                  if "unreachable" in e["attrs"]]
+        assert floods and all(n > 0 for n in counts)
+        assert sum(counts) == len(floods)
 
     def test_histogram_merge_summary(self):
         reg = MetricsRegistry()
