@@ -97,8 +97,6 @@ class Project:
         self._adj: dict[str, list[Edge]] = defaultdict(list)
         self._build_edges()
 
-        self._rev_imports: dict[str, set[str]] | None = None
-
     # -- symbol resolution --------------------------------------------------------
 
     def resolve(self, dotted: str,
@@ -408,47 +406,3 @@ class Project:
             path.append(edge.src)
         path.reverse()
         return path
-
-    # -- module dependency graph (for --changed-only) -----------------------------
-
-    def _module_of(self, dotted: str) -> str | None:
-        """Longest analyzed-module prefix of a fully-qualified name."""
-        parts = dotted.split(".")
-        for i in range(len(parts), 0, -1):
-            module = ".".join(parts[:i])
-            if module in self.modules:
-                return module
-        return None
-
-    def _reverse_imports(self) -> dict[str, set[str]]:
-        if self._rev_imports is None:
-            rev: dict[str, set[str]] = defaultdict(set)
-            for module, summ in self.modules.items():
-                deps: set[str] = set()
-                for target in summ.imports.values():
-                    dep = self._module_of(target)
-                    if dep is not None and dep != module:
-                        deps.add(dep)
-                for star in summ.star_imports:
-                    dep = self._module_of(star)
-                    if dep is not None and dep != module:
-                        deps.add(dep)
-                for dep in deps:
-                    rev[dep].add(module)
-            self._rev_imports = dict(rev)
-        return self._rev_imports
-
-    def dependents_closure(self, modules: Iterable[str]) -> set[str]:
-        """The given modules plus everything that transitively imports
-        them — the re-analysis set when only those modules changed."""
-        rev = self._reverse_imports()
-        out: set[str] = set()
-        queue = deque(m for m in modules if m in self.modules)
-        out.update(queue)
-        while queue:
-            module = queue.popleft()
-            for dependent in rev.get(module, ()):
-                if dependent not in out:
-                    out.add(dependent)
-                    queue.append(dependent)
-        return out

@@ -4,9 +4,8 @@ Phase 1 parses each file once, builds the import table, walks the AST
 a single time dispatching each node to every per-file rule that
 registered a ``visit_<NodeType>`` handler, and extracts the module's
 :class:`~repro.lint.summaries.ModuleSummary` from the same tree.
-Summaries (and the per-file findings) are cached under ``.lint-cache/``
-keyed by content hash, and the parse/walk step fans out across
-processes with ``jobs > 1``.
+Every run is one cold pass in one process: nothing is cached between
+runs, so a rule edit takes effect on the next run.
 
 Phase 2 links the summaries into a project call graph
 (:mod:`repro.lint.callgraph`) and runs the interprocedural rules
@@ -22,13 +21,11 @@ directive should not care which physical line the rule picked).
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 
 from repro.lint.baseline import Baseline, load_baseline
-from repro.lint.cache import SummaryCache, source_digest
 from repro.lint.callgraph import Project
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
@@ -56,13 +53,8 @@ class LintResult:
         baselined: findings matched by the committed baseline.
         stale_baseline: baseline entries that no longer match anything —
             the baseline can be ratcheted down by these.
-        files_checked: number of files covered (parsed or cache-hit).
+        files_checked: number of files linted.
         suppressed: number of findings silenced by inline directives.
-        reanalyzed: dotted modules re-analyzed this run — the dirty
-            files plus (when a cache is active) their reverse import
-            dependencies; equals all modules on a cold run.
-        cache_hits: files served from the summary cache.
-        cache_misses: files that had to be re-parsed.
     """
 
     findings: list[Finding] = field(default_factory=list)
@@ -70,9 +62,6 @@ class LintResult:
     stale_baseline: set[str] = field(default_factory=set)
     files_checked: int = 0
     suppressed: int = 0
-    reanalyzed: list[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: The linked call-graph project (phase 2 input); exposed so the
     #: CLI can regenerate docs/EXCEPTIONS.md from the same analysis.
     project: Project | None = None
@@ -171,8 +160,7 @@ def _analyze_source(source: str, rel_path: str, module: str | None,
             if not _is_suppressed(suppressions, groups, f.rule_id, f.line)]
     summary = None
     if module is not None:
-        summary = summarize_module(tree, module, rel_path,
-                                   digest=source_digest(source))
+        summary = summarize_module(tree, module, rel_path)
     return sorted(kept), len(ctx.findings) - len(kept), summary
 
 
@@ -225,30 +213,6 @@ def iter_python_files(paths: list[Path],
             continue
         kept.append(path)
     return kept
-
-
-def _analyze_worker(args: tuple[str, str, str | None, tuple[str, ...]],
-                    ) -> dict:
-    """Process-pool task: analyze one file, return a picklable dict."""
-    path_str, rel, module, rule_ids = args
-    source = Path(path_str).read_text(encoding="utf-8")
-    rules = all_rules(select=set(rule_ids)) if rule_ids else []
-    findings, suppressed, summary = _analyze_source(
-        source, rel, module, rules)
-    return {
-        "rel": rel,
-        "digest": source_digest(source),
-        "module": module,
-        "findings": [f.to_dict() for f in findings],
-        "suppressed": suppressed,
-        "summary": summary.to_dict() if summary is not None else None,
-    }
-
-
-def _finding_from_dict(data: dict) -> Finding:
-    return Finding(path=data["path"], line=data["line"], col=data["col"],
-                   rule_id=data["rule"], message=data["message"],
-                   line_text=data.get("line_text", ""))
 
 
 def _fill_and_filter_graph_findings(
@@ -318,9 +282,7 @@ def lint_project_sources(
     summaries: dict[str, ModuleSummary] = {}
     sources: dict[str, str] = {}
     for rel, module, source in files:
-        tree = ast.parse(source)
-        summaries[module] = summarize_module(
-            tree, module, rel, digest=source_digest(source))
+        summaries[module] = summarize_module(ast.parse(source), module, rel)
         sources[rel] = source
     project = Project(summaries)
     context = ProjectContext(root=None, exceptions_doc=exceptions_doc)
@@ -339,9 +301,6 @@ def run_lint(paths: list[str | Path] | None = None,
              *,
              graph_rules: list[GraphRule] | None = None,
              whole_program: bool = True,
-             cache: SummaryCache | None = None,
-             jobs: int = 1,
-             changed_only: bool = False,
              project_context: ProjectContext | None = None) -> LintResult:
     """Lint ``paths`` (default: the configured targets) end to end.
 
@@ -349,12 +308,6 @@ def run_lint(paths: list[str | Path] | None = None,
         graph_rules: interprocedural rules for phase 2 (default: all
             registered, minus the config's ignore set).
         whole_program: set False to skip phase 2 entirely.
-        cache: summary cache; None (the default) runs cache-less, so
-            library callers and tests never write ``.lint-cache/``.
-        jobs: process-pool width for the parse/summarize phase.
-        changed_only: with a warm cache, skip phase 2 when nothing
-            changed; ``result.reanalyzed`` lists the dirty modules
-            plus their reverse import dependencies.
     """
     config = config if config is not None else LintConfig()
     root = config.root
@@ -373,64 +326,21 @@ def run_lint(paths: list[str | Path] | None = None,
     collected: list[Finding] = []
     summaries: dict[str, ModuleSummary] = {}
     sources: dict[str, str] = {}
-    dirty_modules: set[str] = set()
-    pending: list[tuple[str, str, str | None, str, str]] = []
-    # Cached per-file findings were produced under a specific rule
-    # selection; a run with a different --select/--ignore must miss.
-    rules_key = ",".join(sorted(r.id for r in rules))
 
     for path in iter_python_files(targets, root, config.exclude):
         try:
             rel = path.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
             rel = path.as_posix()
-        module = _module_name(rel)
         source = path.read_text(encoding="utf-8")
         sources[rel] = source
-        digest = source_digest(source)
         result.files_checked += 1
-        if cache is not None:
-            entry = cache.get(rel, digest, rules_key)
-            if entry is not None:
-                collected.extend(entry.findings)
-                result.suppressed += entry.suppressed
-                result.cache_hits += 1
-                summaries[entry.summary.module] = entry.summary
-                continue
-            result.cache_misses += 1
-        pending.append((str(path), rel, module, source, digest))
-        if module is not None:
-            dirty_modules.add(module)
-
-    rule_ids = tuple(r.id for r in rules)
-    if jobs > 1 and len(pending) > 1:
-        worker_args = [(p, rel, module, rule_ids)
-                       for p, rel, module, _source, _digest in pending]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_analyze_worker, worker_args))
-        for (_p, rel, module, _source, digest), out in zip(
-                pending, outcomes):
-            findings = [_finding_from_dict(f) for f in out["findings"]]
-            summary = (ModuleSummary.from_dict(out["summary"])
-                       if out["summary"] is not None else None)
-            collected.extend(findings)
-            result.suppressed += out["suppressed"]
-            if summary is not None:
-                summaries[summary.module] = summary
-                if cache is not None:
-                    cache.put(rel, digest, summary, findings,
-                              out["suppressed"], rules_key)
-    else:
-        for _p, rel, module, source, digest in pending:
-            findings, suppressed, summary = _analyze_source(
-                source, rel, module, rules)
-            collected.extend(findings)
-            result.suppressed += suppressed
-            if summary is not None:
-                summaries[summary.module] = summary
-                if cache is not None:
-                    cache.put(rel, digest, summary, findings, suppressed,
-                              rules_key)
+        findings, suppressed, summary = _analyze_source(
+            source, rel, _module_name(rel), rules)
+        collected.extend(findings)
+        result.suppressed += suppressed
+        if summary is not None:
+            summaries[summary.module] = summary
 
     # -- phase 2: link + interprocedural rules ---------------------------------
     project: Project | None = None
@@ -438,19 +348,11 @@ def run_lint(paths: list[str | Path] | None = None,
         project = build_project(summaries)
     result.project = project
 
-    if cache is not None and project is not None:
-        result.reanalyzed = sorted(project.dependents_closure(dirty_modules))
-    else:
-        result.reanalyzed = sorted(summaries)
-
-    run_graph = bool(whole_program and graph_rules and project is not None)
-    if run_graph and changed_only and cache is not None and not dirty_modules:
-        run_graph = False  # warm cache, nothing changed: phase 2 is a no-op
-    if run_graph:
+    if whole_program and graph_rules and project is not None:
         context = project_context if project_context is not None \
             else ProjectContext(root=root)
         raw: list[Finding] = []
-        for rule in graph_rules or ():
+        for rule in graph_rules:
             raw.extend(rule.check(project, context))
         kept, suppressed = _fill_and_filter_graph_findings(
             raw, sources, root)

@@ -26,12 +26,6 @@ def render_text(result: LintResult) -> str:
                f" {len(result.baselined)} baselined)")
     if result.stale_baseline:
         summary += f", {len(result.stale_baseline)} stale baseline entries"
-    if result.cache_hits or result.cache_misses:
-        summary += (f", cache {result.cache_hits} hit"
-                    f"{'s' if result.cache_hits != 1 else ''} /"
-                    f" {result.cache_misses} miss"
-                    f"{'es' if result.cache_misses != 1 else ''}"
-                    f", {len(result.reanalyzed)} modules re-analyzed")
     lines.append(summary)
     return "\n".join(lines)
 
@@ -43,9 +37,6 @@ def render_json(result: LintResult) -> str:
         "stale_baseline": sorted(result.stale_baseline),
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "reanalyzed": list(result.reanalyzed),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -188,6 +188,8 @@ class TestOutput:
 
     def test_json(self):
         payload = json.loads(render(self._result(), "json"))
+        assert set(payload) == {"findings", "baselined", "stale_baseline",
+                                "files_checked", "suppressed"}
         assert payload["files_checked"] == 1
         assert payload["findings"][0]["rule"] == "CLK001"
         assert payload["findings"][0]["line"] == 2
@@ -315,126 +317,7 @@ class TestDecoratorSuppression:
         assert [f.rule_id for f in findings] == ["NUM003"]
 
 
-class TestSummaryCache:
-    def _entry_args(self):
-        import ast
-
-        from repro.lint.cache import source_digest
-        from repro.lint.summaries import summarize_module
-
-        source = "def f():\n    return 1\n"
-        summary = summarize_module(ast.parse(source), "m", "m.py")
-        return source, summary
-
-    def test_round_trip(self, tmp_path):
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        digest = source_digest(source)
-        cache = SummaryCache(tmp_path)
-        assert cache.get("m.py", digest, "A1") is None
-        cache.put("m.py", digest, summary, [], 2, "A1")
-        entry = cache.get("m.py", digest, "A1")
-        assert entry is not None
-        assert entry.summary.module == "m" and entry.suppressed == 2
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_digest_mismatch_misses(self, tmp_path):
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        cache = SummaryCache(tmp_path)
-        cache.put("m.py", source_digest(source), summary, [], 0, "A1")
-        assert cache.get("m.py", source_digest(source + "#"), "A1") is None
-
-    def test_different_rule_selection_misses(self, tmp_path):
-        # Findings cached under --ignore X must not serve a --select X
-        # run: the rule set is part of the cache key.
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        digest = source_digest(source)
-        cache = SummaryCache(tmp_path)
-        cache.put("m.py", digest, summary, [], 0, "CLK001,NUM001")
-        assert cache.get("m.py", digest, "NUM001") is None
-        assert cache.get("m.py", digest, "CLK001,NUM001") is not None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        from repro.lint.cache import SummaryCache, source_digest
-
-        source, summary = self._entry_args()
-        digest = source_digest(source)
-        cache = SummaryCache(tmp_path)
-        cache.put("m.py", digest, summary, [], 0, "")
-        for entry_file in cache.path.glob("*.json"):
-            entry_file.write_text("{not json")
-        assert cache.get("m.py", digest, "") is None
-
-
-class TestIncremental:
-    """--changed-only semantics: dirty modules plus reverse importers."""
-
-    def _tree(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\npaths = ["a.py", "b.py", "c.py"]\n')
-        (tmp_path / "a.py").write_text("def fa():\n    return 1\n")
-        (tmp_path / "b.py").write_text(
-            "import a\ndef fb():\n    return a.fa()\n")
-        (tmp_path / "c.py").write_text(
-            "import b\ndef fc():\n    return b.fb()\n")
-        return load_config(tmp_path)
-
-    def test_warm_cache_skips_reanalysis(self, tmp_path):
-        from repro.lint.cache import SummaryCache
-
-        config = self._tree(tmp_path)
-        cache = SummaryCache(tmp_path)
-        cold = run_lint(config=config, cache=cache, changed_only=True)
-        assert cold.cache_misses == 3 and cold.cache_hits == 0
-        warm = run_lint(config=config, cache=SummaryCache(tmp_path),
-                        changed_only=True)
-        assert warm.cache_hits == 3 and warm.cache_misses == 0
-        assert warm.reanalyzed == []
-
-    def test_touching_a_module_reanalyzes_reverse_dependents(self, tmp_path):
-        from repro.lint.cache import SummaryCache
-
-        config = self._tree(tmp_path)
-        run_lint(config=config, cache=SummaryCache(tmp_path),
-                 changed_only=True)
-        (tmp_path / "b.py").write_text(
-            "import a\ndef fb():\n    return a.fa() + 1\n")
-        result = run_lint(config=config, cache=SummaryCache(tmp_path),
-                         changed_only=True)
-        assert result.cache_misses == 1  # only b.py re-parsed
-        assert set(result.reanalyzed) == {"b", "c"}  # b + importer c
-
-    def test_touching_the_root_fans_out_to_everything(self, tmp_path):
-        from repro.lint.cache import SummaryCache
-
-        config = self._tree(tmp_path)
-        run_lint(config=config, cache=SummaryCache(tmp_path),
-                 changed_only=True)
-        (tmp_path / "a.py").write_text("def fa():\n    return 2\n")
-        result = run_lint(config=config, cache=SummaryCache(tmp_path),
-                         changed_only=True)
-        assert set(result.reanalyzed) == {"a", "b", "c"}
-
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        config = self._tree(tmp_path)
-        (tmp_path / "d.py").write_text(BAD_CLOCK)
-        config = LintConfig(root=tmp_path,
-                            paths=("a.py", "b.py", "c.py", "d.py"),
-                            baseline=None)
-        serial = run_lint(config=config, jobs=1)
-        parallel = run_lint(config=config, jobs=2)
-        key = lambda f: (f.path, f.line, f.col, f.rule_id, f.message)
-        assert sorted(map(key, serial.findings)) == sorted(
-            map(key, parallel.findings))
-        assert serial.files_checked == parallel.files_checked == 4
-
-
-class TestCliIncrementalFlags:
+class TestCliFlags:
     def _write_tree(self, tmp_path, source=BAD_CLOCK):
         (tmp_path / "pyproject.toml").write_text(
             '[tool.repro-lint]\npaths = ["mod.py"]\n'
@@ -442,29 +325,29 @@ class TestCliIncrementalFlags:
         (tmp_path / "mod.py").write_text(source)
         return tmp_path
 
-    def test_cache_warm_run_reports_hits(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path, "x = 1\n")
+    def test_rule_edit_takes_effect_on_the_next_run(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # A rule edit takes effect on the next run: no run leaves state
+        # behind that could carry findings over to a later one.
+        import repro.lint.rules.clock
+
+        root = self._write_tree(
+            tmp_path, "import time\nstart = time.monotonic()\n")
         assert main(["--root", str(root)]) == 0
-        assert main(["--root", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "cache 1 hit" in out
-        assert (root / ".lint-cache").is_dir()
-
-    def test_no_cache_leaves_no_directory(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path, "x = 1\n")
-        assert main(["--root", str(root), "--no-cache"]) == 0
-        assert not (root / ".lint-cache").exists()
-
-    def test_changed_only_warm_run_stays_correct(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path)
-        assert main(["--root", str(root), "--changed-only"]) == 1
-        assert main(["--root", str(root), "--changed-only"]) == 1
-
-    def test_jobs_flag_matches_serial_exit(self, tmp_path, capsys):
-        root = self._write_tree(tmp_path)
-        assert main(["--root", str(root), "--no-cache",
-                     "--jobs", "2"]) == 1
+        monkeypatch.setitem(repro.lint.rules.clock._WALL_CLOCKS,
+                            "time.monotonic", "time.monotonic()")
+        assert main(["--root", str(root)]) == 1
         assert "CLK001" in capsys.readouterr().out
+        written = {p.relative_to(root).as_posix() for p in root.rglob("*")}
+        assert written == {"mod.py", "pyproject.toml"}
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-cache"],
+                                      ["--changed-only"]])
+    def test_incremental_flags_are_gone(self, tmp_path, flag, capsys):
+        root = self._write_tree(tmp_path, "x = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--root", str(root), *flag])
+        assert exc.value.code == 2
 
     def test_max_seconds_gate_fails_on_overrun(self, tmp_path, capsys):
         root = self._write_tree(tmp_path, "x = 1\n")

@@ -15,12 +15,15 @@ import pathlib
 
 import pytest
 
-from repro.lint.engine import build_project, lint_project_sources
+from repro.lint.config import load_config
+from repro.lint.engine import build_project, lint_project_sources, run_lint
 from repro.lint.rules import rule_catalog
 from repro.lint.rules.wholeprogram import (
     EXCEPTIONS_DOC,
     GRAPH_RULES,
+    PRECISION_ROOTS,
     STAGE_ERROR_NAMES,
+    WORKER_ENTRY_POINTS,
     all_graph_rules,
     computed_exception_table,
     parse_exceptions_md,
@@ -29,6 +32,7 @@ from repro.lint.rules.wholeprogram import (
 from repro.lint.summaries import summarize_module
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Minimal taxonomy module paired with the EXC101 fixtures.
 _ERRORS_SOURCE = (
@@ -92,6 +96,18 @@ class TestCatalogCoverage:
         runtime = {stage: cls.__name__
                    for stage, cls in STAGE_ERRORS.items()}
         assert STAGE_ERROR_NAMES == runtime
+
+    def test_entry_points_resolve_to_repo_functions(self):
+        # The reachability rules drop entry names that do not resolve,
+        # so a renamed entry point would silently shrink their reach.
+        project = run_lint(config=load_config(REPO_ROOT), rules=[],
+                           whole_program=False).project
+        unresolved = []
+        for dotted in (*WORKER_ENTRY_POINTS, *PRECISION_ROOTS):
+            symbol = project.resolve(dotted)
+            if symbol is None or symbol.kind != "func":
+                unresolved.append(dotted)
+        assert unresolved == []
 
 
 @pytest.mark.parametrize("rule_id", sorted(GRAPH_EXPECTED))
