@@ -55,6 +55,7 @@ from repro.router import IterativeRouter, RoutingGrid
 from repro.router.guidance import RoutingGuidance, random_guidance
 from repro.router.iterative import RouterConfig
 from repro.serve import FLOAT32_PARITY_RTOL
+from tests.evaluation_shape import evaluation_shape
 from tests.router_oracle import FloodingRouter
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
@@ -257,7 +258,8 @@ def measure_forward() -> dict:
     float32 vs float64 (relative, gated at ``FLOAT32_PARITY_RTOL``).  Also
     times relaxation's unit of work, one serial
     ``PotentialFunction.value_and_grad`` (forward and ``dV/dC``
-    backward) on OTA1, as ``relax_eval_ms``.
+    backward) on OTA1, as ``relax_eval_ms``, and records its tape nodes
+    and scatter (CSR) products, two deterministic counts.
     """
     circuit = build_benchmark("OTA1")
     placement = place_benchmark(circuit, variant="A", seed=0, iterations=150)
@@ -302,6 +304,7 @@ def measure_forward() -> dict:
         start = time.perf_counter()
         potential.value_and_grad(point)
         relax_best = min(relax_best, time.perf_counter() - start)
+    (tape_nodes,), scatter_products = evaluation_shape(potential, point)
 
     b1 = per_candidate["float64"][str(FORWARD_BATCHES[0])]
     b_max = per_candidate["float64"][str(batch_max)]
@@ -310,6 +313,8 @@ def measure_forward() -> dict:
         "batch_sweep": list(FORWARD_BATCHES),
         "per_candidate_ms": per_candidate,
         "relax_eval_ms": round(relax_best * 1e3, 4),
+        "relax_tape_nodes": tape_nodes,
+        "relax_scatter_products": scatter_products,
         "amortized_ratio": round(b_max / b1, 3),
         "float64_blocked_vs_unbatched_max_abs": f64_abs,
         "float32_vs_float64_max_rel": f32_rel,
@@ -561,7 +566,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{fwd['amortized_ratio']}x the B=1 per-candidate time "
           f"(f64 parity {fwd['float64_blocked_vs_unbatched_max_abs']:.1e}, "
           f"f32 rel {fwd['float32_vs_float64_max_rel']:.1e}); "
-          f"relaxation eval {fwd['relax_eval_ms']} ms")
+          f"relaxation eval {fwd['relax_eval_ms']} ms, "
+          f"{fwd['relax_tape_nodes']} tape nodes, "
+          f"{fwd['relax_scatter_products']} scatter products")
     ing = payload["ingest"]
     print(f"  ingest: {ing['files']} corpus files / {ing['cards']} cards "
           f"in {ing['seconds']}s ({ing['cards_per_second']} cards/s)")

@@ -22,12 +22,11 @@ from repro.nn import (
     MLP,
     Module,
     RBFExpansion,
-    Scatter,
     Tensor,
     concat,
     cost_distance,
+    message_layer,
 )
-from repro.nn.functional import _message_sum
 from repro.perf.cache import BatchedStatics, ForwardCacheStore
 
 #: Default cache-block size of the blocked batched forward: replicas per
@@ -74,24 +73,27 @@ class Gnn3dConfig:
 class _MessageBlock(Module):
     """Eq. 5 for one edge type: MLP(MLP(v_src) * MLP(Psi(d))).
 
-    Each MLP is a single affine layer, so the block runs as the fused
-    :func:`repro.nn.message_sum` over their weights (through its private
-    form, which takes the layer fold of :meth:`Gnn3d._message_passing`).
+    :func:`repro.nn.message_layer` runs the source MLP on node rows,
+    before the gather, and the output MLP on the aggregated messages.
+    Both moves are exact only for one affine layer, so construction
+    checks that each MLP is one.
     """
 
     def __init__(self, hidden: int, dist_dim: int, rng: np.random.Generator) -> None:
         self.src_mlp = MLP([hidden, hidden], rng)
         self.dist_mlp = MLP([dist_dim, hidden], rng)
         self.out_mlp = MLP([hidden, hidden], rng)
+        for name, mlp in vars(self).items():
+            if len(mlp.layers) != 1 or mlp.final_activation != "identity":
+                raise ValueError(f"_MessageBlock.{name} must be one affine "
+                                 f"layer for repro.nn.message_layer")
 
-    def forward(self, h: Tensor, src: Scatter, dst: Scatter, dist_feat: Tensor,
-                psi_fold: list | None) -> Tensor:
-        """The messages along ``src -> dst`` summed at each receiver."""
-        weights = []
-        for mlp in (self.src_mlp, self.dist_mlp, self.out_mlp):
-            (layer,) = mlp.layers
-            weights += (layer.weight, layer.bias)
-        return _message_sum(h, dist_feat, src, dst, weights, psi_fold)
+    def weights(self) -> tuple[Tensor, ...]:
+        """``(Ws, bs, Wd, bd, Wo, bo)``, the block's operands of
+        :func:`repro.nn.message_layer`."""
+        return tuple(param for mlp in (self.src_mlp, self.dist_mlp,
+                                       self.out_mlp)
+                     for param in (mlp.layers[0].weight, mlp.layers[0].bias))
 
 
 class _PassingLayer(Module):
@@ -109,23 +111,12 @@ class _PassingLayer(Module):
         # Register for parameter discovery (dicts are not walked).
         self._block_list = list(dict.fromkeys(self.blocks.values()))
 
-    def forward(
-        self,
-        h: Tensor,
-        edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
-        dist_feats: dict[EdgeType, Tensor],
-        psi_folds: dict[EdgeType, list],
-    ) -> Tensor:
-        aggregated = None
-        for edge_type, (src, dst) in edge_cache.items():
-            if len(src) == 0:
-                continue
-            summed = self.blocks[edge_type](h, src, dst, dist_feats[edge_type],
-                                            psi_folds.get(edge_type))
-            aggregated = summed if aggregated is None else aggregated + summed
-        if aggregated is None:
-            return h
-        return h + aggregated
+    def forward(self, h: Tensor, psi: Tensor, plan: BatchedStatics) -> Tensor:
+        """``h`` plus every edge type's messages summed at receivers."""
+        return message_layer(
+            h, psi, plan.src_slots, plan.dst_slots, plan.in_degree,
+            plan.edge_offsets,
+            [self.blocks[et].weights() for et in plan.edge_types])
 
 
 class Gnn3d(Module):
@@ -149,52 +140,20 @@ class Gnn3d(Module):
 
     # -- distance machinery ------------------------------------------------------
 
-    def _edge_distances(
-        self, guidance_all: Tensor, plan: BatchedStatics
-    ) -> dict[EdgeType, Tensor]:
-        """Cost-aware distance features per edge type (Eq. 1-3).
+    def _edge_distances(self, guidance_all: Tensor,
+                        plan: BatchedStatics) -> Tensor:
+        """Cost-aware distance features of every edge (Eq. 1-3).
 
         ``C_k`` of the *receiving* node modulates the (h, w, z) decomposition
         of the edge vector; module receivers use neutral guidance.  The
         decomposition itself (``|pos[dst] - pos[src]|``) is
         guidance-independent and comes precomputed from ``plan``.
         """
-        feats: dict[EdgeType, Tensor] = {}
-        dtype = guidance_all.data.dtype
-        for edge_type, (src, dst) in plan.edge_cache.items():
-            if len(src) == 0:
-                feats[edge_type] = Tensor(np.zeros((0, 1), dtype=dtype))
-                continue
-            if self.config.use_cost_distance:
-                dist = cost_distance(guidance_all, dst,
-                                     plan.deltas[edge_type])
-            else:
-                dist = Tensor(plan.euclidean(edge_type))
-            if self.config.use_rbf:
-                feats[edge_type] = self.rbf(dist)
-            else:
-                feats[edge_type] = dist.reshape(-1, 1)
-        return feats
-
-    def _message_passing(self, h: Tensor,
-                         edge_cache: dict[EdgeType, tuple[Scatter, Scatter]],
-                         dist_feats: dict[EdgeType, Tensor]) -> Tensor:
-        """Run the ``L`` passing layers over one graph or union.
-
-        The op-by-op composition of the message blocks, the bitwise
-        reference in ``tests/test_fused_ops.py``, adds the distance
-        feature gradient of the edge type a layer aggregates last first
-        layer first, and every other type's last layer first, the order
-        the fused ops run in.  That type's ops therefore share a fold
-        (see ``repro.nn.functional._message_sum``), so ``dV/dC`` keeps
-        its bits also on graphs without MM edges, where that type's
-        receivers are access points.
-        """
-        nonempty = [et for et, (src, _dst) in edge_cache.items() if len(src)]
-        psi_folds = {nonempty[-1]: []} if nonempty else {}
-        for layer in self.layers:
-            h = layer(h, edge_cache, dist_feats, psi_folds)
-        return h
+        d = plan.deltas
+        dist = (cost_distance(guidance_all, plan.receivers, d)
+                if self.config.use_cost_distance
+                else Tensor(np.sqrt((d * d).sum(axis=1) + 1e-6)))
+        return self.rbf(dist) if self.config.use_rbf else dist.reshape(-1, 1)
 
     # -- forward -----------------------------------------------------------------------
 
@@ -236,7 +195,7 @@ class Gnn3d(Module):
 
         The candidates are processed in blocks of at most ``block``
         (default :data:`DEFAULT_CACHE_BLOCK`) replicas; each block runs
-        the complete distance -> RBF -> message-sum -> readout pass
+        the complete distance -> RBF -> message layers -> readout pass
         over its own union
         (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
         the next block starts, so the per-block working set stays
@@ -284,20 +243,18 @@ class Gnn3d(Module):
         cross-replica edges), and every replica keeps the graph's edge
         order, so row ``b`` is the one-replica readout of candidate ``b``.
         """
-        batch = plan.batch
-        dtype = guidance.data.dtype
-        plan = plan.as_dtype(dtype)
-        flat = (guidance if guidance.ndim == 2
-                else guidance.reshape(batch * graph.num_aps, 3))
-        guidance_all = (
-            concat([flat, Tensor(plan.neutral_guidance)], axis=0)
-            if graph.num_modules else flat
-        )
-        dist_feats = self._edge_distances(guidance_all, plan)
-
+        plan = plan.as_dtype(guidance.data.dtype)
         h_ap = self.ap_embed(Tensor(plan.ap_features))
         h_mod = self.module_embed(Tensor(plan.module_features))
         h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
-
-        h = self._message_passing(h, plan.edge_cache, dist_feats)
+        if plan.edge_types:
+            flat = (guidance if guidance.ndim == 2
+                    else guidance.reshape(plan.batch * graph.num_aps, 3))
+            guidance_all = (
+                concat([flat, Tensor(plan.neutral_guidance)], axis=0)
+                if graph.num_modules else flat
+            )
+            psi = self._edge_distances(guidance_all, plan)
+            for layer in self.layers:
+                h = layer(h, psi, plan)
         return self.head.readout(h, pool=plan.pool)

@@ -15,7 +15,7 @@ on the guidance, so it computes ``dV/dC`` and no weight gradient.
 from repro.nn.functional import (
     concat,
     cost_distance,
-    message_sum,
+    message_layer,
     rbf_expand,
     segment_sum,
     stack,
@@ -37,7 +37,7 @@ __all__ = [
     "segment_sum",
     "cost_distance",
     "rbf_expand",
-    "message_sum",
+    "message_layer",
     "stack",
     "Module",
     "Parameter",

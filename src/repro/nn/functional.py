@@ -1,6 +1,6 @@
 """Free-standing autograd ops: concatenation, stacking, segment sums,
-and the 3DGNN's fused per-edge ops (Eq. 1, Eq. 2-3, Eq. 5 with its
-aggregation).
+and the 3DGNN's fused ops (Eq. 1, Eq. 2-3, and one message-passing
+layer: Eq. 5 over every edge type with its aggregation).
 
 Each fused op is one tape node whose forward runs the numpy operations
 of its op-by-op composition in the same order, and whose backward forms
@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.nn import tensor as tensor_mod
 from repro.nn.scatter import Scatter
 from repro.nn.tensor import Tensor, _unbroadcast, as_tensor
 
@@ -132,106 +133,137 @@ def rbf_expand(distances: Tensor, centers: np.ndarray, gamma) -> Tensor:
     return Tensor(feats, parents=(distances,), backward=backward)
 
 
-def message_sum(h: Tensor, psi: Tensor, src: Scatter, dst: Scatter,
-                weights: Sequence[Tensor]) -> Tensor:
-    """Eq. 5 messages of one edge type summed at receivers, one tape node.
+def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
+                  dst_slots: Scatter, in_degree: np.ndarray,
+                  offsets: Sequence[int],
+                  weights: Sequence[Sequence[Tensor]]) -> Tensor:
+    """One message-passing layer over every edge type, one tape node.
 
-    ``segment_sum(((h[src] @ Ws + bs) * (psi @ Wd + bd)) @ Wo + bo, dst)``
-    with ``weights = (Ws, bs, Wd, bd, Wo, bo)``.  The backward adds into
-    ``h``, ``psi`` and each weight that requires grad when it runs.
+    With ``weights[t] = (Ws, bs, Wd, bd, Wo, bo)`` for each of the ``T``
+    edge types, edges ``offsets[t]:offsets[t + 1]`` are of type ``t``
+    and node ``n``'s slot for type ``t`` is ``n * T + t``.  Returns Eq. 5
+    summed at the receivers, plus the residual::
+
+        h + sum_t (dst_t((h @ Ws + bs)[src_t] * (psi_t @ Wd + bd)) @ Wo
+                   + in_degree[:, t] (x) bo)
+
+    Each Eq. 5 MLP being one affine layer, ``(h Ws + bs)[src] = h[src]
+    Ws + bs`` and ``sum_e (g_e Wo + bo) = (sum_e g_e) Wo + deg bo``: the
+    source affines run on node rows, as one product with ``[Ws_1 | ...
+    | Ws_T]``, and the output affines after one scatter into the
+    receiver slots, as one product with ``[Wo_1; ...; Wo_T]``.  The
+    backward adds into ``h``, ``psi`` and each weight that requires
+    grad when it runs.
 
     Args:
         h: (N, H) node embeddings.
-        psi: (E, D) distance features of the edges.
-        src: the edges' sender scatter over the N nodes.
-        dst: the edges' receiver scatter over the N nodes.
-        weights: source, distance and output affine weights and biases.
+        psi: (E, D) distance features of every edge.
+        src_slots, dst_slots: the sender and the receiver slot of every
+            edge, over ``N * T`` slots.
+        in_degree: (N, T) edges of each type received per node.
+        offsets: (T + 1,) start of each type's edges, then ``E``.
+        weights: per edge type, its affine weights and biases.
 
     Raises:
-        ValueError: ``src`` or ``dst`` is not over ``len(h)`` nodes, or
-            ``src``, ``dst`` and ``psi`` differ in edge count.
+        ValueError: the slot scatters or ``in_degree`` do not cover
+            ``len(h)`` nodes of ``T`` types, or the scatters, ``psi``
+            and ``offsets`` differ in edge count.
     """
-    return _message_sum(h, psi, src, dst, weights, None)
-
-
-def _message_sum(h: Tensor, psi: Tensor, src: Scatter, dst: Scatter,
-                 weights: Sequence[Tensor], psi_fold: list | None) -> Tensor:
-    """:func:`message_sum`, adding ``psi``'s gradient through ``psi_fold``.
-
-    The tape runs the ops of successive layers last layer first, so
-    their terms of a shared ``psi`` gradient arrive in that order.
-    ``psi_fold``, a list shared by the ops of every layer that read one
-    ``psi``, makes them add first layer first instead: each op stores
-    its term, and the first-built op adds its own and then the stored
-    ones in build order.  ``None`` adds in tape order.
-    """
-    if src.num_segments != len(h.data) or dst.num_segments != len(h.data):
+    num_nodes, hidden = h.shape
+    num_types = len(weights)
+    num_slots = num_nodes * num_types
+    if (src_slots.num_segments != num_slots
+            or dst_slots.num_segments != num_slots
+            or in_degree.shape != (num_nodes, num_types)):
         raise ValueError(
-            f"edge scatters over {src.num_segments} and {dst.num_segments} "
-            f"rows, node embeddings have {len(h.data)}")
-    if not len(src) == len(dst) == len(psi.data):
+            f"slot scatters over {src_slots.num_segments} and "
+            f"{dst_slots.num_segments} rows and in-degree of shape "
+            f"{in_degree.shape}, for {num_nodes} nodes of {num_types} types")
+    if not (len(src_slots) == len(dst_slots) == len(psi.data)
+            == offsets[num_types]):
         raise ValueError(
-            f"{len(src)} senders, {len(dst)} receivers and "
-            f"{len(psi.data)} distance feature rows")
-    w_src, b_src, w_dist, b_dist, w_out, b_out = weights
-    ws, wd, wo = w_src.data, w_dist.data, w_out.data
-    # The composition's source and distance branches record (and get a
-    # gradient) only when one of their inputs requires grad here.
-    src_side = h.requires_grad or w_src.requires_grad or b_src.requires_grad
-    dist_side = (psi.requires_grad or w_dist.requires_grad
-                 or b_dist.requires_grad)
+            f"{len(src_slots)} senders, {len(dst_slots)} receivers, "
+            f"{len(psi.data)} distance feature rows and "
+            f"{offsets[num_types]} typed edges")
+    w_src, b_src, w_dist, b_dist, w_out, b_out = zip(*weights)
+    spans = list(zip(offsets[:-1], offsets[1:], w_dist, b_dist))
+    ws = np.concatenate([w.data for w in w_src], axis=1)
+    wo = np.concatenate([w.data for w in w_out])
+    # The source and distance branches need a gradient only when the
+    # tape records and one of their inputs requires grad here.
+    src_side = tensor_mod._GRAD_ENABLED and (
+        h.requires_grad or _any_grad(w_src + b_src))
+    dist_side = tensor_mod._GRAD_ENABLED and (
+        psi.requires_grad or _any_grad(w_dist + b_dist))
 
-    gathered = h.data[src.ids]
-    src_out = gathered @ ws
-    src_out += b_src.data
-    dist_out = psi.data @ wd
-    dist_out += b_dist.data
-    gated = src_out * dist_out
-    messages = gated @ wo
-    messages += b_out.data
+    src_out = h.data @ ws
+    src_out += np.concatenate([b.data for b in b_src])
+    gathered = src_out.reshape(num_slots, hidden)[src_slots.ids]
+    dist_out = np.empty_like(gathered)
+    for lo, hi, wd, bd in spans:
+        np.matmul(psi.data[lo:hi], wd.data, out=dist_out[lo:hi])
+        dist_out[lo:hi] += bd.data
+    # The backward reads ``gathered`` for the distance branch and
+    # ``dist_out`` for the source branch; one it does not read takes the
+    # product in place.
+    if not dist_side:
+        gated = np.multiply(gathered, dist_out, out=gathered)
+    elif not src_side:
+        gated = np.multiply(dist_out, gathered, out=dist_out)
+    else:
+        gated = gathered * dist_out
+    summed = dst_slots(gated).reshape(num_nodes, num_types * hidden)
+    out = summed @ wo
+    out += in_degree @ np.stack([b.data for b in b_out])
+    out += h.data
 
     def backward(grad: np.ndarray) -> None:
-        g_messages = grad[dst.ids]
-        if w_out.requires_grad:
-            w_out._accumulate(gated.T @ g_messages)
-        if b_out.requires_grad:
-            b_out._accumulate(_unbroadcast(g_messages, b_out.shape))
-        if not (src_side or dist_side):
-            return
-        g_gated = g_messages @ wo.T
+        if _any_grad(w_out):
+            _accumulate_each(w_out, np.split(summed.T @ grad, num_types))
+        if _any_grad(b_out):
+            _accumulate_each(b_out, in_degree.T @ grad)
+        g_h = grad
+        if src_side or dist_side:
+            g_gated = (grad @ wo.T).reshape(num_slots, hidden)[dst_slots.ids]
         if dist_side:
-            g_dist = g_gated * src_out
+            g_dist = (g_gated * gathered if src_side
+                      else np.multiply(g_gated, gathered, out=g_gated))
             if psi.requires_grad:
-                g_psi = g_dist @ wd.T
-                if slot is None:
-                    psi._accumulate(g_psi)
-                elif slot:
-                    psi_fold[slot] = g_psi
-                else:
-                    for term in (g_psi, *psi_fold[1:]):
-                        if term is not None:
-                            psi._accumulate(term)
-                    psi_fold[1:] = [None] * (len(psi_fold) - 1)
-            if w_dist.requires_grad:
-                w_dist._accumulate(psi.data.T @ g_dist)
-            if b_dist.requires_grad:
-                b_dist._accumulate(_unbroadcast(g_dist, b_dist.shape))
+                g_psi = np.empty_like(psi.data)
+                for lo, hi, wd, _bd in spans:
+                    np.matmul(g_dist[lo:hi], wd.data.T, out=g_psi[lo:hi])
+                psi._accumulate(g_psi)
+            for lo, hi, wd, bd in spans:
+                if wd.requires_grad:
+                    wd._accumulate(psi.data[lo:hi].T @ g_dist[lo:hi])
+                if bd.requires_grad:
+                    bd._accumulate(_unbroadcast(g_dist[lo:hi], bd.shape))
         if src_side:
-            g_src = g_gated * dist_out
+            g_gated *= dist_out
+            g_src = src_slots(g_gated).reshape(num_nodes, num_types * hidden)
             if h.requires_grad:
-                h._accumulate(src(g_src @ ws.T))
-            if w_src.requires_grad:
-                w_src._accumulate(gathered.T @ g_src)
-            if b_src.requires_grad:
-                b_src._accumulate(_unbroadcast(g_src, b_src.shape))
+                g_h = g_src @ ws.T
+                g_h += grad
+            if _any_grad(w_src):
+                _accumulate_each(w_src, np.split(h.data.T @ g_src, num_types,
+                                                 axis=1))
+            if _any_grad(b_src):
+                _accumulate_each(b_src, np.split(
+                    _unbroadcast(g_src, (num_types * hidden,)), num_types))
+        if h.requires_grad:
+            h._accumulate(g_h)
 
-    # The tape walk visits parents last to first; ``psi`` after ``h``
-    # visits the distance branch first, as the composition's walk did.
-    out = Tensor(dst(messages),
-                 parents=(h, w_src, b_src, psi, w_dist, b_dist, w_out, b_out),
-                 backward=backward)
-    slot = None
-    if psi_fold is not None and out.requires_grad and psi.requires_grad:
-        slot = len(psi_fold)
-        psi_fold.append(None)
-    return out
+    return Tensor(out, parents=(h, psi, *w_src, *b_src, *w_dist, *b_dist,
+                                *w_out, *b_out),
+                  backward=backward)
+
+
+def _any_grad(tensors) -> bool:
+    return any(t.requires_grad for t in tensors)
+
+
+def _accumulate_each(tensors, grads) -> None:
+    """Add each gradient into its tensor where that requires grad."""
+    for tensor, grad in zip(tensors, grads):
+        if tensor.requires_grad:
+            tensor._accumulate(grad)

@@ -6,14 +6,16 @@ evaluation; everything in that pass that does not depend on the guidance
 
 * the directed edge expansion (also memoized on
   :meth:`repro.graph.hetero.HeteroGraph.directed_edges` itself);
-* the static geometry of the Eq. 1 cost-aware distance — the per-edge
-  ``|pos[dst] - pos[src]|`` decomposition that guidance merely reweights;
-* the plain Euclidean distances used when ``use_cost_distance`` is off
-  (fully static, so the whole Eq. 2-3 input is cacheable);
-* one prebuilt CSR scatter operator (:class:`repro.nn.Scatter`) per
-  edge endpoint array, which serves every segment sum of the forward
-  (message aggregation, readout pooling) and every row-gather
-  backward, so index ranges are checked once per build;
+* the **combined edge layout**: the directed edges of every non-empty
+  type in one array, with the static geometry of the Eq. 1 cost-aware
+  distance (the per-edge ``|pos[dst] - pos[src]|`` decomposition that
+  guidance merely reweights), the receivers' in-degree per type, and
+  one prebuilt CSR scatter operator (:class:`repro.nn.Scatter`) per
+  index array: the receivers over the nodes, and the senders and
+  receivers over the *slots* (node ``n``'s slot for edge type ``t`` is
+  ``n * T + t``).  With the readout's pooling scatter they serve every
+  gather and segment sum of the forward and every row-gather backward,
+  so index ranges are checked once per build;
 * the **disjoint-union batching plan**: to evaluate ``B`` guidance
   candidates in one forward, the graph is replicated ``B`` times into one
   block-diagonal graph.  Union node layout: access point ``(b, a)`` maps
@@ -80,14 +82,24 @@ def graph_fingerprint(graph: HeteroGraph) -> tuple[int, int, int, str]:
 class BatchedStatics:
     """The disjoint-union replication plan for a fixed batch size ``B``.
 
+    The edges of every non-empty type are concatenated in ``EdgeType``
+    order (each type's ``B * E_t`` edges replica-major), so one fused
+    op serves all of them; ``T = len(edge_types)``.
+
     Attributes:
         batch: number of replicas ``B``.
         num_nodes: total union nodes, ``B * (A + M)``.
-        edge_cache: per edge type, (src, dst) :class:`Scatter` operators
-            in union indexing, length ``B * E``.
-        deltas: per edge type, the graph's (E, 3) absolute (h, w, z)
-            edge-vector decomposition of Eq. 1, tiled ``B`` times; it is
-            guidance-independent.
+        edge_types: the non-empty edge types, in ``EdgeType`` order.
+        edge_offsets: (T + 1,) start of each type's edges, then ``E``.
+        receivers: the receiver :class:`Scatter` of every edge over
+            the union nodes.
+        deltas: (E, 3) absolute (h, w, z) edge-vector decomposition of
+            Eq. 1; it is guidance-independent.
+        src_slots: the sender slot ``src * T + t`` of every edge, a
+            :class:`Scatter` over ``num_nodes * T`` slots.
+        dst_slots: the receiver slot ``dst * T + t`` of every edge, over
+            the same slots.
+        in_degree: (num_nodes, T) edges of each type received per node.
         ap_features: (B * A, F) tiled static AP features.
         module_features: (B * M, F) tiled static module features.
         pool: the per-candidate readout scatter: ``B`` segments, whose
@@ -97,24 +109,19 @@ class BatchedStatics:
 
     batch: int
     num_nodes: int
-    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]]
-    deltas: dict[EdgeType, np.ndarray]
+    edge_types: tuple[EdgeType, ...]
+    edge_offsets: np.ndarray
+    receivers: Scatter
+    deltas: np.ndarray
+    src_slots: Scatter
+    dst_slots: Scatter
+    in_degree: np.ndarray
     ap_features: np.ndarray
     module_features: np.ndarray
     pool: Scatter
     neutral_guidance: np.ndarray
-    _euclidean: dict[EdgeType, np.ndarray] = field(default_factory=dict)
     _casts: dict[str, "BatchedStatics"] = field(default_factory=dict,
                                                 repr=False)
-
-    def euclidean(self, edge_type: EdgeType) -> np.ndarray:
-        """Static Euclidean edge lengths in the union (tiled)."""
-        dist = self._euclidean.get(edge_type)
-        if dist is None:
-            d = self.deltas[edge_type]
-            dist = np.sqrt((d * d).sum(axis=1) + 1e-6)
-            self._euclidean[edge_type] = dist
-        return dist
 
     def as_dtype(self, dtype) -> "BatchedStatics":
         """This plan with float arrays cast to ``dtype`` (cached).
@@ -130,28 +137,19 @@ class BatchedStatics:
         if cast is None:
             cast = dataclasses.replace(
                 self,
-                edge_cache={et: (src.astype(dtype), dst.astype(dtype))
-                            for et, (src, dst) in self.edge_cache.items()},
+                receivers=self.receivers.astype(dtype),
+                deltas=self.deltas.astype(dtype),
+                src_slots=self.src_slots.astype(dtype),
+                dst_slots=self.dst_slots.astype(dtype),
+                in_degree=self.in_degree.astype(dtype),
                 pool=self.pool.astype(dtype),
-                deltas={et: d.astype(dtype) for et, d in self.deltas.items()},
                 ap_features=self.ap_features.astype(dtype),
                 module_features=self.module_features.astype(dtype),
                 neutral_guidance=self.neutral_guidance.astype(dtype),
-                _euclidean={},
                 _casts={},
             )
             self._casts[dtype.name] = cast
         return cast
-
-
-def _union_indices(idx: np.ndarray, replica: int, num_aps: int,
-                   num_modules: int, batch: int) -> np.ndarray:
-    """Map the graph's node indices into replica ``replica`` of the union."""
-    return np.where(
-        idx < num_aps,
-        replica * num_aps + idx,
-        batch * num_aps + replica * num_modules + (idx - num_aps),
-    )
 
 
 def build_batched(graph: HeteroGraph, batch: int) -> BatchedStatics:
@@ -159,8 +157,8 @@ def build_batched(graph: HeteroGraph, batch: int) -> BatchedStatics:
 
     Each replica keeps the graph's edge order, so every union node's
     scatter row lists its replica's edges in the graph's order.  At
-    ``batch=1`` the union is the graph itself: its scatter ids are the
-    graph's directed edges and its deltas are the graph's own.
+    ``batch=1`` the union is the graph itself: its edges are the graph's
+    directed edges, type by type, and its deltas are the graph's own.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -168,19 +166,24 @@ def build_batched(graph: HeteroGraph, batch: int) -> BatchedStatics:
     num_nodes = batch * graph.num_nodes
     positions = graph.positions
 
-    def union(ids: np.ndarray) -> Scatter:
-        return Scatter(np.concatenate([
-            _union_indices(ids, b, num_aps, num_modules, batch)
-            for b in range(batch)
-        ]), num_nodes)
+    def union(ids: np.ndarray) -> np.ndarray:
+        """``ids`` in every replica, replica-major, in union indexing."""
+        replica = np.repeat(np.arange(batch), len(ids))
+        ids = np.tile(ids, batch)
+        return np.where(ids < num_aps, replica * num_aps + ids,
+                        batch * num_aps + replica * num_modules + ids
+                        - num_aps)
 
-    edge_cache: dict[EdgeType, tuple[Scatter, Scatter]] = {}
-    deltas: dict[EdgeType, np.ndarray] = {}
-    for edge_type in EdgeType:
-        src, dst = graph.directed_edges(edge_type)
-        edge_cache[edge_type] = (union(src), union(dst))
-        deltas[edge_type] = np.tile(np.abs(positions[dst] - positions[src]),
-                                    (batch, 1))
+    edge_types = [et for et in EdgeType if len(graph.directed_edges(et)[0])]
+    ends = [graph.directed_edges(et) for et in edge_types]
+    num_types = len(edge_types)
+    counts = [batch * len(s) for s, _ in ends]
+    type_ids = np.repeat(np.arange(num_types), counts)
+    empty = np.zeros(0, np.int64)
+    src = np.concatenate([union(s) for s, _ in ends] + [empty])
+    dst = np.concatenate([union(d) for _, d in ends] + [empty])
+    num_slots = num_nodes * num_types
+    dst_slots = Scatter(dst * num_types + type_ids, num_slots)
     graph_ids = np.concatenate([
         np.repeat(np.arange(batch, dtype=np.int64), num_aps),
         np.repeat(np.arange(batch, dtype=np.int64), num_modules),
@@ -188,8 +191,16 @@ def build_batched(graph: HeteroGraph, batch: int) -> BatchedStatics:
     return BatchedStatics(
         batch=batch,
         num_nodes=num_nodes,
-        edge_cache=edge_cache,
-        deltas=deltas,
+        edge_types=tuple(edge_types),
+        edge_offsets=np.cumsum([0] + counts),
+        receivers=Scatter(dst, num_nodes),
+        deltas=np.concatenate([
+            np.tile(np.abs(positions[d] - positions[s]), (batch, 1))
+            for s, d in ends] + [np.zeros((0, 3))]),
+        src_slots=Scatter(src * num_types + type_ids, num_slots),
+        dst_slots=dst_slots,
+        in_degree=dst_slots(np.ones((len(dst), 1))).reshape(num_nodes,
+                                                             num_types),
         ap_features=np.tile(graph.ap_features, (batch, 1)),
         module_features=np.tile(graph.module_features, (batch, 1)),
         pool=Scatter(graph_ids, batch),

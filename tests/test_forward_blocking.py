@@ -3,8 +3,9 @@
 The contracts under test (see docs/PERFORMANCE.md, "Forward blocking"):
 
 * a single-candidate forward is the blocked pass at ``B=1``: its
-  one-replica plan is the graph itself (scatter ids, deltas, features,
-  one pooling segment), its output is bitwise the ``B=1`` batch row,
+  one-replica plan is the graph itself (the edges of each non-empty
+  type in order, their slot ids, deltas and in-degrees, features, one
+  pooling segment), its output is bitwise the ``B=1`` batch row,
   and it never enters ``forward_batch`` or the union-plan cache;
 * the blocked float64 forward matches both the per-candidate forward
   and the single union of all replicas (``block=B``) to <1e-10 for
@@ -177,15 +178,26 @@ class TestSingleForward:
         plan = ForwardCacheStore().batched(graph, 1)
         positions = graph.positions
         assert plan.batch == 1 and plan.num_nodes == graph.num_nodes
-        for edge_type in EdgeType:
+        assert plan.edge_types == tuple(
+            et for et in EdgeType if len(graph.directed_edges(et)[0]))
+        num_types = len(plan.edge_types)
+        assert plan.receivers.num_segments == graph.num_nodes
+        for slots in (plan.src_slots, plan.dst_slots):
+            assert slots.num_segments == graph.num_nodes * num_types
+        in_degree = np.zeros((graph.num_nodes, num_types))
+        for t, edge_type in enumerate(plan.edge_types):
             src, dst = graph.directed_edges(edge_type)
-            plan_src, plan_dst = plan.edge_cache[edge_type]
-            for scatter, ids in ((plan_src, src), (plan_dst, dst)):
-                assert scatter.num_segments == graph.num_nodes
-                assert scatter.ids.tobytes() == ids.tobytes()
+            edges = slice(plan.edge_offsets[t], plan.edge_offsets[t + 1])
+            for ids, expected in ((plan.receivers.ids, dst),
+                                  (plan.src_slots.ids, src * num_types + t),
+                                  (plan.dst_slots.ids, dst * num_types + t)):
+                assert ids[edges].tobytes() == expected.tobytes()
             deltas = np.abs(positions[dst] - positions[src])
-            assert plan.deltas[edge_type].shape == deltas.shape
-            assert plan.deltas[edge_type].tobytes() == deltas.tobytes()
+            assert plan.deltas[edges].shape == deltas.shape
+            assert plan.deltas[edges].tobytes() == deltas.tobytes()
+            np.add.at(in_degree[:, t], dst, 1.0)
+        assert plan.edge_offsets[-1] == len(plan.receivers) == len(plan.deltas)
+        assert np.array_equal(plan.in_degree, in_degree)
         assert plan.ap_features.tobytes() == graph.ap_features.tobytes()
         assert (plan.module_features.tobytes()
                 == graph.module_features.tobytes())
@@ -237,9 +249,8 @@ class TestUnionPlanCache:
         graph.ap_positions[1, 1] += 4.0
         fresh = store.union_plan(graph, 6, 2)
         assert fresh is not plan
-        et = next(t for t, p in graph.edges.items() if len(p))
-        assert not np.array_equal(fresh.plans[0].deltas[et],
-                                  plan.plans[0].deltas[et])
+        assert not np.array_equal(fresh.plans[0].deltas,
+                                  plan.plans[0].deltas)
 
     def test_blocked_decomposition_shape(self):
         graph = synthetic_graph(5, 1, seed=8)
@@ -270,10 +281,7 @@ class TestUnionPlanCache:
         assert p1 is not p2
         assert store.union_plan(g1, 4, 2) is p1
         assert store.union_plan(g2, 4, 2) is p2
-        et = next(t for t in EdgeType
-                  if len(g1.edges[t]) and len(g2.edges[t]))
-        assert not np.array_equal(p1.plans[0].deltas[et],
-                                  p2.plans[0].deltas[et])
+        assert not np.array_equal(p1.plans[0].deltas, p2.plans[0].deltas)
 
     def test_lru_eviction_only_with_hit_refresh(self, monkeypatch):
         """Regression: plan caches must never clear wholesale — LRU

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.model.gnn3d as gnn3d_mod
+from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig, Trainer, TrainSample
-from repro.nn import Tensor
+from repro.nn import MLP, Tensor, load_state
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +20,24 @@ def model(ota1_graph):
 
 def _guidance(graph, value=1.0):
     return Tensor(np.full((graph.num_aps, 3), value))
+
+
+def _ring_graph() -> HeteroGraph:
+    """Three access points in a ring and one module, with the built-in
+    feature widths (19 per access point, 11 per module)."""
+    rng = np.random.default_rng(1)
+    return HeteroGraph(
+        ap_keys=[("d", f"p{i}") for i in range(3)],
+        ap_nets=["n0", "n0", "n1"],
+        module_names=["m0"],
+        ap_positions=rng.uniform(0.0, 20.0, (3, 3)),
+        module_positions=rng.uniform(0.0, 20.0, (1, 3)),
+        ap_features=rng.normal(size=(3, 19)),
+        module_features=rng.normal(size=(1, 11)),
+        edges={EdgeType.PP: np.array([[0, 1], [1, 2], [2, 0]]),
+               EdgeType.MP: np.array([[3, 0], [3, 2]]),
+               EdgeType.MM: np.zeros((0, 2), dtype=np.int64)},
+    )
 
 
 class TestForward:
@@ -175,3 +195,101 @@ class TestTrainer:
                                       lr=1e-9))
         history = trainer.fit(self._samples(ota1_graph, n=8))
         assert len(history.train_loss) < 50
+
+
+#: ``Gnn3d(19, 11).named_parameters()`` at the default config, in order,
+#: before the message layers were fused: checkpoints store exactly these
+#: names and shapes.
+CHECKPOINT_LAYOUT = [
+    ('ap_embed.layers.0.bias', (32,)),
+    ('ap_embed.layers.0.weight', (19, 32)),
+    ('head.fc.layers.0.bias', (32,)),
+    ('head.fc.layers.0.weight', (32, 32)),
+    ('head.fc.layers.1.bias', (5,)),
+    ('head.fc.layers.1.weight', (32, 5)),
+    ('head.node_mlp.layers.0.bias', (32,)),
+    ('head.node_mlp.layers.0.weight', (32, 32)),
+    ('layers.0._block_list.0.dist_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.0.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.0._block_list.0.out_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.0.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.0._block_list.0.src_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.0.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.0._block_list.1.dist_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.1.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.0._block_list.1.out_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.1.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.0._block_list.1.src_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.1.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.0._block_list.2.dist_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.2.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.0._block_list.2.out_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.2.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.0._block_list.2.src_mlp.layers.0.bias', (32,)),
+    ('layers.0._block_list.2.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.1._block_list.0.dist_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.0.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.1._block_list.0.out_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.0.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.1._block_list.0.src_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.0.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.1._block_list.1.dist_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.1.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.1._block_list.1.out_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.1.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.1._block_list.1.src_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.1.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.1._block_list.2.dist_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.2.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.1._block_list.2.out_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.2.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.1._block_list.2.src_mlp.layers.0.bias', (32,)),
+    ('layers.1._block_list.2.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.2._block_list.0.dist_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.0.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.2._block_list.0.out_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.0.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.2._block_list.0.src_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.0.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.2._block_list.1.dist_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.1.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.2._block_list.1.out_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.1.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.2._block_list.1.src_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.1.src_mlp.layers.0.weight', (32, 32)),
+    ('layers.2._block_list.2.dist_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.2.dist_mlp.layers.0.weight', (16, 32)),
+    ('layers.2._block_list.2.out_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.2.out_mlp.layers.0.weight', (32, 32)),
+    ('layers.2._block_list.2.src_mlp.layers.0.bias', (32,)),
+    ('layers.2._block_list.2.src_mlp.layers.0.weight', (32, 32)),
+    ('module_embed.layers.0.bias', (32,)),
+    ('module_embed.layers.0.weight', (11, 32)),
+]
+
+
+class TestCheckpointLayout:
+    def test_named_parameters_keep_the_layout(self):
+        model = Gnn3d(19, 11)
+        assert [(name, param.shape) for name, param
+                in model.named_parameters()] == CHECKPOINT_LAYOUT
+
+    def test_archive_of_the_layout_loads(self, tmp_path):
+        rng = np.random.default_rng(0)
+        arrays = {name: rng.normal(size=shape)
+                  for name, shape in CHECKPOINT_LAYOUT}
+        np.savez_compressed(tmp_path / "parent.npz", **arrays)
+        model = Gnn3d(19, 11)
+        load_state(model, tmp_path / "parent.npz")
+        for name, param in model.named_parameters():
+            assert np.array_equal(param.data, arrays[name]), name
+        out = model(_ring_graph(), Tensor(np.ones((3, 3))))
+        assert out.shape == (5,) and np.isfinite(out.data).all()
+
+    def test_message_mlps_must_be_one_affine_layer(self, monkeypatch):
+        """The fused layer moves each Eq. 5 MLP across the gather or the
+        aggregation, which is exact only for one affine layer."""
+        monkeypatch.setattr(gnn3d_mod, "MLP",
+                            lambda dims, rng: MLP(dims[:1] + dims, rng))
+        with pytest.raises(ValueError, match="src_mlp must be one affine"):
+            Gnn3d(19, 11)

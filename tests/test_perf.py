@@ -190,8 +190,7 @@ class TestBatchedForward:
         graph.ap_positions[0, 0] += 3.0
         fresh = store.batched(graph, 1)
         assert fresh is not single
-        et = next(t for t, p in graph.edges.items() if len(p))
-        assert not np.array_equal(fresh.deltas[et], single.deltas[et])
+        assert not np.array_equal(fresh.deltas, single.deltas)
 
     def test_equal_length_edge_swap_invalidates(self, ota1_placement, tech):
         """Regression: swapping an edge array for one of equal length
