@@ -3,17 +3,16 @@
 Runs the AnalogFold pipeline on OTA1 at the selected ``REPRO_SCALE`` (or
 ``--scale``) with the pipeline's own :class:`repro.perf.timing.StageTimer`
 instrumentation, then records per-stage wall time (route / extract /
-simulate / train / relax, plus calls), serial against batched
-relaxation (forwards, candidate evaluations and seconds of each), and a
+simulate / train / relax, plus calls), one paper-shape relaxation run
+(GNN forwards, candidate evaluations and seconds), and a
 forward-scaling sweep (per-candidate ``forward_batch``
 time vs batch size, float64 and float32, with the blocked-parity
 contract numbers) into ``BENCH_perf.json`` at the repo root.
 
 Expected shape: the route stage dominates database construction, train
-dominates total time at representative scales, and batched relaxation
-runs several times fewer GNN forward-backward passes than serial
-restarts for about as many candidate evaluations, each forward carrying
-a wave of candidates.
+dominates total time at representative scales, and relaxation runs
+several times fewer GNN forward-backward passes than candidate
+evaluations, each joint wave evaluation carrying a wave of candidates.
 
 Standalone usage (no pytest required)::
 
@@ -83,7 +82,7 @@ FORWARD_BATCHES = (1, 2, 4, 8, 16)
 #: Timed repetitions per (batch, dtype) point, best-of.
 FORWARD_REPEATS = 5
 
-#: Timed serial potential evaluations (``relax_eval_ms``), best-of.
+#: Timed one-candidate potential evaluations (``relax_eval_ms``), best-of.
 RELAX_EVAL_REPEATS = 20
 
 #: Gate: per-candidate time at the largest swept batch must amortize to
@@ -256,9 +255,9 @@ def measure_forward() -> dict:
     blocked output vs the single-candidate forward (< 1e-10; only the
     metric head differs, one multi-row against one-row products) and
     float32 vs float64 (relative, gated at ``FLOAT32_PARITY_RTOL``).  Also
-    times relaxation's unit of work, one serial
-    ``PotentialFunction.value_and_grad`` (forward and ``dV/dC``
-    backward) on OTA1, as ``relax_eval_ms``, and records its tape nodes
+    times the one-candidate ``PotentialFunction.value_and_grad`` (forward
+    and ``dV/dC`` backward) on OTA1, as ``relax_eval_ms``, and records its
+    tape nodes
     and scatter (CSR) products, two deterministic counts.
     """
     circuit = build_benchmark("OTA1")
@@ -454,13 +453,12 @@ def measure(scale_name: str, workers: int = 1) -> dict:
     fold = AnalogFold(circuit, placement, tech, config=config)
     result = fold.run()
 
-    # Serial vs batched relaxation on the just-trained model (a separate
-    # potential so the pipeline timer above stays untouched), at the
-    # paper-default 12-restart / pool-6 shape regardless of scale.  A
-    # batched forward carries a whole wave of candidates, so the record
-    # keeps each mode's forwards, candidate evaluations and seconds: the
-    # forward count alone is not a speedup.  Each mode runs once, so the
-    # seconds are single timings, not a mode comparison.
+    # One relaxation run on the just-trained model (a separate potential
+    # so the pipeline timer above stays untouched), at the paper-default
+    # 12-restart / pool-6 shape regardless of scale.  A forward carries a
+    # whole wave of candidates, so the record keeps forwards, candidate
+    # evaluations and seconds: the forward count alone is not a speedup.
+    # The seconds are a single timing.
     relax_kwargs = dict(
         n_restarts=12,
         pool_size=6,
@@ -471,15 +469,10 @@ def measure(scale_name: str, workers: int = 1) -> dict:
     )
     pot = PotentialFunction(fold.model, fold.database.graph,
                             c_max=config.dataset.c_max)
-    serial = PotentialRelaxer(RelaxationConfig(**relax_kwargs))
+    relaxer = PotentialRelaxer(RelaxationConfig(**relax_kwargs))
     start = time.perf_counter()
-    serial.run(pot)
-    seconds_serial = time.perf_counter() - start
-    batched_stats = pot.reset_stats()
-    batched = PotentialRelaxer(RelaxationConfig(**relax_kwargs, batched=True))
-    start = time.perf_counter()
-    batched.run(pot)
-    seconds_batched = time.perf_counter() - start
+    relaxer.run(pot)
+    relax_seconds = time.perf_counter() - start
 
     return bench_payload(fold.timer, extra={
         "scale": scale_name,
@@ -488,12 +481,9 @@ def measure(scale_name: str, workers: int = 1) -> dict:
         "figure5_stage_seconds": {
             k: round(v, 4) for k, v in result.stage_seconds.items()
         },
-        # A serial forward evaluates one candidate.
-        "relax_forwards_serial": serial.trace.gnn_forwards,
-        "relax_forwards_batched": batched.trace.gnn_forwards,
-        "relax_candidates_batched": batched_stats.candidates,
-        "relax_seconds_serial": round(seconds_serial, 4),
-        "relax_seconds_batched": round(seconds_batched, 4),
+        "relax_forwards": relaxer.trace.gnn_forwards,
+        "relax_candidates": pot.stats.candidates,
+        "relax_seconds": round(relax_seconds, 4),
         "total_seconds": round(fold.timer.total_seconds(), 4),
     })
 
@@ -547,12 +537,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out}")
     for name, stats in payload["stages"].items():
         print(f"  {name}: {stats['seconds']:.3f}s over {stats['calls']} calls")
-    print(f"  relaxation: serial {payload['relax_forwards_serial']} forwards "
-          f"= {payload['relax_forwards_serial']} candidates in "
-          f"{payload['relax_seconds_serial']:.2f}s; batched "
-          f"{payload['relax_forwards_batched']} forwards = "
-          f"{payload['relax_candidates_batched']} candidates in "
-          f"{payload['relax_seconds_batched']:.2f}s")
+    print(f"  relaxation: {payload['relax_forwards']} forwards = "
+          f"{payload['relax_candidates']} candidates in "
+          f"{payload['relax_seconds']:.2f}s")
     route = payload["route"]
     reach = route["reachability"]
     print(f"  route: {route['speedup']['neutral']}x neutral / "

@@ -153,8 +153,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
             gnn=Gnn3dConfig(seed=args.seed),
             training=TrainConfig(epochs=args.epochs, seed=args.seed),
             relaxation=RelaxationConfig(n_restarts=args.restarts,
-                                        seed=args.seed,
-                                        batched=args.batched_relax),
+                                        seed=args.seed),
             policy=DegradationPolicy(
                 max_retries=args.max_retries,
                 min_valid_fraction=args.min_valid_fraction,
@@ -445,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fold.add_argument("--workers", type=int, default=1,
                         help="worker processes for database construction "
                              "(output is bit-identical to serial)")
-    p_fold.add_argument("--batched-relax", action="store_true",
-                        help="run relaxation restarts in joint batched "
-                             "waves (one GNN forward per evaluation)")
     p_fold.add_argument("--max-retries", type=int, default=1,
                         help="retries per failed database sample, each with "
                              "perturbed guidance (default 1)")

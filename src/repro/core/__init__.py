@@ -9,20 +9,12 @@ from repro.core.dataset import (
 from repro.core.pipeline import AnalogFold, AnalogFoldConfig, AnalogFoldResult
 from repro.core.potential import PotentialFunction
 from repro.core.relaxation import PotentialRelaxer, RelaxationConfig, RelaxedGuidance
-from repro.core.sensitivity import (
-    PinSensitivity,
-    guidance_sensitivity,
-    net_sensitivity,
-)
 
 __all__ = [
     "PotentialFunction",
     "PotentialRelaxer",
     "RelaxationConfig",
     "RelaxedGuidance",
-    "PinSensitivity",
-    "guidance_sensitivity",
-    "net_sensitivity",
     "Database",
     "DatasetConfig",
     "GuidanceSample",

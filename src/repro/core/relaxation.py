@@ -1,24 +1,30 @@
 """Pool-assisted potential relaxation (Section 4.3, Figure 2(b)).
 
-L-BFGS minimizes ``V(C)`` from many initializations.  A pool of the
-``pool_size`` lowest-potential solutions is maintained; once the pool is
-full, a fraction ``p_relax`` of subsequent restarts re-initialize from a
-pool member with Gaussian noise added — the paper's noisy-restart escape
-from local optima.  The top ``n_derive`` solutions are returned.
+L-BFGS minimizes ``V(C)`` from many initializations while a pool keeps
+the ``pool_size`` lowest-potential solutions.  The restarts run in two
+*waves*, each one joint L-BFGS-B over the concatenated restart variables:
 
-Restarts degrade independently: a restart that diverges to a non-finite
-potential or guidance (or raises a
-:class:`~repro.reliability.errors.RelaxationError` from the potential
-evaluation) is dropped and recorded in the trace instead of aborting the
-run.  Only when *no* restart survives does :meth:`PotentialRelaxer.run`
-raise, with the trace attached for diagnosis.
+1. the pool-building wave starts from the caller's seed points, then
+   from uniform draws, until the pool can fill;
+2. the pool-seeded wave re-initializes a fraction ``p_relax`` of the
+   remaining restarts from a pool member with Gaussian noise added (the
+   paper's noisy-restart escape from local optima), and the rest from
+   uniform draws.
 
-With ``RelaxationConfig.batched`` the restarts run in two *waves*
-(pool-building, then pool-seeded), each as one joint L-BFGS-B over the
-concatenated restart variables: the objective is the sum of the per-restart
-potentials, whose gradient blocks are independent, so every joint function
-evaluation is a single batched GNN forward-backward over all active
-restarts instead of one forward per restart (see ``docs/PERFORMANCE.md``).
+A wave minimizes the *sum* of its restarts' potentials.  The gradient
+blocks are independent, so the joint L-BFGS walks every restart downhill
+while each function evaluation costs one batched GNN forward-backward
+over the whole wave (see ``docs/PERFORMANCE.md``).  The paper reseeds
+restart by restart; here the second wave reseeds from the pool as it
+stood after the first (a deviation recorded in ``DESIGN.md``).  The top
+``n_derive`` solutions are returned.
+
+Failures degrade instead of aborting the run, and are recorded in the
+trace.  A restart whose final potential or guidance is non-finite is
+dropped on its own.  A :class:`~repro.reliability.errors.RelaxationError`
+raised by the potential evaluation stops the joint optimization, so it
+drops every restart of that wave.  Only when *no* restart survives does
+:meth:`PotentialRelaxer.run` raise, with the trace attached for diagnosis.
 """
 
 from __future__ import annotations
@@ -54,12 +60,6 @@ class RelaxationConfig:
             guidance distributions of the database, not only from a uniform
             prior).
         seed: RNG seed.
-        batched: run restarts in two joint waves sharing one batched GNN
-            forward per function evaluation, instead of one L-BFGS run per
-            restart.  Several times fewer forwards for the same number of
-            restarts; solutions are valid minima of the same potential but
-            not bit-identical to serial restarts (the joint optimizer
-            couples line searches).
     """
 
     n_restarts: int = 12
@@ -72,7 +72,6 @@ class RelaxationConfig:
     init_high: float = 2.0
     seed_points: int = 2
     seed: int = 0
-    batched: bool = False
 
     def __post_init__(self) -> None:
         if self.n_derive > self.pool_size:
@@ -121,14 +120,15 @@ class RelaxationTrace:
         best_per_restart: best pool potential after each kept restart —
             non-increasing by construction (the pool only improves).
         restart_seconds: duration per attempted restart, in restart
-            order, measured on the monotonic ``time.perf_counter``
-            clock (batched mode amortizes each wave's time evenly over
-            its restarts).  Durations are load-sensitive; tests must
-            assert monotonicity/shape, never absolute values.
-        restart_evals: potential evaluations per attempted restart — in
-            batched mode, the number of joint evaluations of the
-            restart's wave (each one touches the restart exactly once).
-        gnn_forwards: GNN forward-backward passes the whole run executed.
+            order: its wave's time on the monotonic
+            ``time.perf_counter`` clock, split evenly over the wave's
+            restarts.  Durations are load-sensitive; tests must assert
+            monotonicity/shape, never absolute values.
+        restart_evals: per attempted restart, the number of joint
+            evaluations of its wave (each one touches the restart
+            exactly once).
+        gnn_forwards: GNN forward-backward passes the whole run executed
+            (one per joint evaluation).
     """
 
     restarts: int = 0
@@ -179,18 +179,44 @@ class PotentialRelaxer:
         self.trace = RelaxationTrace()
         rng = np.random.default_rng(cfg.seed)
         seeds = list(seed_guidance or [])[: cfg.seed_points]
+        n_vars = potential.num_variables
         start_forwards = potential.stats.forwards
-        start_evals = potential.stats.evals + potential.stats.batched_evals
+        start_evals = potential.stats.batched_evals
 
-        if cfg.batched:
-            pool = self._run_batched(potential, rng, seeds)
-        else:
-            pool = self._run_serial(potential, rng, seeds)
+        pool: list[RelaxedGuidance] = []
+        # Wave 1 builds the pool: seed points, then uniform draws.
+        wave1 = min(cfg.n_restarts, max(cfg.pool_size, len(seeds), 1))
+        inits: list[tuple[np.ndarray, bool]] = []
+        for restart in range(wave1):
+            if restart < len(seeds):
+                x0 = self._seed_point(seeds[restart], n_vars)
+            else:
+                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
+            inits.append((x0, False))
+        self._wave(potential, pool, inits, restart_offset=0)
+
+        # Wave 2: once the pool is full, each restart re-initializes
+        # from a noisy pool member with probability p_relax.
+        inits = []
+        for _ in range(wave1, cfg.n_restarts):
+            from_pool = (len(pool) >= cfg.pool_size
+                         and rng.random() < cfg.p_relax)
+            if from_pool:
+                seed_sol = pool[rng.integers(len(pool))]
+                x0 = seed_sol.guidance.reshape(-1) + rng.normal(
+                    0.0, cfg.noise_sigma, size=n_vars
+                )
+                self.trace.pool_seeded += 1
+            else:
+                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
+            inits.append((x0, from_pool))
+        if inits:
+            self._wave(potential, pool, inits, restart_offset=wave1)
+
         self.trace.gnn_forwards = potential.stats.forwards - start_forwards
         self.obs.counter("gnn_forwards").inc(self.trace.gnn_forwards)
         self.obs.counter("lbfgs_evals").inc(
-            potential.stats.evals + potential.stats.batched_evals
-            - start_evals)
+            potential.stats.batched_evals - start_evals)
 
         if not pool:
             raise RelaxationError(
@@ -217,7 +243,7 @@ class PotentialRelaxer:
     def _keep(self, pool: list[RelaxedGuidance], restart: int,
               x: np.ndarray, raw_value: float, from_pool: bool,
               potential: PotentialFunction) -> bool:
-        """Pool-selection bookkeeping shared by serial and batched runs.
+        """Pool-selection bookkeeping for one restart of a wave.
 
         Returns whether the restart survived (``False`` = diverged).
         """
@@ -247,115 +273,6 @@ class PotentialRelaxer:
         self.trace.best_per_restart.append(pool[0].potential)
         return True
 
-    def _run_serial(
-        self,
-        potential: PotentialFunction,
-        rng: np.random.Generator,
-        seeds: list[np.ndarray],
-    ) -> list[RelaxedGuidance]:
-        """One L-BFGS run per restart (the paper's reference loop)."""
-        cfg = self.config
-        n_vars = potential.num_variables
-        margin = 1e-3
-        bounds = [(margin, potential.c_max - margin)] * n_vars
-
-        pool: list[RelaxedGuidance] = []
-        for restart in range(cfg.n_restarts):
-            from_pool = len(pool) >= cfg.pool_size and rng.random() < cfg.p_relax
-            if restart < len(seeds):
-                x0 = self._seed_point(seeds[restart], n_vars)
-                from_pool = False
-            elif from_pool:
-                seed_sol = pool[rng.integers(len(pool))]
-                x0 = seed_sol.guidance.reshape(-1) + rng.normal(
-                    0.0, cfg.noise_sigma, size=n_vars
-                )
-                self.trace.pool_seeded += 1
-            else:
-                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
-            x0 = np.clip(x0, margin * 2, potential.c_max - margin * 2)
-
-            evals_before = potential.stats.evals
-            started = time.perf_counter()
-            try:
-                result = minimize(
-                    potential.value_and_grad,
-                    x0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxiter": cfg.maxiter},
-                )
-            except RelaxationError as exc:
-                elapsed = time.perf_counter() - started
-                evals = potential.stats.evals - evals_before
-                self.trace.restart_seconds.append(elapsed)
-                self.trace.restart_evals.append(evals)
-                self.trace.diverged += 1
-                self.trace.failures.append(f"restart {restart}: {exc}")
-                self.obs.emit_span("relax.restart", elapsed,
-                                   outcome="diverged", restart=restart,
-                                   evals=evals, from_pool=from_pool)
-                continue
-            elapsed = time.perf_counter() - started
-            evals = potential.stats.evals - evals_before
-            self.trace.restart_seconds.append(elapsed)
-            self.trace.restart_evals.append(evals)
-            kept = self._keep(pool, restart, result.x, float(result.fun),
-                              from_pool, potential)
-            self.obs.emit_span("relax.restart", elapsed,
-                               outcome="ok" if kept else "diverged",
-                               restart=restart, evals=evals,
-                               from_pool=from_pool)
-        return pool
-
-    def _run_batched(
-        self,
-        potential: PotentialFunction,
-        rng: np.random.Generator,
-        seeds: list[np.ndarray],
-    ) -> list[RelaxedGuidance]:
-        """Restarts in two joint waves, one batched forward per evaluation.
-
-        Wave 1 builds the pool (seed points, then uniform draws); wave 2
-        re-initializes from the pool with probability ``p_relax``, like
-        the serial loop once the pool is full.  Each wave minimizes the
-        *sum* of its restarts' potentials over the concatenated variables:
-        the gradient blocks are independent, so the joint L-BFGS walks
-        every restart downhill while paying one batched GNN
-        forward-backward per function evaluation.
-        """
-        cfg = self.config
-        n_vars = potential.num_variables
-
-        pool: list[RelaxedGuidance] = []
-        wave1 = min(cfg.n_restarts, max(cfg.pool_size, len(seeds), 1))
-        inits: list[tuple[np.ndarray, bool]] = []
-        for restart in range(wave1):
-            if restart < len(seeds):
-                x0 = self._seed_point(seeds[restart], n_vars)
-            else:
-                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
-            inits.append((x0, False))
-        self._wave(potential, pool, inits, restart_offset=0)
-
-        inits = []
-        for _ in range(wave1, cfg.n_restarts):
-            from_pool = (len(pool) >= cfg.pool_size
-                         and rng.random() < cfg.p_relax)
-            if from_pool:
-                seed_sol = pool[rng.integers(len(pool))]
-                x0 = seed_sol.guidance.reshape(-1) + rng.normal(
-                    0.0, cfg.noise_sigma, size=n_vars
-                )
-                self.trace.pool_seeded += 1
-            else:
-                x0 = rng.uniform(cfg.init_low, cfg.init_high, size=n_vars)
-            inits.append((x0, from_pool))
-        if inits:
-            self._wave(potential, pool, inits, restart_offset=wave1)
-        return pool
-
     def _wave(
         self,
         potential: PotentialFunction,
@@ -363,7 +280,12 @@ class PotentialRelaxer:
         inits: list[tuple[np.ndarray, bool]],
         restart_offset: int,
     ) -> None:
-        """Jointly minimize one wave of restarts and fold them into the pool."""
+        """Jointly minimize one wave of restarts and fold them into the pool.
+
+        A :class:`RelaxationError` from the potential ends the joint
+        optimization, so every restart of the wave is recorded as
+        diverged.
+        """
         cfg = self.config
         n_vars = potential.num_variables
         wave = len(inits)

@@ -367,7 +367,10 @@ class Tensor:
         return Tensor(out_data, parents=(self,), backward=backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        # exp(-x) overflows to inf below x ~ -709, which gives the right
+        # limit, 0; only the warning is silenced, so no bit changes.
+        with np.errstate(over="ignore"):
+            out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -377,7 +380,9 @@ class Tensor:
     def softplus(self) -> "Tensor":
         # Numerically stable: log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)).
         out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        sig = 1.0 / (1.0 + np.exp(-self.data))
+        # The backward factor is sigmoid(x); see :meth:`sigmoid`.
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * sig)

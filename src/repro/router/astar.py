@@ -135,11 +135,9 @@ class AStarRouter:
         #: (``route_expansions_total{mode=...}``).
         self.expansions_by_mode: dict[str, int] = {}
         #: Batched-expansion size summary (``route_frontier_batch``):
-        #: count / sum / min / max of nodes expanded per frontier batch.
-        self.batch_stats = {"count": 0, "sum": 0.0,
-                            "min": float("inf"), "max": float("-inf")}
-        #: Same summary since the last :meth:`take_batch_window` — the
-        #: iterative router drains it per net for per-net observability.
+        #: count / sum / min / max of nodes expanded per frontier batch
+        #: since the last :meth:`take_batch_window` — the iterative
+        #: router drains it per net for per-net observability.
         self.batch_window = {"count": 0, "sum": 0.0,
                              "min": float("inf"), "max": float("-inf")}
         # Engine state, lazily allocated per family.
@@ -179,13 +177,13 @@ class AStarRouter:
             self.expansions_by_mode.get(mode, 0) + count)
 
     def _observe_batch(self, size: int) -> None:
-        for stats in (self.batch_stats, self.batch_window):
-            stats["count"] += 1
-            stats["sum"] += size
-            if size < stats["min"]:
-                stats["min"] = size
-            if size > stats["max"]:
-                stats["max"] = size
+        stats = self.batch_window
+        stats["count"] += 1
+        stats["sum"] += size
+        if size < stats["min"]:
+            stats["min"] = size
+        if size > stats["max"]:
+            stats["max"] = size
 
     def take_batch_window(self) -> dict:
         """Return and reset the batch summary since the last call."""
@@ -706,13 +704,13 @@ class AStarRouter:
             if found >= 0:
                 break
         if b_count:
-            for stats in (self.batch_stats, self.batch_window):
-                stats["count"] += b_count
-                stats["sum"] += b_sum
-                if b_min < stats["min"]:
-                    stats["min"] = b_min
-                if b_max > stats["max"]:
-                    stats["max"] = b_max
+            stats = self.batch_window
+            stats["count"] += b_count
+            stats["sum"] += b_sum
+            if b_min < stats["min"]:
+                stats["min"] = b_min
+            if b_max > stats["max"]:
+                stats["max"] = b_max
         self._note_expansions("bucketed", expansions)
         if found < 0:
             return None

@@ -9,7 +9,6 @@ unity-gain bandwidth, DC gain, and integrated output noise.
 from repro.simulation.analyses import simulate_performance
 from repro.simulation.metrics import FoMWeights, PerformanceMetrics
 from repro.simulation.mna import MnaSystem
-from repro.simulation.montecarlo import MonteCarloResult, monte_carlo
 from repro.simulation.smallsignal import MosSmallSignal, mos_small_signal
 from repro.simulation.testbench import Testbench, TestbenchConfig
 from repro.simulation.transient import (
@@ -24,8 +23,6 @@ __all__ = [
     "FoMWeights",
     "PerformanceMetrics",
     "MnaSystem",
-    "MonteCarloResult",
-    "monte_carlo",
     "MosSmallSignal",
     "mos_small_signal",
     "Testbench",

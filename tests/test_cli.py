@@ -22,6 +22,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "OTA1", "--scale", "huge"])
 
+    def test_fold_has_no_relaxation_mode_flag(self, capsys):
+        """Relaxation has one loop, so ``fold`` offers no mode switch."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fold", "OTA1", "--batched-relax"])
+        assert exc_info.value.code == 2
+        assert "--batched-relax" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self, capsys):

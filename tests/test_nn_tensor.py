@@ -4,6 +4,8 @@ Every op is checked against central finite differences, including via
 hypothesis-generated shapes/values for the core arithmetic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,41 @@ class TestElementwiseGrads:
     def test_chained_ops_property(self, values):
         x0 = np.array(values)
         check_grad(lambda t: (t * t + t.sigmoid()).softplus(), x0, rtol=1e-4)
+
+
+class TestSaturatingOps:
+    """``sigmoid`` and ``softplus`` saturate quietly and keep their bits."""
+
+    @pytest.mark.parametrize("name, value, grad", [
+        ("sigmoid", [0.0, 0.5, 1.0], [0.0, 0.25, 0.0]),
+        ("softplus", [0.0, np.log(2.0), 800.0], [0.0, 0.5, 1.0]),
+    ], ids=["sigmoid", "softplus"])
+    def test_extreme_inputs_raise_no_warning(self, name, value, grad):
+        x = Tensor(np.array([-800.0, 0.0, 800.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = getattr(x, name)()
+            out.sum().backward()
+        np.testing.assert_array_equal(out.data, value)
+        np.testing.assert_array_equal(x.grad, grad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_the_plain_expression(self, dtype):
+        rng = np.random.default_rng(11)
+        x0 = (rng.standard_normal((64, 8)) * 30.0).astype(dtype)
+        upstream = rng.standard_normal((64, 8)).astype(dtype)
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-x0))
+        softplus = np.maximum(x0, 0.0) + np.log1p(np.exp(-np.abs(x0)))
+        # ``+ 0.0``: gradient accumulation turns -0.0 into 0.0.
+        for name, value, grad in (
+                ("sigmoid", sig, upstream * sig * (1.0 - sig) + 0.0),
+                ("softplus", softplus, upstream * sig + 0.0)):
+            x = Tensor(x0, requires_grad=True)
+            out = getattr(x, name)()
+            (out * Tensor(upstream)).sum().backward()
+            assert out.data.tobytes() == value.tobytes(), name
+            assert x.grad.tobytes() == grad.tobytes(), name
 
 
 class TestMatmulGrads:

@@ -1,16 +1,18 @@
 """Invariants of pool-assisted potential relaxation.
 
-Three contracts from the relaxation design (Section 4.3):
+Four contracts from the relaxation design (Section 4.3):
 
 * the pool's best potential is non-increasing across pool updates —
-  ``RelaxationTrace.best_per_restart`` is monotone by construction, in
-  both serial and batched mode;
-* the batched ``value_and_grad_batch`` agrees with serial
-  ``value_and_grad`` per candidate to < 1e-10, across circuit sizes;
+  ``RelaxationTrace.best_per_restart`` is monotone by construction;
+* the batched ``value_and_grad_batch`` that every joint wave evaluation
+  runs agrees with the one-candidate ``value_and_grad`` per candidate to
+  < 1e-10, across circuit sizes;
 * trace timing fields are measured on the monotonic ``perf_counter``
   clock — tests assert shape and monotonicity (non-negative durations,
   one entry per attempted restart), never absolute durations, which are
-  load-sensitive.
+  load-sensitive;
+* a potential evaluation that raises drops the restarts of its wave
+  only: the run returns what the other wave kept.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.model.gnn3d import Gnn3d
 from repro.netlist import build_benchmark
 from repro.obs import RunContext
 from repro.placement import place_benchmark
+from repro.reliability.errors import RelaxationError
 from repro.router import RoutingGrid
 from repro.tech import generic_40nm
 
@@ -56,11 +59,9 @@ def potentials():
 
 
 class TestPoolMonotonicity:
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["serial", "batched"])
-    def test_best_potential_non_increasing(self, potentials, batched):
+    def test_best_potential_non_increasing(self, potentials):
         pot = potentials("OTA1")
-        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX, batched=batched))
+        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX))
         solutions = relaxer.run(pot)
         best = relaxer.trace.best_per_restart
         assert len(best) == relaxer.trace.restarts > 0
@@ -109,11 +110,9 @@ class TestTraceTimingShape:
     and must never be asserted.
     """
 
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["serial", "batched"])
-    def test_restart_seconds_shape(self, potentials, batched):
+    def test_restart_seconds_shape(self, potentials):
         pot = potentials("OTA1")
-        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX, batched=batched))
+        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX))
         relaxer.run(pot)
         trace = relaxer.trace
         n = RELAX["n_restarts"]
@@ -127,14 +126,11 @@ class TestTraceTimingShape:
         assert all(a <= b + 1e-12 for a, b in zip(cumulative,
                                                   cumulative[1:]))
 
-    @pytest.mark.parametrize("batched", [False, True],
-                             ids=["serial", "batched"])
-    def test_spans_mirror_trace_measurements(self, potentials, batched):
+    def test_spans_mirror_trace_measurements(self, potentials):
         """relax.restart spans reuse the trace's own measurements."""
         pot = potentials("OTA1")
         obs = RunContext.recording()
-        relaxer = PotentialRelaxer(
-            RelaxationConfig(**RELAX, batched=batched), obs=obs)
+        relaxer = PotentialRelaxer(RelaxationConfig(**RELAX), obs=obs)
         relaxer.run(pot)
         events = obs.drain_events()
         restarts = [e for e in events if e["name"] == "relax.restart"]
@@ -160,3 +156,39 @@ class TestTraceTimingShape:
         first = list(relaxer.trace.restart_seconds)
         relaxer.run(pot)
         assert len(relaxer.trace.restart_seconds) == len(first)
+
+
+class TestWaveDegradation:
+    def test_error_in_second_wave_drops_that_wave_only(self, potentials,
+                                                        monkeypatch):
+        """A RelaxationError mid-wave drops every restart of the wave."""
+        pot = potentials("OTA1")
+        cfg = RelaxationConfig(**{**RELAX, "n_restarts": 7})
+        wave1 = cfg.pool_size  # no seed points: wave 1 fills the pool
+        reference = PotentialRelaxer(
+            RelaxationConfig(**{**RELAX, "n_restarts": wave1})).run(pot)
+
+        relaxer = PotentialRelaxer(cfg)
+        evaluate = pot.value_and_grad_batch
+
+        def failing_in_wave2(c_batch):
+            if len(relaxer.trace.restart_evals) >= wave1:
+                raise RelaxationError("injected wave-2 failure",
+                                      stage="relaxation")
+            return evaluate(c_batch)
+
+        monkeypatch.setattr(pot, "value_and_grad_batch", failing_in_wave2)
+        out = relaxer.run(pot)
+
+        trace = relaxer.trace
+        wave2 = list(range(wave1, cfg.n_restarts))
+        assert trace.diverged == len(wave2)
+        assert trace.restarts == wave1
+        assert [f.split(":")[0] for f in trace.failures] == [
+            f"restart {i}" for i in wave2]
+        assert all("injected wave-2 failure" in f for f in trace.failures)
+        assert len(trace.restart_seconds) == cfg.n_restarts
+        # The run returns the first wave's survivors, bit for bit.
+        assert [s.potential for s in out] == [s.potential for s in reference]
+        for got, want in zip(out, reference):
+            np.testing.assert_array_equal(got.guidance, want.guidance)
