@@ -4,10 +4,11 @@ Runs the AnalogFold pipeline on OTA1 at the selected ``REPRO_SCALE`` (or
 ``--scale``) with the pipeline's own :class:`repro.perf.timing.StageTimer`
 instrumentation, then records per-stage wall time (route / extract /
 simulate / train / relax, plus calls), one paper-shape relaxation run
-(GNN forwards, candidate evaluations and seconds), and a
+(GNN forwards, candidate evaluations and seconds), a
 forward-scaling sweep (per-candidate ``forward_batch``
 time vs batch size, float64 and float32, with the blocked-parity
-contract numbers) into ``BENCH_perf.json`` at the repo root.
+contract numbers), and the minor page faults per 3DGNN call of a fresh
+process into ``BENCH_perf.json`` at the repo root.
 
 Expected shape: the route stage dominates database construction, train
 dominates total time at representative scales, and relaxation runs
@@ -27,9 +28,12 @@ floor in :func:`repro.perf.timing.compare_to_baseline`).
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
+import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -43,7 +47,7 @@ from repro.core import PotentialFunction, PotentialRelaxer, RelaxationConfig
 from repro.eval.compare import SCALES
 from repro.graph import build_hetero_graph
 from repro.model.gnn3d import Gnn3d
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.perf.timing import (
     bench_payload,
     compare_to_baseline,
@@ -88,8 +92,27 @@ RELAX_EVAL_REPEATS = 20
 #: Gate: per-candidate time at the largest swept batch must amortize to
 #: at most this fraction of the unbatched (B=1) per-candidate time.
 #: The observed amortization is far stronger; 0.9 only asserts that
-#: cache-blocked batching keeps paying off at all past forward_block.
+#: blocked batching keeps paying off at all past forward_block.
 FORWARD_MAX_AMORTIZED_RATIO = 0.9
+
+
+#: Circuits of the page-fault probe (``faults`` section).
+FAULT_CIRCUITS = ("OTA1", "OTA3")
+
+#: Batch of the probe's tape-free forward: one serving wave.
+FAULT_BATCH = 16
+
+#: Probed calls per point, after warm-up.
+FAULT_CALLS = 20
+
+#: Gate: most minor page faults one tape-free ``FAULT_BATCH``-candidate
+#: ``forward_batch`` may take after warm-up, on every probe circuit.
+#: Its per-edge and per-slot arrays live in buffers its plan owns; what
+#: is left is scipy's CSR aggregation product allocating its (N*T, H)
+#: result: 300-375 faults per call on OTA1 and 0 on OTA3 (2-vCPU Xeon
+#: VM).  Allocating every array, the same call took about 2,200 (OTA1)
+#: and 8,300-9,300 (OTA3).
+TAPE_FREE_MAX_FAULTS_PER_CALL = 1000
 
 
 def _route_once(placement, tech, guidance_seed, router_cls, engine):
@@ -249,7 +272,7 @@ def check_route(route: dict, baseline: dict | None) -> list[str]:
 def measure_forward() -> dict:
     """Forward-scaling benchmark: per-candidate time vs batch size.
 
-    Times the cache-blocked union forward (``Gnn3d.forward_batch``) on
+    Times the taped blocked union forward (``Gnn3d.forward_batch``) on
     OTA1 across :data:`FORWARD_BATCHES` in both execution dtypes, and
     records the parity numbers the serving contract promises: float64
     blocked output vs the single-candidate forward (< 1e-10; only the
@@ -364,6 +387,79 @@ def check_forward(forward: dict, baseline: dict | None,
                     f"{cur_ms / float(base_ms):.1f}x ({base_ms} -> "
                     f"{cur_ms} ms/candidate, limit {max_ratio:.1f}x)")
     return problems
+
+
+def _probe_calls(call, calls: int) -> tuple[float, float]:
+    """(minor faults per call, best seconds per call) of ``calls`` runs
+    of ``call`` after three warm-up runs."""
+    for _ in range(3):
+        call()
+    best = float("inf")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults / calls, best
+
+
+def measure_faults() -> dict:
+    """Minor page faults per 3DGNN call after warm-up (``faults``).
+
+    Per probe circuit: a tape-free ``FAULT_BATCH``-candidate
+    ``forward_batch`` (gated), the taped one-candidate
+    ``PotentialFunction.value_and_grad`` (recorded only: a taped forward
+    allocates every array its backward reads), and the tape-free
+    per-candidate time at B=1 and B=``FAULT_BATCH``.  Fault counts
+    depend on the heap's history, so :func:`main` runs this in a fresh
+    process of its own.
+    """
+    record: dict = {"batch": FAULT_BATCH, "calls": FAULT_CALLS,
+                    "tape_free": {}, "value_and_grad": {},
+                    "tape_free_ms_per_candidate": {}}
+    for name in FAULT_CIRCUITS:
+        placement = place_benchmark(build_benchmark(name), variant="A",
+                                    seed=0, iterations=150)
+        graph = build_hetero_graph(RoutingGrid(placement, generic_40nm()))
+        model = Gnn3d(graph.ap_features.shape[1],
+                      graph.module_features.shape[1])
+        pool = np.random.default_rng(0).uniform(
+            0.5, 2.0, size=(FAULT_BATCH, graph.num_aps, 3))
+        per_candidate = {}
+        with no_grad():
+            for batch in (1, FAULT_BATCH):
+                guidance = Tensor(pool[:batch])
+                faults, best = _probe_calls(
+                    lambda: model.forward_batch(graph, guidance),
+                    FAULT_CALLS)
+                per_candidate[str(batch)] = round(best / batch * 1e3, 4)
+        record["tape_free"][name] = round(faults, 1)
+        record["tape_free_ms_per_candidate"][name] = per_candidate
+        potential = PotentialFunction(model, graph)
+        point = pool[0].reshape(-1)
+        faults, _best = _probe_calls(
+            lambda: potential.value_and_grad(point), FAULT_CALLS)
+        record["value_and_grad"][name] = round(faults, 1)
+    return record
+
+
+def measure_faults_in_fresh_process() -> dict:
+    """:func:`measure_faults` in a newly spawned interpreter."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(measure_faults).result()
+
+
+def check_faults(faults: dict) -> list[str]:
+    """Fault gate: every tape-free probe call stays under
+    :data:`TAPE_FREE_MAX_FAULTS_PER_CALL`."""
+    return [
+        f"tape-free B={faults['batch']} forward on {name} took {count:g} "
+        f"minor page faults per call (gate: <= "
+        f"{TAPE_FREE_MAX_FAULTS_PER_CALL})"
+        for name, count in faults["tape_free"].items()
+        if count > TAPE_FREE_MAX_FAULTS_PER_CALL]
 
 
 #: Timed repetitions of the corpus ingest sweep, best-of.
@@ -507,6 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = measure(args.scale, workers=args.workers)
     payload["route"] = measure_route()
     payload["forward"] = measure_forward()
+    payload["faults"] = measure_faults_in_fresh_process()
     payload["ingest"] = measure_ingest()
 
     # The serve-throughput (benchmarks/bench_serve.py) and chaos
@@ -531,6 +628,7 @@ def main(argv: list[str] | None = None) -> int:
             problems = compare_to_baseline(payload, baseline)
         problems += check_route(payload["route"], baseline)
         problems += check_forward(payload["forward"], baseline)
+        problems += check_faults(payload["faults"])
         problems += check_ingest(payload["ingest"], baseline)
 
     out = write_bench_json(args.out, payload)
@@ -556,6 +654,15 @@ def main(argv: list[str] | None = None) -> int:
           f"relaxation eval {fwd['relax_eval_ms']} ms, "
           f"{fwd['relax_tape_nodes']} tape nodes, "
           f"{fwd['relax_scatter_products']} scatter products")
+    faults = payload["faults"]
+    for name, count in faults["tape_free"].items():
+        ms = faults["tape_free_ms_per_candidate"][name]
+        print(f"  faults on {name}: {count:g} per tape-free "
+              f"B={faults['batch']} forward (gate <= "
+              f"{TAPE_FREE_MAX_FAULTS_PER_CALL}), "
+              f"{faults['value_and_grad'][name]:g} per value_and_grad; "
+              f"tape-free {ms['1']} ms/candidate at B=1, "
+              f"{ms[str(faults['batch'])]} at B={faults['batch']}")
     ing = payload["ingest"]
     print(f"  ingest: {ing['files']} corpus files / {ing['cards']} cards "
           f"in {ing['seconds']}s ({ing['cards_per_second']} cards/s)")

@@ -9,11 +9,10 @@ stages written by ``bench_perf.py`` — is preserved).
 
 Expected shape: throughput rises monotonically with ``max_batch``.
 The union forward amortizes per-forward Python and small-array
-overhead, and since the model cache-blocks the union internally
-(``DEFAULT_CACHE_BLOCK`` replicas per pass, working set held under
-L2), larger waves keep paying off rather than thrashing the cache;
-``forward_block`` merely caps the dispatch wave the service hands the
-model at once.
+overhead, and since a tape-free call of up to ``TAPE_FREE_UNION``
+candidates runs as one union over buffers its plan owns, larger waves
+keep paying off rather than allocating afresh; ``forward_block`` caps
+the candidates the service hands the model at once.
 
 Standalone usage (no pytest required)::
 
@@ -62,12 +61,11 @@ NUM_CANDIDATES = 64
 # scheduler noise on a 1-vCPU runner; a full sweep pass costs ~0.5 s.
 REPEATS = 25
 # Each sweep step must retain at least (1 - tol) of its predecessor's
-# throughput.  The curve is genuinely flat past forward_block (profiled
-# per-candidate cost is identical — the model cache-blocks internally),
-# so adjacent steps sit within measurement noise of each other; a
-# strict >= would flake.  12% clears the observed best-of-N jitter on
-# a noisy shared runner while still catching a real cliff (e.g. cache
-# thrash past forward_block).
+# throughput.  The curve is genuinely flat past forward_block (a wave of
+# 32 is two unions of 16), so adjacent steps sit within measurement
+# noise of each other; a strict >= would flake.  12% clears the
+# observed best-of-N jitter on a noisy shared runner while still
+# catching a real cliff (e.g. cache thrash past forward_block).
 MONOTONE_TOLERANCE = 0.12
 
 

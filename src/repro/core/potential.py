@@ -166,9 +166,10 @@ class PotentialFunction:
         c = Tensor(c_safe.reshape(batch, self.graph.num_aps, 3),
                    requires_grad=True)
         with frozen(self._params):
-            # Explicitly the cache-blocked batched forward: relaxation
-            # waves (pool sizes 6/12 by default) ride the same
-            # per-(graph, B) union plans the scoring service uses.
+            # The taped batched forward, in DEFAULT_CACHE_BLOCK-replica
+            # blocks: relaxation waves (pool sizes 6/12 by default)
+            # ride the same per-(graph, B) plans the scoring service
+            # uses.
             pred = self.model.forward_batch(self.graph, c)  # (B, metrics)
             fom = (pred * Tensor(np.tile(self._w_signed, (batch, 1)))
                    ).sum(axis=1)

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 
 #: Methods that mutate their receiver in place.  A call
 #: ``X.<method>(...)`` where ``X`` resolves to a *module-level* name is
-#: recorded as a module-state mutation candidate.
+#: recorded as a module-state mutation candidate, unless ``X`` is a
+#: module: ``np.add(a, b, out=c)`` or ``np.sort(a)`` calls a function
+#: of the module, it mutates no state the module holds.
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "clear", "sort",
     "reverse", "add", "discard", "update", "setdefault", "popitem",
@@ -193,6 +195,8 @@ class _ModuleVisitor(ast.NodeVisitor):
         self._func_stack: list[FunctionSummary] = []
         self._locals_stack: list[set[str]] = []
         self._globals_stack: list[set[str]] = []
+        # Names an ``import`` statement binds: each is a module.
+        self._module_aliases: set[str] = set()
         self._no_grad_depth = 0
         # Calls executed at import time belong to a pseudo-function.
         module_fn = summary.functions.get("<module>")
@@ -320,9 +324,11 @@ class _ModuleVisitor(ast.NodeVisitor):
         for alias in node.names:
             if alias.asname:
                 self.summary.imports[alias.asname] = alias.name
+                self._module_aliases.add(alias.asname)
             else:
                 head = alias.name.split(".")[0]
                 self.summary.imports[head] = head
+                self._module_aliases.add(head)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module
@@ -345,6 +351,7 @@ class _ModuleVisitor(ast.NodeVisitor):
                 continue
             local = alias.asname or alias.name
             self.summary.imports[local] = f"{module}.{alias.name}"
+            self._module_aliases.discard(local)
 
     # -- statements ---------------------------------------------------------------
 
@@ -506,8 +513,11 @@ class _ModuleVisitor(ast.NodeVisitor):
             self._rng_event(node, qualified)
             if qualified in ("numpy.float64", "numpy.double"):
                 self._event("float64-coercion", node.lineno, f"{chain}(...)")
-            if attr in MUTATING_METHODS and "." in chain:
-                segments = chain.split(".")
+            segments = chain.split(".")
+            module_function = (len(segments) == 2
+                               and segments[0] in self._module_aliases)
+            if (attr in MUTATING_METHODS and len(segments) > 1
+                    and not module_function):
                 dotted = self._mutation_root(segments[0])
                 if self._func_stack and dotted is not None:
                     full = ".".join([dotted, *segments[1:-1]])

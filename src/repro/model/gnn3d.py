@@ -25,23 +25,26 @@ from repro.nn import (
     Tensor,
     concat,
     cost_distance,
+    is_grad_enabled,
     message_layer,
 )
 from repro.perf.cache import BatchedStatics, ForwardCacheStore
 
-#: Default cache-block size of the blocked batched forward: replicas per
-#: union processed before moving to the next block.  Per-candidate cost
-#: of a single big union is flat only while its per-op temporaries stay
-#: cache- and heap-resident: past ~2 OTA-sized replicas the message
-#: arrays cross the allocator's mmap threshold (~128 KiB), so every
-#: temporary costs page faults instead of heap reuse, and they start
-#: spilling L2 well before amortization can compensate.  Blocking runs
-#: the full RBF -> message -> segment-sum pass per 2-replica block
-#: instead, bounding the working set regardless of ``B``; the
-#: throughput sweep in ``benchmarks/bench_serve.py`` is monotone in
-#: ``max_batch`` with this setting (see docs/PERFORMANCE.md, "Forward
-#: blocking").
+#: Cache-block size of a taped batched forward: replicas per union,
+#: processed one block after another.  A taped forward allocates every
+#: per-edge array afresh, because its backward reads them.  On the
+#: 2-vCPU host a six-candidate relaxation wave evaluates fastest in
+#: 2-replica blocks: one 6-replica union runs its larger products on
+#: numpy's second OpenBLAS thread, which contends with scipy's, used by
+#: L-BFGS-B between evaluations (see docs/PERFORMANCE.md, "Why block=2").
 DEFAULT_CACHE_BLOCK = 2
+
+#: Most replicas a tape-free forward runs as one union: a tape-free
+#: forward writes its per-edge arrays into buffers its plan owns, so one
+#: big union neither faults nor loses to blocking.  Larger tape-free
+#: batches run in unions of this size.  ``repro.serve`` hands the model
+#: calls of at most this many candidates.
+TAPE_FREE_UNION = 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ class _PassingLayer(Module):
         return message_layer(
             h, psi, plan.src_slots, plan.dst_slots, plan.in_degree,
             plan.edge_offsets,
-            [self.blocks[et].weights() for et in plan.edge_types])
+            [self.blocks[et].weights() for et in plan.edge_types],
+            workspace=plan.workspace)
 
 
 class Gnn3d(Module):
@@ -150,10 +154,12 @@ class Gnn3d(Module):
         guidance-independent and comes precomputed from ``plan``.
         """
         d = plan.deltas
-        dist = (cost_distance(guidance_all, plan.receivers, d)
+        dist = (cost_distance(guidance_all, plan.receivers, d,
+                              workspace=plan.workspace)
                 if self.config.use_cost_distance
                 else Tensor(np.sqrt((d * d).sum(axis=1) + 1e-6)))
-        return self.rbf(dist) if self.config.use_rbf else dist.reshape(-1, 1)
+        return (self.rbf(dist, workspace=plan.workspace)
+                if self.config.use_rbf else dist.reshape(-1, 1))
 
     # -- forward -----------------------------------------------------------------------
 
@@ -191,24 +197,30 @@ class Gnn3d(Module):
 
     def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
                       block: int | None = None) -> Tensor:
-        """Evaluate ``B`` guidance candidates with cache blocking.
+        """Evaluate ``B`` guidance candidates, in blocks of replicas.
 
         The candidates are processed in blocks of at most ``block``
-        (default :data:`DEFAULT_CACHE_BLOCK`) replicas; each block runs
-        the complete distance -> RBF -> message layers -> readout pass
-        over its own union
+        replicas; each block runs the complete distance -> RBF ->
+        message layers -> readout pass over its own union
         (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
-        the next block starts, so the per-block working set stays
-        L2-resident regardless of ``B``.  ``block=B`` runs all ``B``
-        replicas as one union.  Block readouts concatenate, and block
-        backward passes scatter into the corresponding guidance slices.
+        the next block starts.  The default ``block`` is
+        :data:`TAPE_FREE_UNION` with the tape off, where the per-edge
+        arrays go to buffers the block's plan owns and the returned rows
+        are fresh arrays, and :data:`DEFAULT_CACHE_BLOCK` with the tape
+        on.  ``block=B`` runs all ``B`` replicas as one union.  Block
+        readouts concatenate, and block backward passes scatter into the
+        corresponding guidance slices.
 
         Parity contract: float64 results match the single-candidate
         forward to <1e-10 per row.  The pooled rows are the same at every
-        block size; the gap is the metric head, which runs here as one
-        multi-row product and in :meth:`forward` as a one-row product,
-        and BLAS rounds the two differently.  The float32 scoring path is
-        gated at :data:`repro.serve.registry.FLOAT32_PARITY_RTOL`.
+        block size, with the tape on or off, unless a block has a
+        one-row operand (a one-node graph, or an edge type with one
+        edge), whose products BLAS rounds apart from multi-row ones; the
+        gap is the metric head, which runs here
+        as one multi-row product and in :meth:`forward` as a one-row
+        product, and BLAS rounds the two differently.  The float32
+        scoring path is gated at
+        :data:`repro.serve.registry.FLOAT32_PARITY_RTOL`.
         """
         batch = guidance.shape[0]
         if guidance.shape != (batch, graph.num_aps, 3):
@@ -217,7 +229,8 @@ class Gnn3d(Module):
                 f"({batch}, {graph.num_aps}, 3)"
             )
         if block is None:
-            block = DEFAULT_CACHE_BLOCK
+            block = (DEFAULT_CACHE_BLOCK if is_grad_enabled()
+                     else TAPE_FREE_UNION)
         plan = self.cache.union_plan(graph, batch, block)
         pooled = []
         for (start, stop), block_plan in zip(plan.slices, plan.plans):

@@ -13,6 +13,7 @@ on the guidance, so it computes ``dV/dC`` and no weight gradient.
 """
 
 from repro.nn.functional import (
+    Workspace,
     concat,
     cost_distance,
     message_layer,
@@ -25,12 +26,13 @@ from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.rbf import RBFExpansion
 from repro.nn.serialization import load_state, save_state
 from repro.nn.scatter import Scatter
-from repro.nn.tensor import Tensor, as_tensor, frozen, no_grad
+from repro.nn.tensor import Tensor, as_tensor, frozen, is_grad_enabled, no_grad
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "no_grad",
+    "is_grad_enabled",
     "frozen",
     "concat",
     "Scatter",
@@ -38,6 +40,7 @@ __all__ = [
     "cost_distance",
     "rbf_expand",
     "message_layer",
+    "Workspace",
     "stack",
     "Module",
     "Parameter",

@@ -10,6 +10,14 @@ backwards, so outputs and gradients are bitwise the composition's
 Gradients inside a fused backward skip the accumulate step between
 ops: that step changes only the sign of zeros, and every gradient ends
 in an accumulate, which makes its zeros positive.
+
+With the tape off, a fused op given a :class:`Workspace` writes its
+per-edge and per-slot arrays into the workspace's buffers instead of
+fresh allocations; the arithmetic is the same either way, only where
+``out=`` points changes.  Gathers run as ``np.take(..., mode="clip")``:
+the ids come from a :class:`~repro.nn.scatter.Scatter`, which checks
+their range when it is built, and the default ``mode="raise"`` copies
+through a temporary when given ``out=``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,45 @@ import numpy as np
 from repro.nn import tensor as tensor_mod
 from repro.nn.scatter import Scatter
 from repro.nn.tensor import Tensor, _unbroadcast, as_tensor
+
+
+class Workspace:
+    """Reusable output buffers of tape-free fused-op calls.
+
+    A tape-free forward keeps none of its intermediates, so the fused
+    ops can write them into buffers that outlive the call: a forward
+    that runs again on the same plan reuses the same memory instead of
+    allocating (and, past the allocator's mmap threshold, page-faulting)
+    afresh.  Buffers are keyed by name and dtype and reallocated when a
+    call asks for another shape.  An op's result in a workspace buffer
+    is valid until the next call that writes the same buffer, so a
+    workspace serves one forward at a time.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...],
+               dtype) -> np.ndarray:
+        """The buffer ``name`` of ``shape`` and ``dtype`` (uninitialized
+        when new)."""
+        key = (name, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        return buf
+
+
+def _out(workspace: Workspace | None, name: str, shape: tuple[int, ...],
+         dtype) -> np.ndarray | None:
+    """Where an op writes its array ``name``: the workspace buffer while
+    the tape is off, otherwise ``None`` (allocate, since the backward
+    may read it)."""
+    if workspace is None or tensor_mod._GRAD_ENABLED:
+        return None
+    return workspace.buffer(name, shape, dtype)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -75,7 +122,8 @@ def segment_sum(values: Tensor, scatter: Scatter) -> Tensor:
 
 
 def cost_distance(guidance: Tensor, receivers: Scatter,
-                  deltas: np.ndarray) -> Tensor:
+                  deltas: np.ndarray,
+                  workspace: Workspace | None = None) -> Tensor:
     """Eq. 1 cost-aware edge lengths as one tape node.
 
     ``sqrt(sum_k (C[dst] * delta)_k^2 + 1e-6)`` per edge: the static
@@ -86,6 +134,7 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
         guidance: (N, 3) guidance of every node.
         receivers: the edges' receiver scatter over the N nodes.
         deltas: (E, 3) edge-vector decomposition.
+        workspace: where the (E, 3) and (E,) arrays go with the tape off.
 
     Raises:
         ValueError: ``receivers`` is not over ``len(guidance)`` nodes.
@@ -94,8 +143,17 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
         raise ValueError(
             f"scatter over {receivers.num_segments} rows gathers from a "
             f"tensor of {len(guidance.data)}")
-    weighted = guidance.data[receivers.ids] * deltas
-    dist = (weighted * weighted).sum(axis=1)
+    dtype = guidance.data.dtype
+    weighted = np.take(guidance.data, receivers.ids, axis=0, mode="clip",
+                       out=_out(workspace, "cd_weighted", deltas.shape,
+                                dtype))
+    weighted *= deltas
+    # The backward reads ``weighted``; without one it squares in place.
+    taped = tensor_mod._GRAD_ENABLED and guidance.requires_grad
+    squared = np.multiply(weighted, weighted,
+                          out=None if taped else weighted)
+    dist = np.sum(squared, axis=1,
+                  out=_out(workspace, "cd_dist", (len(deltas),), dtype))
     dist += dist.dtype.type(1e-6)
     np.sqrt(dist, out=dist)
 
@@ -110,16 +168,22 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
     return Tensor(dist, parents=(guidance,), backward=backward)
 
 
-def rbf_expand(distances: Tensor, centers: np.ndarray, gamma) -> Tensor:
+def rbf_expand(distances: Tensor, centers: np.ndarray, gamma,
+               workspace: Workspace | None = None) -> Tensor:
     """Eq. 2-3 Gaussian radial basis features as one tape node.
 
     ``exp(-gamma * (d - mu_k)^2)`` for each distance ``d`` and center
-    ``mu_k``: a (E,) distance tensor becomes (E, K) features.
+    ``mu_k``: a (E,) distance tensor becomes (E, K) features, written
+    into ``workspace`` with the tape off.
     """
     d = distances.data
-    diff = d.reshape(-1, 1) + (-centers.reshape(1, -1))
+    diff = np.add(d.reshape(-1, 1), -centers.reshape(1, -1),
+                  out=_out(workspace, "rbf", (len(d), len(centers)),
+                           d.dtype))
     scale = np.asarray(-gamma).astype(diff.dtype)
-    feats = diff * diff
+    # The backward reads ``diff``; without one it squares in place.
+    taped = tensor_mod._GRAD_ENABLED and distances.requires_grad
+    feats = np.multiply(diff, diff, out=None if taped else diff)
     feats *= scale
     np.exp(feats, out=feats)
 
@@ -136,7 +200,8 @@ def rbf_expand(distances: Tensor, centers: np.ndarray, gamma) -> Tensor:
 def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
                   dst_slots: Scatter, in_degree: np.ndarray,
                   offsets: Sequence[int],
-                  weights: Sequence[Sequence[Tensor]]) -> Tensor:
+                  weights: Sequence[Sequence[Tensor]],
+                  workspace: Workspace | None = None) -> Tensor:
     """One message-passing layer over every edge type, one tape node.
 
     With ``weights[t] = (Ws, bs, Wd, bd, Wo, bo)`` for each of the ``T``
@@ -153,7 +218,10 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     | Ws_T]``, and the output affines after one scatter into the
     receiver slots, as one product with ``[Wo_1; ...; Wo_T]``.  The
     backward adds into ``h``, ``psi`` and each weight that requires
-    grad when it runs.
+    grad when it runs.  With the tape off and a ``workspace``, every
+    per-edge and per-slot array, the output included, is a workspace
+    buffer; the output goes to whichever of two buffers ``h`` is not in,
+    so stacked layers alternate between them.
 
     Args:
         h: (N, H) node embeddings.
@@ -163,6 +231,7 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
         in_degree: (N, T) edges of each type received per node.
         offsets: (T + 1,) start of each type's edges, then ``E``.
         weights: per edge type, its affine weights and biases.
+        workspace: where the layer's arrays go with the tape off.
 
     Raises:
         ValueError: the slot scatters or ``in_degree`` do not cover
@@ -196,10 +265,18 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     dist_side = tensor_mod._GRAD_ENABLED and (
         psi.requires_grad or _any_grad(w_dist + b_dist))
 
-    src_out = h.data @ ws
+    dtype = h.data.dtype
+    num_edges = len(src_slots)
+    src_out = np.matmul(h.data, ws, out=_out(
+        workspace, "ml_src", (num_nodes, num_types * hidden), dtype))
     src_out += np.concatenate([b.data for b in b_src])
-    gathered = src_out.reshape(num_slots, hidden)[src_slots.ids]
-    dist_out = np.empty_like(gathered)
+    gathered = np.take(src_out.reshape(num_slots, hidden), src_slots.ids,
+                       axis=0, mode="clip", out=_out(
+                           workspace, "ml_gathered", (num_edges, hidden),
+                           dtype))
+    dist_out = _out(workspace, "ml_dist", gathered.shape, dtype)
+    if dist_out is None:
+        dist_out = np.empty_like(gathered)
     for lo, hi, wd, bd in spans:
         np.matmul(psi.data[lo:hi], wd.data, out=dist_out[lo:hi])
         dist_out[lo:hi] += bd.data
@@ -213,8 +290,12 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     else:
         gated = gathered * dist_out
     summed = dst_slots(gated).reshape(num_nodes, num_types * hidden)
-    out = summed @ wo
-    out += in_degree @ np.stack([b.data for b in b_out])
+    out = _out(workspace, "ml_out", h.shape, dtype)
+    if out is not None and np.may_share_memory(out, h.data):
+        out = _out(workspace, "ml_out_alt", h.shape, dtype)
+    out = np.matmul(summed, wo, out=out)
+    out += np.matmul(in_degree, np.stack([b.data for b in b_out]),
+                     out=_out(workspace, "ml_bias", h.shape, dtype))
     out += h.data
 
     def backward(grad: np.ndarray) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import rbf_expand
+from repro.nn.functional import Workspace, rbf_expand
 from repro.nn.modules import Module
 from repro.nn.tensor import Tensor, as_tensor
 
@@ -38,12 +38,14 @@ class RBFExpansion(Module):
         self.gamma = gamma if gamma is not None else 1.0 / spacing ** 2
         self.num_centers = num_centers
 
-    def forward(self, distances: Tensor) -> Tensor:
-        """Expand a length-n distance tensor to shape (n, num_centers)."""
+    def forward(self, distances: Tensor,
+                workspace: Workspace | None = None) -> Tensor:
+        """Expand a length-n distance tensor to shape (n, num_centers),
+        into ``workspace`` with the tape off (see :func:`rbf_expand`)."""
         d = as_tensor(distances)
         if d.ndim != 1:
             raise ValueError(f"expected 1-D distances, got shape {d.shape}")
         # Match the input dtype so the float32 scoring path is not
         # promoted back to float64 by the (float64) center bank.
         centers = self.centers.astype(d.data.dtype, copy=False)
-        return rbf_expand(d, centers, self.gamma)
+        return rbf_expand(d, centers, self.gamma, workspace=workspace)

@@ -25,11 +25,11 @@ class no_grad:
     Inside the context every new :class:`Tensor` is created grad-free:
     no backward closure, no parent references.  Inference paths (the
     scoring service, ``predicted_metrics``) run under it so a forward
-    never retains its intermediates — without it, cache-blocked batched
-    forwards keep every finished block's activation graph alive (the
-    model's parameters require grad), growing the working set with the
-    batch and defeating the L2 blocking.  Reentrant and exception-safe;
-    tensors created *outside* keep their tapes.
+    never retains its intermediates (the model's parameters require
+    grad, so a taped forward would keep its whole activation graph
+    alive), and the fused 3DGNN ops write their intermediates into
+    reusable buffers only while the tape is off.  Reentrant and
+    exception-safe; tensors created *outside* keep their tapes.
     """
 
     def __enter__(self) -> "no_grad":
@@ -41,6 +41,12 @@ class no_grad:
     def __exit__(self, *exc_info) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
+
+
+def is_grad_enabled() -> bool:
+    """Whether new tensors record a backward (``False`` inside
+    :class:`no_grad`)."""
+    return _GRAD_ENABLED
 
 
 class frozen:

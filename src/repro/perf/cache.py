@@ -23,6 +23,10 @@ evaluation; everything in that pass that does not depend on the guidance
   APs first, mirroring the graph's own ``[aps, modules]`` layout so a
   ``(B * A, 3)`` guidance stack lines up with union indices directly.
   A single candidate runs on the ``B=1`` plan, which is the graph itself.
+  Each plan owns a :class:`repro.nn.Workspace`: tape-free forwards on
+  the plan write their per-edge and per-slot arrays into its buffers
+  instead of allocating them on every call, so the buffers live and die
+  with the plan, under the LRU below.
 
 Caches are keyed on the *live* graph object (weak reference, so entries
 die with their graph and a recycled ``id()`` can never alias) and
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
+from repro.nn.functional import Workspace
 from repro.nn.scatter import Scatter
 
 #: Per-entry cap on cached per-``B`` plans (batched statics and union
@@ -105,6 +110,9 @@ class BatchedStatics:
         pool: the per-candidate readout scatter: ``B`` segments, whose
             ids are the candidate of each union node.
         neutral_guidance: (B * M, 3) ones, the module receivers' guidance.
+        workspace: the buffers tape-free forwards on this plan write
+            their per-edge and per-slot arrays into; each dtype cast of
+            the plan has its own.
     """
 
     batch: int
@@ -120,6 +128,8 @@ class BatchedStatics:
     module_features: np.ndarray
     pool: Scatter
     neutral_guidance: np.ndarray
+    workspace: Workspace = field(default_factory=Workspace, repr=False,
+                                 compare=False)
     _casts: dict[str, "BatchedStatics"] = field(default_factory=dict,
                                                 repr=False)
 
@@ -128,7 +138,8 @@ class BatchedStatics:
 
         ``float64`` returns ``self``.  Index arrays are dtype-independent
         and shared with the original plan; the scatter operators carry
-        ``dtype`` ones, so float32 segment sums stay float32.
+        ``dtype`` ones, so float32 segment sums stay float32.  The cast
+        gets a workspace of its own.
         """
         dtype = np.dtype(dtype)
         if dtype == np.float64:
@@ -146,6 +157,7 @@ class BatchedStatics:
                 ap_features=self.ap_features.astype(dtype),
                 module_features=self.module_features.astype(dtype),
                 neutral_guidance=self.neutral_guidance.astype(dtype),
+                workspace=Workspace(),
                 _casts={},
             )
             self._casts[dtype.name] = cast

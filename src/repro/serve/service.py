@@ -4,11 +4,12 @@ Synchronous API, batched execution: callers submit ``(graph_id, C)``
 requests one at a time (or as a stream) and the service coalesces the
 pending queue into scoring waves of up to ``max_batch`` candidates,
 served by batched model calls of at most ``forward_block`` candidates
-each.  Inside each call, ``Gnn3d.forward_batch`` processes replicas in
-L2-resident cache blocks over the same
-:class:`~repro.perf.cache.ForwardCacheStore`-backed union plans
-potential relaxation uses, so a served score is bit-compatible with a
-direct :class:`~repro.model.gnn3d.Gnn3d` forward.  Endpoints whose
+each.  Each call is one tape-free ``Gnn3d.forward_batch`` that runs its
+candidates as one union, over the same
+:class:`~repro.perf.cache.ForwardCacheStore`-backed plans potential
+relaxation uses, writing its per-edge arrays into buffers the plan
+owns; a served score is bit-compatible with a direct
+:class:`~repro.model.gnn3d.Gnn3d` forward.  Endpoints whose
 manifest declares ``precision: float32`` score in float32 under the
 documented parity tolerance
 (:data:`repro.serve.registry.FLOAT32_PARITY_RTOL`).
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.graph.hetero import HeteroGraph
-from repro.model.gnn3d import Gnn3d
+from repro.model.gnn3d import TAPE_FREE_UNION, Gnn3d
 from repro.nn import Tensor, no_grad
 from repro.obs import NULL_CONTEXT, RunContext
 from repro.perf.cache import graph_fingerprint
@@ -52,15 +53,12 @@ from repro.simulation.metrics import FoMWeights
 _FORWARD_ERRORS = (ReproError, ValueError, ArithmeticError)
 
 
-#: Most candidates handed to one model call inside a wave.  The model
-#: itself cache-blocks internally (``Gnn3d.forward_batch`` processes
-#: replicas in L2-resident blocks of
-#: :data:`repro.model.gnn3d.DEFAULT_CACHE_BLOCK`), so per-candidate
-#: forward cost stays flat well past the old L2-spill ceiling of 4 —
-#: larger calls now amortize per-call dispatch (fingerprint check, plan
-#: lookup, stacking) over more candidates (see
-#: ``benchmarks/bench_serve.py``'s monotone-throughput sweep).
-DEFAULT_FORWARD_BLOCK = 16
+#: Most candidates handed to one model call inside a wave: the most
+#: candidates one tape-free call runs as one union
+#: (:data:`repro.model.gnn3d.TAPE_FREE_UNION`), whose per-edge arrays
+#: live in buffers the union's plan owns, so a 16-candidate wave is one
+#: union and one pass of the model.
+DEFAULT_FORWARD_BLOCK = TAPE_FREE_UNION
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,9 @@ class ServeConfig:
             requests.
         forward_block: most candidates per batched model call inside a
             wave; waves larger than this run several back-to-back
-            calls.  The model cache-blocks internally, so this is a
-            dispatch-granularity knob, not a cache-size one.
+            calls.  A call of up to :data:`DEFAULT_FORWARD_BLOCK`
+            candidates runs as one union; a larger one runs in unions
+            of that size.
     """
 
     max_batch: int = 8
@@ -371,9 +370,8 @@ class ScoringService:
                     stack = endpoint.cast_guidance(
                         np.stack([r.guidance for r in sub]))
                     # Tape-free: scoring never backpropagates, and
-                    # retained per-block activation graphs would grow
-                    # the working set with the wave, defeating the
-                    # model's L2 cache blocking.
+                    # only a tape-free forward runs the call as one
+                    # union over its plan's reusable buffers.
                     with no_grad():
                         rows.append(endpoint.model(
                             endpoint.graph, Tensor(stack)).numpy())

@@ -31,18 +31,13 @@ class AcResult:
 
 
 def ac_analysis(bench: Testbench, freqs: np.ndarray = DEFAULT_FREQS) -> AcResult:
-    """Differential and common-mode-to-differential sweeps."""
-    h_diff = np.zeros(len(freqs), dtype=complex)
-    h_cm = np.zeros(len(freqs), dtype=complex)
-    inj_diff = bench.input_injections(0.5, -0.5)
-    inj_cm = bench.input_injections(1.0, 1.0)
-    for i, freq in enumerate(freqs):
-        factor = bench.system.factorized(freq)
-        sol_d = bench.system.solve(freq, inj_diff, factor=factor)
-        sol_c = bench.system.solve(freq, inj_cm, factor=factor)
-        h_diff[i] = bench.differential_output(sol_d)
-        h_cm[i] = bench.differential_output(sol_c)
-    return AcResult(freqs=freqs, h_diff=h_diff, h_cm=h_cm)
+    """Differential and common-mode-to-differential sweeps, every
+    frequency and both drives solved in one stacked call."""
+    voltages = bench.system.solve_sweep(freqs, [
+        bench.input_injections(0.5, -0.5), bench.input_injections(1.0, 1.0)])
+    return AcResult(freqs=freqs,
+                    h_diff=bench.differential_output(voltages[:, :, 0]),
+                    h_cm=bench.differential_output(voltages[:, :, 1]))
 
 
 def dc_gain_db(ac: AcResult) -> float:

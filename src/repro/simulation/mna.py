@@ -1,16 +1,19 @@
 """Modified nodal analysis over complex frequency.
 
 Element stamps accumulate into a conductance matrix ``G`` and a capacitance
-matrix ``C``; an AC solve at angular frequency ``w`` factors ``G + jwC``
-once and back-substitutes any number of right-hand sides — the noise
-analysis exploits this by reusing one factorization for every device's
-injection vector.
+matrix ``C``; an AC solve at angular frequency ``w`` solves ``G + jwC``
+for any number of right-hand sides, and a sweep solves every frequency
+in one stacked call.  Every solve runs through numpy's LAPACK
+(``np.linalg.solve``), whose results do not depend on the BLAS thread
+count; scipy's ``lu_solve`` rounds differently at one and two OpenBLAS
+threads, which made simulated metrics depend on the host.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from repro.reliability.errors import SimulationError
 
@@ -110,56 +113,81 @@ class MnaSystem:
         g[np.diag_indices(n)] += G_MIN
         self._g, self._c = g, c
 
-    def factorized(self, freq: float):
-        """LU factorization of (G + j*2*pi*f*C); reusable across RHS.
+    def _system_matrices(self, freqs: np.ndarray) -> np.ndarray:
+        """``G + j*2*pi*f*C`` at each frequency, stacked (F, n, n).
 
         Raises:
-            SimulationError: the system matrix contains non-finite stamps
-                or cannot be factorized.
+            SimulationError: a system matrix has non-finite entries.
         """
         if self._g is None:
             self._assemble()
-        omega = 2.0 * np.pi * freq
-        matrix = self._g.astype(complex) + 1j * omega * self._c
-        if not np.isfinite(matrix).all():
+        omega = 2.0 * np.pi * freqs
+        matrices = (self._g.astype(complex)
+                    + 1j * omega[:, None, None] * self._c)
+        finite = np.isfinite(matrices).all(axis=(1, 2))
+        if not finite.all():
+            freq = float(freqs[np.argmin(finite)])
             raise SimulationError(
                 f"MNA matrix has non-finite entries at {freq:g} Hz",
                 stage="simulation", details={"freq_hz": freq})
-        try:
-            return lu_factor(matrix)
-        except (LinAlgError, ValueError) as exc:
-            raise SimulationError(
-                f"MNA factorization failed at {freq:g} Hz: {exc}",
-                stage="simulation", details={"freq_hz": freq}) from exc
+        return matrices
 
-    def solve(
-        self, freq: float, injections: dict[str, complex], factor=None
-    ) -> dict[str, complex]:
+    def solve_sweep(self, freqs: Sequence[float],
+                    injections: Sequence[dict[str, complex]]) -> np.ndarray:
+        """Node voltages for several injection sets at every frequency.
+
+        Args:
+            freqs: analysis frequencies in hertz.
+            injections: per right-hand side, the current (amperes)
+                injected *into* each named node.
+
+        Returns:
+            (F, num_nodes, K) complex voltages, in node-index order
+            (:meth:`node`), for F frequencies and K injection sets.
+
+        Raises:
+            SimulationError: a system matrix has non-finite entries, is
+                singular, or solves to non-finite node voltages.
+        """
+        freqs = np.asarray(freqs, dtype=float).reshape(-1)
+        matrices = self._system_matrices(freqs)
+        rhs = np.zeros((self.num_nodes, len(injections)), dtype=complex)
+        for k, currents in enumerate(injections):
+            for name, current in currents.items():
+                idx = self.node(name)
+                if idx >= 0:
+                    rhs[idx, k] += current
+        try:
+            solution = np.linalg.solve(
+                matrices, np.broadcast_to(rhs, (len(freqs), *rhs.shape)))
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(
+                f"MNA solve failed between {freqs.min():g} and "
+                f"{freqs.max():g} Hz: {exc}", stage="simulation",
+                details={"freq_hz": float(freqs.min())}) from exc
+        finite = np.isfinite(solution).all(axis=(1, 2))
+        if not finite.all():
+            # A numerically singular matrix can pass the solve but
+            # back-substitute to inf/nan node voltages.
+            freq = float(freqs[np.argmin(finite)])
+            raise SimulationError(
+                f"singular MNA system at {freq:g} Hz "
+                f"(non-finite node voltages)",
+                stage="simulation", details={"freq_hz": freq})
+        return solution
+
+    def solve(self, freq: float,
+              injections: dict[str, complex]) -> dict[str, complex]:
         """Node voltages for current injections at one frequency.
 
         Args:
             freq: analysis frequency in hertz.
             injections: current (amperes) injected *into* each named node.
-            factor: optional precomputed :meth:`factorized` result.
 
         Returns:
             Mapping of node name to complex voltage (ground excluded).
         """
-        if factor is None:
-            factor = self.factorized(freq)
-        rhs = np.zeros(self.num_nodes, dtype=complex)
-        for name, current in injections.items():
-            idx = self.node(name)
-            if idx >= 0:
-                rhs[idx] += current
-        solution = lu_solve(factor, rhs)
-        if not np.isfinite(solution).all():
-            # An exactly singular matrix passes LU factorization but
-            # back-substitutes to inf/nan node voltages.
-            raise SimulationError(
-                f"singular MNA system at {freq:g} Hz "
-                f"(non-finite node voltages)",
-                stage="simulation", details={"freq_hz": freq})
+        solution = self.solve_sweep([freq], [injections])[0, :, 0]
         return {name: solution[i] for name, i in self._index.items()}
 
     def adjoint_solve(
@@ -193,9 +221,3 @@ class MnaSystem:
                 f"singular adjoint MNA system at {freq:g} Hz",
                 stage="simulation", details={"freq_hz": freq})
         return {name: solution[i] for name, i in self._index.items()}
-
-    def voltage(self, solution: dict[str, complex], name: str) -> complex:
-        """Voltage of a node in a solve result (ground = 0)."""
-        if name == self.GROUND:
-            return 0.0 + 0.0j
-        return solution[name]

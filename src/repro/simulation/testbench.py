@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.extraction.parasitics import ParasiticNetwork
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Capacitor, MOSFET, Resistor
@@ -196,8 +198,20 @@ class Testbench:
             inj[self.net_node(neg)] = v_n * G_STIFF
         return inj
 
-    def differential_output(self, solution: dict[str, complex]) -> complex:
+    def differential_output(self, voltages: np.ndarray) -> np.ndarray:
+        """``V(out+) - V(out-)`` of node voltages whose last axis is in
+        :meth:`MnaSystem.node` index order (ground reads zero).
+
+        Raises:
+            KeyError: an output net has no node in the system.
+        """
+        def at(net: str):
+            node = self.net_node(net)
+            if node == MnaSystem.GROUND:
+                return 0.0
+            if not self.system.has_node(node):
+                raise KeyError(f"output net {net!r} has no node")
+            return voltages[..., self.system.node(node)]
+
         pos, neg = self.config.output_nets
-        vp = self.system.voltage(solution, self.net_node(pos))
-        vn = self.system.voltage(solution, self.net_node(neg))
-        return vp - vn
+        return at(pos) - at(neg)

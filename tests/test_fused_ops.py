@@ -83,20 +83,21 @@ EDGE_LEVEL_TOL = 1e-10
 # -- the op-by-op oracles ------------------------------------------------------
 
 
-def oracle_cost_distance(guidance, receivers, deltas):
+def oracle_cost_distance(guidance, receivers, deltas, workspace=None):
     c_recv = guidance.gather_rows(receivers)
     weighted = c_recv * Tensor(deltas)
     return ((weighted * weighted).sum(axis=1) + 1e-6).sqrt()
 
 
-def oracle_rbf_expand(distances, centers, gamma):
+def oracle_rbf_expand(distances, centers, gamma, workspace=None):
     diff = distances.reshape(-1, 1) - Tensor(centers.reshape(1, -1))
     return ((diff * diff) * (-gamma)).exp()
 
 
 def oracle_message_layer(h, psi, src_slots, dst_slots, in_degree, offsets,
-                         weights):
-    """``message_layer`` op by op: the bitwise oracle.
+                         weights, workspace=None):
+    """``message_layer`` op by op: the bitwise oracle.  It allocates every
+    array, so it ignores ``workspace``.
 
     ``messages + h`` lists the messages first, so the tape walk finishes
     the earlier layers before it enters this one and runs the layers
@@ -127,7 +128,7 @@ def oracle_message_sum(h, psi, src, dst, weights):
 
 
 def edge_level_layer(h, psi, src_slots, dst_slots, in_degree, offsets,
-                     weights):
+                     weights, workspace=None):
     """``message_layer`` as the model ran it before the fusion: the
     semantic oracle, one edge-level :func:`oracle_message_sum` per edge
     type, summed in type order, plus the residual."""
@@ -473,6 +474,29 @@ class TestModelParity:
         with model_ops():
             oracle = float32_scores(ota_graphs[name])
         assert_all_bitwise(fused, oracle)
+
+    def test_oracle_patches_reach_the_tape_free_path(self, ota_graphs):
+        """A served (tape-free, one-union) forward runs every patched
+        oracle, so the pins above cover the path that writes into the
+        plan's buffers."""
+        graph = ota_graphs["OTA1"]
+        calls = []
+
+        def counted(name, oracle):
+            def op(*args, **kwargs):
+                calls.append(name)
+                return oracle(*args, **kwargs)
+            return op
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gnn3d_mod, "message_layer",
+                          counted("layer", oracle_message_layer))
+            patch.setattr(gnn3d_mod, "cost_distance",
+                          counted("distance", oracle_cost_distance))
+            patch.setattr(rbf_mod, "rbf_expand",
+                          counted("rbf", oracle_rbf_expand))
+            float32_scores(graph)
+        assert sorted(set(calls)) == ["distance", "layer", "rbf"]
 
     @given(num_aps=st.integers(2, 7), num_modules=st.integers(0, 3),
            seed=st.integers(0, 2 ** 16), variant=st.sampled_from(VARIANTS))

@@ -219,3 +219,43 @@ class TestGraphFindingSuppression:
             graph_rules=all_graph_rules(select={"WRK001"}))
         assert [f.rule_id for f in findings] == ["WRK001"]
         assert findings[0].line_text.strip() == "_SEEN.append(task)"
+
+
+class TestModuleCallsAreNotState:
+    """WRK001 flags module-level containers, never a call on a module:
+    ``np.add(a, b, out=c)`` calls a numpy function whose name happens to
+    match a mutating method."""
+
+    def _findings(self, kind: str, select=frozenset({"WRK001"})):
+        name = f"wrk001_module_calls_{kind}.py"
+        return lint_project_sources(
+            [(f"tests/lint_fixtures/{name}", "repro.perf.parallel",
+              (FIXTURES / name).read_text())],
+            graph_rules=all_graph_rules(select=set(select)))
+
+    def test_bad_fixture_flags_only_module_state(self):
+        findings = self._findings("bad")
+        assert [f.line_text.split("(")[0].strip() for f in findings] == [
+            "_SEEN.append", "_BY_TASK.update", "os.environ.update"]
+        assert [f.rule_id for f in findings] == ["WRK001"] * 3
+
+    def test_good_fixture_quiet_under_all_graph_rules(self):
+        findings = self._findings(
+            "good", select={cls.id for cls in GRAPH_RULES})
+        assert findings == []
+
+    def test_from_imported_project_module_is_not_state(self):
+        helpers = ("def update(values):\n"
+                   "    return sorted(values)\n")
+        worker = ("from repro.perf import helpers\n"
+                  "from repro.perf.helpers import update\n"
+                  "\n"
+                  "\n"
+                  "def _worker_run(task):\n"
+                  "    update([task])\n"
+                  "    return helpers.update([task])\n")
+        findings = lint_project_sources(
+            [("src/repro/perf/helpers.py", "repro.perf.helpers", helpers),
+             ("src/repro/perf/parallel.py", "repro.perf.parallel", worker)],
+            graph_rules=all_graph_rules(select={"WRK001"}))
+        assert findings == []
