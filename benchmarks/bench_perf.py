@@ -56,10 +56,9 @@ from repro.perf.timing import (
 )
 from repro.router import IterativeRouter, RoutingGrid
 from repro.router.guidance import RoutingGuidance, random_guidance
-from repro.router.iterative import RouterConfig
 from repro.serve import FLOAT32_PARITY_RTOL
 from tests.evaluation_shape import evaluation_shape
-from tests.router_oracle import FloodingRouter
+from tests.router_oracle import FloodingRouter, SeedFloodingRouter
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
 
@@ -73,8 +72,9 @@ ROUTE_REPEATS = 3
 #: the flooding oracle (every hard search runs, as before the
 #: reachability check), the workload these floors were set on.  The
 #: neutral scenarios exercise the bucketed (dial) queue and must clear
-#: 3x over the in-run reference engine; continuous random-guidance
-#: scenarios fall back to the scalar heap engine, whose floor is lower.
+#: 3x over the in-run seed engine (``tests/router_oracle.py``);
+#: continuous random-guidance scenarios fall back to the scalar heap
+#: engine, whose floor is lower.
 #: Both are in-run comparisons, so the gate does not depend on runner
 #: speed.
 ROUTE_MIN_SPEEDUP_NEUTRAL = 3.0
@@ -115,7 +115,7 @@ FAULT_CALLS = 20
 TAPE_FREE_MAX_FAULTS_PER_CALL = 1000
 
 
-def _route_once(placement, tech, guidance_seed, router_cls, engine):
+def _route_once(placement, tech, guidance_seed, router_cls):
     """One timed ``route_all`` on a fresh grid.
 
     Returns (seconds, paths, failed nets, expansions).
@@ -127,7 +127,7 @@ def _route_once(placement, tech, guidance_seed, router_cls, engine):
         rng = np.random.default_rng(guidance_seed)
         keys = [ap.key for aps in grid.access_points.values() for ap in aps]
         guidance = random_guidance(keys, rng)
-    router = router_cls(grid, guidance, RouterConfig(engine=engine))
+    router = router_cls(grid, guidance)
     start = time.perf_counter()
     result = router.route_all()
     elapsed = time.perf_counter() - start
@@ -137,11 +137,13 @@ def _route_once(placement, tech, guidance_seed, router_cls, engine):
             router.astar.expansions_total)
 
 
-#: The timed arms of one router scenario: (name, router class, engine).
+#: The timed arms of one router scenario: (name, router class).  The
+#: reference arm is the flooding oracle on the seed engine, the oracle
+#: arm the flooding oracle on the shipped engines.
 ROUTE_ARMS = (
-    ("reference", FloodingRouter, "reference"),
-    ("oracle", FloodingRouter, "auto"),
-    ("shipped", IterativeRouter, "auto"),
+    ("reference", SeedFloodingRouter),
+    ("oracle", FloodingRouter),
+    ("shipped", IterativeRouter),
 )
 
 
@@ -150,12 +152,12 @@ def measure_route() -> dict:
 
     Each scenario routes the same placement three ways.  The engine
     comparison runs the flooding oracle (``tests/router_oracle.py``) on
-    the seed (reference) engine and on the auto engine (bucketed dial
-    queue on neutral guidance, scalar heap fallback on continuous
+    the seed (reference) engine and on the shipped engines (bucketed
+    dial queue on neutral guidance, scalar heap fallback on continuous
     guidance); identity of their routed paths and expansion counts is
     part of the record (and the CI gate).  The shipped router, which
-    skips hard searches whose target is unreachable, runs on the auto
-    engine; it must route exactly as the oracle does with no more
+    skips hard searches whose target is unreachable, runs on the shipped
+    engines; it must route exactly as the oracle does with no more
     expansions, and the oracle/shipped time ratio is what the skip saves.
     """
     tech = generic_40nm()
@@ -173,13 +175,13 @@ def measure_route() -> dict:
         for label, seed in zip(labels, (None, 7)):
             # Interleave the arms so slow drift on the runner (thermal,
             # background load) biases none of them.
-            runs = {name: _route_once(placement, tech, seed, cls, engine)
-                    for name, cls, engine in ROUTE_ARMS}
+            runs = {name: _route_once(placement, tech, seed, cls)
+                    for name, cls in ROUTE_ARMS}
             best = {name: run[0] for name, run in runs.items()}
             for _ in range(ROUTE_REPEATS - 1):
-                for name, cls, engine in ROUTE_ARMS:
+                for name, cls in ROUTE_ARMS:
                     best[name] = min(best[name], _route_once(
-                        placement, tech, seed, cls, engine)[0])
+                        placement, tech, seed, cls)[0])
             _, ref_paths, _, ref_exp = runs["reference"]
             _, oracle_paths, oracle_failed, oracle_exp = runs["oracle"]
             _, new_paths, new_failed, new_exp = runs["shipped"]

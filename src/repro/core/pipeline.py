@@ -106,17 +106,6 @@ class AnalogFoldResult:
     winner_index: int = 0
     winner_source: str = "derived"
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
-    def runtime_breakdown(self) -> dict[str, float]:
-        """Stage fractions of total runtime (Figure 5)."""
-        total = self.total_seconds
-        if total <= 0:
-            return {k: 0.0 for k in self.stage_seconds}
-        return {k: v / total for k, v in self.stage_seconds.items()}
-
 
 class AnalogFold:
     """Performance-driven routing-guidance generator for one design.

@@ -11,7 +11,6 @@ from repro.io.ingest import (
     IngestResult,
     ingest_file,
     ingest_spice,
-    read_wild_spice,
     wild_to_circuit,
 )
 from repro.io.layout_io import (
@@ -32,6 +31,5 @@ __all__ = [
     "IngestResult",
     "ingest_file",
     "ingest_spice",
-    "read_wild_spice",
     "wild_to_circuit",
 ]

@@ -560,11 +560,6 @@ def flatten_netlist(netlist: WildNetlist, top: str | None = None) -> Circuit:
     return circuit
 
 
-def read_wild_spice(path: str | Path, top: str | None = None) -> Circuit:
-    """Read and flatten a wild-dialect ``.sp`` file."""
-    return wild_to_circuit(Path(path).read_text(), path=str(path), top=top)
-
-
 @dataclass
 class IngestResult:
     """A fully ingested netlist: circuit, synthesized bench, manifest."""

@@ -27,7 +27,7 @@ protects, and the baseline workflow.
 
 from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import LintResult, lint_file, lint_source, run_lint
+from repro.lint.engine import LintResult, lint_source, run_lint
 from repro.lint.findings import Finding
 from repro.lint.rules import all_rules, rule_catalog
 
@@ -37,7 +37,6 @@ __all__ = [
     "LintConfig",
     "LintResult",
     "all_rules",
-    "lint_file",
     "lint_source",
     "load_baseline",
     "load_config",

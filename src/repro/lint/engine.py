@@ -180,19 +180,6 @@ def lint_source(source: str, rel_path: str, rules: list[Rule] | None = None,
     return findings, suppressed
 
 
-def lint_file(path: str | Path, root: str | Path,
-              rules: list[Rule] | None = None,
-              module: str | None = None) -> tuple[list[Finding], int]:
-    """Lint one file; paths in findings are relative to ``root``."""
-    path, root = Path(path), Path(root)
-    try:
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, rel, rules=rules, module=module)
-
-
 def iter_python_files(paths: list[Path],
                       root: Path,
                       exclude: tuple[str, ...] = ()) -> list[Path]:

@@ -87,30 +87,54 @@ class Trainer:
         err = pred - Tensor(sample.targets)
         return (err * err).mean()
 
+    def _mean_loss(self, pairs: list[tuple[HeteroGraph, TrainSample]]
+                   ) -> float:
+        """Mean L2 loss over (graph, sample) pairs, tape-free."""
+        total = 0.0
+        with no_grad():
+            for graph, sample in pairs:
+                total += self._sample_loss(sample, graph=graph).item()
+        return total / len(pairs)
+
     def evaluate(self, samples: list[TrainSample],
                  graph: HeteroGraph | None = None) -> float:
         """Mean L2 loss over samples (no gradient: runs tape-free)."""
         if not samples:
             return float("nan")
-        total = 0.0
-        with no_grad():
-            for sample in samples:
-                total += self._sample_loss(sample, graph=graph).item()
-        return total / len(samples)
+        graph = graph if graph is not None else self.graph
+        return self._mean_loss([(graph, sample) for sample in samples])
 
     def fit(self, samples: list[TrainSample]) -> TrainHistory:
         """Train until the epoch budget or early stopping."""
-        if len(samples) < 2:
-            raise ValueError(f"need at least 2 samples, got {len(samples)}")
+        return self.fit_multi([(self.graph, samples)])
+
+    def fit_multi(
+        self, designs: list[tuple[HeteroGraph, list[TrainSample]]]
+    ) -> TrainHistory:
+        """Train one model across several designs at once.
+
+        The GNN is graph-parametric (fixed feature widths, per-forward
+        topology), so samples from different circuits share weights; the
+        validation split is the tail fraction *of each design* so every
+        topology is represented in the val loss.  ``self.graph`` is
+        ignored — each sample carries its own graph.  :meth:`fit` is the
+        one-design case.
+
+        Raises:
+            ValueError: fewer than two samples across all designs.
+        """
+        count = sum(len(samples) for _, samples in designs)
+        if count < 2:
+            raise ValueError(f"need at least 2 samples, got {count}")
         cfg = self.config
+        train: list[tuple[HeteroGraph, TrainSample]] = []
+        val: list[tuple[HeteroGraph, TrainSample]] = []
+        for graph, samples in designs:
+            head, tail = _split(samples, cfg.val_fraction)
+            train.extend((graph, s) for s in head)
+            val.extend((graph, s) for s in tail)
+
         rng = np.random.default_rng(cfg.seed)
-
-        n_val = max(1, int(len(samples) * cfg.val_fraction)) if cfg.val_fraction else 0
-        train = samples[: len(samples) - n_val]
-        val = samples[len(samples) - n_val:]
-        if not train:
-            train, val = samples, []
-
         best_val = float("inf")
         stale = 0
         stop = False
@@ -124,7 +148,8 @@ class Trainer:
                     self.optimizer.zero_grad()
                     batch_loss = 0.0
                     for idx in batch:
-                        loss = self._sample_loss(train[idx])
+                        graph, sample = train[idx]
+                        loss = self._sample_loss(sample, graph=graph)
                         loss.backward(np.asarray(1.0 / len(batch)))
                         batch_loss += loss.item()
                     self.optimizer.step()
@@ -134,7 +159,7 @@ class Trainer:
                 span.set(train_loss=train_loss)
 
                 if val:
-                    val_loss = self.evaluate(val)
+                    val_loss = self._mean_loss(val)
                     self.history.val_loss.append(val_loss)
                     span.set(val_loss=val_loss)
                     if val_loss < best_val - 1e-6:
@@ -149,70 +174,14 @@ class Trainer:
                 break
         return self.history
 
-    def fit_multi(
-        self, designs: list[tuple[HeteroGraph, list[TrainSample]]]
-    ) -> TrainHistory:
-        """Train one model across several designs at once.
 
-        The GNN is graph-parametric (fixed feature widths, per-forward
-        topology), so samples from different circuits share weights; the
-        validation split is the tail fraction *of each design* so every
-        topology is represented in the val loss.  ``self.graph`` is
-        ignored — each sample carries its own graph.
-        """
-        pool: list[tuple[HeteroGraph, TrainSample]] = []
-        val: list[tuple[HeteroGraph, TrainSample]] = []
-        cfg = self.config
-        for graph, samples in designs:
-            n_val = (max(1, int(len(samples) * cfg.val_fraction))
-                     if cfg.val_fraction and len(samples) > 1 else 0)
-            split = len(samples) - n_val
-            pool.extend((graph, s) for s in samples[:split])
-            val.extend((graph, s) for s in samples[split:])
-        if len(pool) < 2:
-            raise ValueError(
-                f"need at least 2 training samples across designs, "
-                f"got {len(pool)}")
-
-        rng = np.random.default_rng(cfg.seed)
-        best_val = float("inf")
-        stale = 0
-        stop = False
-        order = np.arange(len(pool))
-        for epoch in range(cfg.epochs):
-            with self.obs.span("train.epoch", epoch=epoch) as span:
-                rng.shuffle(order)
-                epoch_loss = 0.0
-                for start in range(0, len(order), cfg.batch_size):
-                    batch = order[start: start + cfg.batch_size]
-                    self.optimizer.zero_grad()
-                    for idx in batch:
-                        graph, sample = pool[idx]
-                        loss = self._sample_loss(sample, graph=graph)
-                        loss.backward(np.asarray(1.0 / len(batch)))
-                        epoch_loss += loss.item()
-                    self.optimizer.step()
-                train_loss = epoch_loss / len(pool)
-                self.history.train_loss.append(train_loss)
-                span.set(train_loss=train_loss)
-
-                if val:
-                    total = 0.0
-                    with no_grad():
-                        for graph, sample in val:
-                            total += self._sample_loss(
-                                sample, graph=graph).item()
-                    val_loss = total / len(val)
-                    self.history.val_loss.append(val_loss)
-                    span.set(val_loss=val_loss)
-                    if val_loss < best_val - 1e-6:
-                        best_val = val_loss
-                        stale = 0
-                    elif cfg.patience:
-                        stale += 1
-                        if stale >= cfg.patience:
-                            span.set(early_stop=True)
-                            stop = True
-            if stop:
-                break
-        return self.history
+def _split(samples: list[TrainSample], val_fraction: float
+           ) -> tuple[list[TrainSample], list[TrainSample]]:
+    """(train, val): the tail ``val_fraction`` validates, at least one
+    sample when the fraction is non-zero; a design too small to split
+    trains on every sample."""
+    n_val = max(1, int(len(samples) * val_fraction)) if val_fraction else 0
+    train = samples[: len(samples) - n_val]
+    if not train:
+        return samples, []
+    return train, samples[len(samples) - n_val:]

@@ -94,10 +94,6 @@ class Circuit:
         """Nets routed by the detailed router (non-supply)."""
         return [n for n in self.nets.values() if not n.net_type.is_supply]
 
-    def routable_nets(self) -> list[Net]:
-        """Nets with at least two terminals, supply included."""
-        return [n for n in self.nets.values() if n.degree >= 2]
-
     def symmetric_net_names(self) -> set[str]:
         names: set[str] = set()
         for pair in self.symmetry_pairs:

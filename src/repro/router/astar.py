@@ -5,25 +5,21 @@ history, and the paper's non-uniform guidance: a step along direction ``d``
 is scaled by the active guidance vector's ``C[d]`` (Section 3.1 — a smaller
 ``C[d]`` encourages wires along ``d``).
 
-Routing is the inner loop of dataset generation, so the router ships three
-interchangeable engines that return **bit-identical paths and expansion
-counts** (enforced by test and by the perf gate):
-
-``reference``
-    The seed implementation, kept verbatim: a ``heapq`` of
-    ``(f, g, node)`` float tuples over flat numpy arrays, with the
-    heuristic recomputed on every push.  It defines the semantics — pop
-    order ``(f, g, node)``, first-writer-wins on g-score ties — and is the
-    baseline the perf benchmark measures speedups against.
+Routing is the inner loop of dataset generation, so the router runs one of
+two engines per connection.  Both return **bit-identical paths and
+expansion counts** to the seed router, which the router tests and the perf
+gate keep as an oracle (``tests/router_oracle.py``): a ``heapq`` of
+float tuples whose pop order ``(f, g, node)`` and first-writer-wins
+g-score ties define the semantics.
 
 ``scalar``
-    The fast general engine: all per-node arithmetic is precomputed into
+    The general engine: all per-node arithmetic is precomputed into
     flat cost fields (``repro.router.costfield``) over a *padded* grid, so
     the unrolled expansion loop is pure Python-list lookups — no numpy
     scalar indexing, no bounds checks, no per-push heuristic calls.
 
 ``bucketed``
-    Used automatically when the step-cost alphabet quantizes onto a dyadic
+    Used whenever the step-cost alphabet quantizes onto a dyadic
     lattice (:meth:`CostField.quantize`): costs become exact integers, the
     open set becomes a monotone :class:`~repro.router.pqueue.BucketQueue`
     over packed ``(f, g)`` keys, and all equal-priority frontier nodes are
@@ -48,11 +44,8 @@ from repro.router.costfield import (
     INF,
     validate_connection_inputs,
 )
-from repro.router.grid import BLOCKED, FREE, GridNode, RoutingGrid
+from repro.router.grid import GridNode, RoutingGrid
 from repro.router.pqueue import BucketQueue
-
-#: Engine names accepted by :class:`AStarRouter`.
-ENGINES = ("auto", "scalar", "bucketed", "reference")
 
 _STAMP_MAX = np.iinfo(np.uint32).max
 
@@ -101,10 +94,7 @@ class _SearchState:
     def next_generation(self) -> int:
         if self.generation >= _STAMP_MAX:
             # Wrapped: stale stamps could alias the new generation.
-            if isinstance(self.stamp, list):
-                self.stamp[:] = [0] * len(self.stamp)
-            else:
-                self.stamp.fill(0)
+            self.stamp[:] = [0] * len(self.stamp)
             self.generation = 0
         self.generation += 1
         return self.generation
@@ -113,22 +103,18 @@ class _SearchState:
 class AStarRouter:
     """Routes individual 2-pin connections on a :class:`RoutingGrid`.
 
+    Each connection runs on the bucketed engine when its costs quantize
+    and on the scalar engine otherwise.
+
     Args:
         grid: the occupancy grid to search.
         params: cost knobs; defaults to :class:`CostParams`.
-        engine: ``"auto"`` (bucketed when costs quantize, scalar
-            otherwise), or force ``"scalar"`` / ``"bucketed"`` /
-            ``"reference"``.  A forced ``"bucketed"`` engine falls back to
-            scalar on connections whose costs don't quantize.
     """
 
-    def __init__(self, grid: RoutingGrid, params: CostParams | None = None,
-                 engine: str = "auto") -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}, want one of {ENGINES}")
+    def __init__(self, grid: RoutingGrid,
+                 params: CostParams | None = None) -> None:
         self.grid = grid
         self.params = params or CostParams()
-        self.engine = engine
         #: Nodes expanded across every search this router has run.
         self.expansions_total = 0
         #: Expansions split by the engine that performed them
@@ -140,25 +126,13 @@ class AStarRouter:
         #: router drains it per net for per-net observability.
         self.batch_window = {"count": 0, "sum": 0.0,
                              "min": float("inf"), "max": float("-inf")}
-        # Engine state, lazily allocated per family.
-        self._ref_state: _SearchState | None = None
+        # Engine state, lazily allocated.
         self._list_state: _SearchState | None = None
         # (tx, ty) -> padded unscaled Manhattan heuristic field, shared
         # across connections, guidance vectors, and rip-up rounds.
         self._man_cache: dict = {}
 
     # -- state management ---------------------------------------------------
-
-    def _get_ref_state(self) -> _SearchState:
-        if self._ref_state is None:
-            grid = self.grid
-            total = grid.nx * grid.ny * grid.num_layers
-            self._ref_state = _SearchState(
-                np.empty(total, dtype=np.float64),
-                np.empty(total, dtype=np.int64),
-                np.zeros(total, dtype=np.uint32),
-            )
-        return self._ref_state
 
     def _padded_total(self) -> int:
         grid = self.grid
@@ -202,7 +176,6 @@ class AStarRouter:
         guidance_vec: np.ndarray | None = None,
         soft: bool = False,
         max_expansions: int = 200_000,
-        layer_multipliers: "np.ndarray | None" = None,
         add_core=None,
     ) -> list[GridNode] | None:
         """Find a cheapest path from any source to any target.
@@ -218,10 +191,6 @@ class AStarRouter:
                 ``present_penalty`` (negotiation mode); when False they are
                 hard blocked.
             max_expansions: search budget before giving up.
-            layer_multipliers: optional per-layer planar-cost multipliers
-                (length = num layers); e.g. supply nets get > 1 on thin
-                lower metals to prefer routing on thick upper metals.
-                Non-finite or negative entries raise ``RoutingError``.
             add_core: optional precomputed
                 :class:`~repro.router.costfield.AddField` for this
                 (net, soft) state, reused across a net's connections.
@@ -232,29 +201,22 @@ class AStarRouter:
         """
         if not sources or not targets:
             return None
-        guid, mult = validate_connection_inputs(
-            guidance_vec, layer_multipliers, self.grid.num_layers)
+        guid = validate_connection_inputs(guidance_vec)
         p = self.params
-        if self.engine == "reference":
-            return self._route_reference(
-                net, sources, targets, guid, mult, soft, max_expansions)
         # A caller-provided add_core pins the grid state, so the whole
         # cost field (and its quantization core) is reusable across that
-        # net's connections whenever guidance/multipliers repeat — only
-        # the target-dependent heuristic needs repointing.
+        # net's connections whenever guidance repeats — only the
+        # target-dependent heuristic needs repointing.
         field = None
         cache_key = None
         if add_core is not None:
-            cache_key = (guid,
-                         None if mult is None else tuple(mult.tolist()),
-                         soft, p.layer_aware_h)
+            cache_key = (guid, soft, p.layer_aware_h)
             field = add_core.field_cache.get(cache_key)
         if field is not None:
             field.retarget(targets)
         else:
             field = CostField(
-                self.grid, net=net, guid=guid, layer_multipliers=mult,
-                soft=soft, targets=targets,
+                self.grid, net=net, guid=guid, soft=soft, targets=targets,
                 wire_cost=p.wire_cost, wrong_way_penalty=p.wrong_way_penalty,
                 via_cost=p.via_cost, present_penalty=p.present_penalty,
                 history_weight=p.history_weight,
@@ -262,11 +224,10 @@ class AStarRouter:
                 man_cache=self._man_cache)
             if cache_key is not None:
                 add_core.field_cache[cache_key] = field
-        if self.engine in ("auto", "bucketed"):
-            quantized = field.quantize()
-            if quantized is not None:
-                return self._route_bucketed(
-                    field, quantized, sources, max_expansions)
+        quantized = field.quantize()
+        if quantized is not None:
+            return self._route_bucketed(
+                field, quantized, sources, max_expansions)
         return self._route_scalar(field, sources, max_expansions)
 
     # -- scalar engine ------------------------------------------------------
@@ -274,7 +235,7 @@ class AStarRouter:
     def _route_scalar(self, field: CostField, sources, max_expansions):
         """Heap engine over precomputed list fields (padded, unrolled).
 
-        Emulates the reference engine exactly: identical pop keys
+        Emulates the seed engine exactly: identical pop keys
         ``(f, g, node)``, identical float arithmetic (see
         ``costfield.CostField``), identical first-writer-wins relaxation.
         """
@@ -480,8 +441,8 @@ class AStarRouter:
         winner-per-neighbor selection in one shot); small batches run an
         unrolled sequential integer loop with the queue push inlined.
         Both resolve candidates in node-major, direction-minor order — the
-        order the reference loop would have visited them — and integer
-        costs are bit-exact with the reference's float costs, so routed
+        order the seed loop would have visited them — and integer
+        costs are bit-exact with the seed engine's float costs, so routed
         paths are identical.
         """
         state = self._get_list_state()
@@ -721,7 +682,7 @@ class AStarRouter:
         """Vectorized expansion of one large equal-priority batch.
 
         Returns ``(expansions, found, stop)``; exact emulation of popping
-        the (sorted) batch nodes one by one from the reference heap.
+        the (sorted) batch nodes one by one from the seed engine's heap.
         """
         g_l, par_l, st_l = state.g, state.parent, state.stamp
         t_set = field.target_nodes
@@ -759,7 +720,7 @@ class AStarRouter:
                 par_v = np.repeat(batch, 6)[valid]
                 # Winner per neighbor: min new_g, earliest candidate in
                 # sequential (node, direction) order on ties — exactly
-                # the first writer the reference loop keeps.
+                # the first writer the seed loop keeps.
                 order = np.arange(nb_v.size)
                 sel = np.lexsort((order, ng_v, nb_v))
                 nb_s = nb_v[sel]
@@ -781,123 +742,9 @@ class AStarRouter:
                         par_l[nxt] = par
                         push(ng + h_l[nxt] * hf, ng, nxt)
         # Stop when the target was reached or the budget cut the batch
-        # short (the reference loop would stop mid-heap too).
+        # short (the seed loop would stop mid-heap too).
         stop = found >= 0 or n_expand < len(live)
         return expansions, found, stop
-
-    # -- reference engine ---------------------------------------------------
-
-    def _route_reference(self, net, sources, targets, guid, mult, soft,
-                         max_expansions):
-        """The seed router, verbatim: semantics oracle and perf baseline."""
-        grid = self.grid
-        p = self.params
-        nx, ny, nl = grid.nx, grid.ny, grid.num_layers
-        # Per-(layer, axis) planar step cost, and via step cost.
-        planar_cost = [[0.0, 0.0] for _ in range(nl)]
-        for layer in range(nl):
-            pref_axis = grid.preferred_direction(layer).axis
-            scale = 1.0 if mult is None else float(mult[layer])
-            for axis in range(2):
-                base = p.wire_cost if axis == pref_axis else (
-                    p.wire_cost * p.wrong_way_penalty)
-                planar_cost[layer][axis] = base * guid[axis] * scale
-        via_cost = p.via_cost * guid[2]
-        h_scale = min(min(row) for row in planar_cost)
-
-        # Integer cell encoding matching C-order of the occupancy array.
-        def encode(cell: GridNode) -> int:
-            return (cell[0] * ny + cell[1]) * nl + cell[2]
-
-        target_nodes = {encode(t) for t in targets}
-        target_xy = [(t[0], t[1]) for t in targets]
-        single_target = target_xy[0] if len(target_xy) == 1 else None
-        if p.layer_aware_h:
-            target_xyl = [(t[0], t[1], t[2]) for t in targets]
-
-            def heuristic(ix: int, iy: int, l: int) -> float:
-                return min(
-                    (abs(tx - ix) + abs(ty - iy)) * h_scale
-                    + abs(tl - l) * via_cost
-                    for tx, ty, tl in target_xyl)
-        else:
-            def heuristic(ix: int, iy: int, l: int) -> float:
-                if single_target is not None:
-                    tx, ty = single_target
-                    return (abs(tx - ix) + abs(ty - iy)) * h_scale
-                return min(abs(tx - ix) + abs(ty - iy)
-                           for tx, ty in target_xy) * h_scale
-
-        occ = grid.occupancy.reshape(-1)
-        history = grid.history.reshape(-1)
-        net_idx = grid.net_index[net]
-        hist_w = p.history_weight
-        present = p.present_penalty
-        free, blocked = FREE, BLOCKED
-
-        open_heap: list[tuple[float, float, int]] = []
-        state = self._get_ref_state()
-        g_arr, parent_arr, stamp = state.g, state.parent, state.stamp
-        gen = state.next_generation()
-        # Sources are pushed in sorted order so tie-breaking (and therefore
-        # the chosen path) is identical across processes regardless of set
-        # iteration order / PYTHONHASHSEED.
-        for s in sorted(sources):
-            node = encode(s)
-            g_arr[node] = 0.0
-            parent_arr[node] = -1
-            stamp[node] = gen
-            heapq.heappush(open_heap, (heuristic(s[0], s[1], s[2]), 0.0, node))
-
-        heappush, heappop = heapq.heappush, heapq.heappop
-        expansions = 0
-        found: list[GridNode] | None = None
-        while open_heap and expansions < max_expansions:
-            _, g, node = heappop(open_heap)
-            if g > g_arr[node]:
-                continue
-            if node in target_nodes:
-                found = self._reconstruct(parent_arr, node, ny, nl)
-                break
-            expansions += 1
-            layer = node % nl
-            rem = node // nl
-            iy = rem % ny
-            ix = rem // ny
-            costs = planar_cost[layer]
-            # (neighbor, step_cost, in_bounds)
-            steps = (
-                (node + ny * nl, costs[0], ix + 1 < nx),
-                (node - ny * nl, costs[0], ix >= 1),
-                (node + nl, costs[1], iy + 1 < ny),
-                (node - nl, costs[1], iy >= 1),
-                (node + 1, via_cost, layer + 1 < nl),
-                (node - 1, via_cost, layer >= 1),
-            )
-            for nxt, step, ok in steps:
-                if not ok:
-                    continue
-                owner = occ[nxt]
-                if owner == blocked:
-                    continue
-                extra = 0.0
-                if owner != free and owner != net_idx:
-                    if not soft:
-                        continue
-                    extra = present
-                new_g = g + step + extra + hist_w * history[nxt]
-                if stamp[nxt] != gen or new_g < g_arr[nxt]:
-                    g_arr[nxt] = new_g
-                    parent_arr[nxt] = node
-                    stamp[nxt] = gen
-                    n_rem = nxt // nl
-                    n_layer = nxt % nl
-                    heappush(open_heap,
-                             (new_g + heuristic(n_rem // ny, n_rem % ny,
-                                                n_layer),
-                              new_g, nxt))
-        self._note_expansions("reference", expansions)
-        return found
 
     # -- shared helpers -----------------------------------------------------
 
@@ -908,20 +755,6 @@ class AStarRouter:
         node = end
         while node != -1:
             path.append(field.decode(node))
-            node = int(parent[node])
-        path.reverse()
-        return path
-
-    @staticmethod
-    def _reconstruct(
-        parent: np.ndarray, end: int, ny: int, nl: int
-    ) -> list[GridNode]:
-        path: list[GridNode] = []
-        node = end
-        while node != -1:
-            layer = node % nl
-            rem = node // nl
-            path.append((rem // ny, rem % ny, layer))
             node = int(parent[node])
         path.reverse()
         return path

@@ -13,7 +13,7 @@ multi-target heuristic — is folded into flat arrays once per
   the target coordinate arrays (the seed router re-derived this from a
   Python generator on every heap push).
 * ``step_x`` / ``step_y``: per-layer planar step costs (wire cost, wrong-way
-  penalty, guidance ``C[d]`` and per-layer multipliers premultiplied).
+  penalty and guidance ``C[d]`` premultiplied).
 
 All fields use a **padded** layout: the grid is embedded in an
 ``(nx + 2, ny + 2, nl + 2)`` box whose border cells carry ``add = inf``.
@@ -22,7 +22,7 @@ loop needs no bounds checks at all.
 
 :meth:`CostField.quantize` detects when the step-cost alphabet lies on a
 dyadic lattice (all costs are exact multiples of ``2**-k``).  Integer cost
-arithmetic is then *bit-exact* with the float arithmetic of the reference
+arithmetic is then *bit-exact* with the float arithmetic of the seed
 router, which is what lets the bucketed queue engine (see
 ``repro.router.pqueue``) batch equal-priority frontier nodes without
 changing a single routed path.
@@ -53,49 +53,29 @@ _NO_QUANT = ("no-quant",)
 
 def validate_connection_inputs(
     guidance_vec: "np.ndarray | None",
-    layer_multipliers: "np.ndarray | None",
-    num_layers: int,
-) -> tuple[tuple[float, float, float], "np.ndarray | None"]:
-    """Validate guidance / layer-multiplier inputs for one connection.
+) -> tuple[float, float, float]:
+    """Validate one connection's guidance vector.
 
-    A NaN or infinite guidance entry, or a negative / non-finite layer
-    multiplier, would silently poison every g-score it touches; both raise
+    A NaN, infinite or negative guidance entry would silently poison every
+    g-score it touches, so it raises
     :class:`~repro.reliability.errors.RoutingError` naming the offending
-    value.  Shape errors keep raising ``ValueError`` (API contract).
+    value.  A shape error keeps raising ``ValueError`` (API contract).
     """
     if guidance_vec is None:
-        guid = (1.0, 1.0, 1.0)
-    else:
-        arr = np.asarray(guidance_vec, dtype=float)
-        if arr.shape != (3,):
-            raise ValueError(
-                f"guidance_vec must have shape (3,), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise RoutingError(
-                f"non-finite guidance_vec entry: {arr.tolist()}",
-                stage="routing", details={"guidance_vec": arr.tolist()})
-        if np.any(arr < 0.0):
-            raise RoutingError(
-                f"negative guidance_vec entry: {arr.tolist()}",
-                stage="routing", details={"guidance_vec": arr.tolist()})
-        guid = (float(arr[0]), float(arr[1]), float(arr[2]))
-
-    mult = None
-    if layer_multipliers is not None:
-        mult = np.asarray(layer_multipliers, dtype=float)
-        if mult.shape != (num_layers,):
-            raise ValueError(
-                f"layer_multipliers needs {num_layers} entries, got "
-                f"{len(mult)}")
-        if not np.all(np.isfinite(mult)):
-            raise RoutingError(
-                f"non-finite layer_multipliers entry: {mult.tolist()}",
-                stage="routing", details={"layer_multipliers": mult.tolist()})
-        if np.any(mult < 0.0):
-            raise RoutingError(
-                f"negative layer_multipliers entry: {mult.tolist()}",
-                stage="routing", details={"layer_multipliers": mult.tolist()})
-    return guid, mult
+        return (1.0, 1.0, 1.0)
+    arr = np.asarray(guidance_vec, dtype=float)
+    if arr.shape != (3,):
+        raise ValueError(
+            f"guidance_vec must have shape (3,), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise RoutingError(
+            f"non-finite guidance_vec entry: {arr.tolist()}",
+            stage="routing", details={"guidance_vec": arr.tolist()})
+    if np.any(arr < 0.0):
+        raise RoutingError(
+            f"negative guidance_vec entry: {arr.tolist()}",
+            stage="routing", details={"guidance_vec": arr.tolist()})
+    return (float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 @dataclass
@@ -139,9 +119,9 @@ class CostField:
     """Flat per-connection cost arrays over the padded grid.
 
     Built once per :meth:`AStarRouter.route_connection
-    <repro.router.astar.AStarRouter.route_connection>`; every engine
-    (reference, scalar, bucketed) reads its costs from here so their
-    arithmetic — and therefore their tie-breaking — cannot diverge.
+    <repro.router.astar.AStarRouter.route_connection>`; both engines
+    (scalar, bucketed) read their costs from here so their arithmetic —
+    and therefore their tie-breaking — cannot diverge.
     """
 
     def __init__(
@@ -150,7 +130,6 @@ class CostField:
         *,
         net: str,
         guid: tuple[float, float, float],
-        layer_multipliers: "np.ndarray | None",
         soft: bool,
         targets: "set[GridNode] | frozenset[GridNode]",
         wire_cost: float,
@@ -174,12 +153,10 @@ class CostField:
         planar = np.empty((nl, 2), dtype=np.float64)
         for layer in range(nl):
             pref_axis = grid.preferred_direction(layer).axis
-            scale = 1.0 if layer_multipliers is None else float(
-                layer_multipliers[layer])
             for axis in range(2):
                 base = wire_cost if axis == pref_axis else (
                     wire_cost * wrong_way_penalty)
-                planar[layer, axis] = base * guid[axis] * scale
+                planar[layer, axis] = base * guid[axis]
         self.planar = planar
         self.via = via_cost * guid[2]
         self.h_scale = float(planar.min())
@@ -236,7 +213,7 @@ class CostField:
         """Point the target-dependent fields at a new target set.
 
         Everything else (step costs, additive costs, quantization core)
-        depends only on (grid state, guidance, multipliers, mode) and is
+        depends only on (grid state, guidance, mode) and is
         reused across the connections of one net attempt — the router
         caches the field per that key and calls this per connection.
         """
@@ -358,7 +335,7 @@ class CostField:
 
     def _build_quant_core(self):
         """Target-independent quantization pieces, or the no-quant marker."""
-        # Probe the *separate* terms of the reference float chain
+        # Probe the *separate* terms of the seed engine's float chain
         # ``((g + step) + extra) + history`` — each must be dyadic for the
         # chain to be rounding-free under any association.
         add_alphabet = self._add_core.alphabet()
@@ -428,7 +405,7 @@ class AddField:
         self.combined = combined
         self.history = history
         self.extra = extra
-        #: (guidance, multipliers, mode) -> reusable :class:`CostField`
+        #: (guidance, mode, heuristic) -> reusable :class:`CostField`
         #: (see ``AStarRouter.route_connection``); dies with the instance,
         #: so it can never outlive the grid state it was built from.
         self.field_cache: dict = {}

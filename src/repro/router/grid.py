@@ -197,8 +197,3 @@ class RoutingGrid:
 
     def preferred_direction(self, layer: int) -> Direction:
         return self.tech.layer(layer).direction
-
-    def congestion_map(self) -> np.ndarray:
-        """Fraction of occupied (non-free) cells per layer, shape (L,)."""
-        used = (self.occupancy >= 0).sum(axis=(0, 1)).astype(float)
-        return used / float(self.nx * self.ny)

@@ -41,11 +41,6 @@ class RouterConfig:
         max_iterations: rip-up-and-reroute rounds before giving up.
         history_increment: history cost added to contested cells per round.
         max_expansions: A* search budget per connection.
-        layer_cost_by_type: optional per-net-type planar-cost multipliers
-            per layer, e.g. ``{NetType.POWER: (2.0, 2.0, 1.0, 1.0)}`` to
-            push supply routing onto the thick upper metals.
-        engine: A* engine selection (see
-            :class:`~repro.router.astar.AStarRouter`).
         workers: must be 0.  Routing is one serial rip-up loop; the
             field only keeps ``RouterConfig(workers=0)`` callers working.
     """
@@ -54,8 +49,6 @@ class RouterConfig:
     max_iterations: int = 8
     history_increment: float = 2.0
     max_expansions: int = 200_000
-    layer_cost_by_type: dict[NetType, tuple[float, ...]] | None = None
-    engine: str = "auto"
     workers: int = 0
 
     def __post_init__(self) -> None:
@@ -111,8 +104,7 @@ class IterativeRouter:
         self.guidance = guidance or RoutingGuidance()
         self.config = config or RouterConfig()
         self.obs = obs if obs is not None else NULL_CONTEXT
-        self.astar = AStarRouter(grid, self.config.cost,
-                                 engine=self.config.engine)
+        self.astar = AStarRouter(grid, self.config.cost)
         self.circuit = grid.placement.circuit
 
     # -- public API ---------------------------------------------------------------
@@ -279,13 +271,6 @@ class IterativeRouter:
         if len(aps) < 2:
             return route, set(), 0
 
-        layer_mult = None
-        if self.config.layer_cost_by_type is not None:
-            net_type = self.circuit.net(net_name).net_type
-            spec = self.config.layer_cost_by_type.get(net_type)
-            if spec is not None:
-                layer_mult = np.asarray(spec, dtype=float)
-
         conflicts: set[str] = set()
         tree_cells: set[GridNode] = {aps[0].cell}
         remaining = list(self._mst_order(aps))
@@ -314,13 +299,12 @@ class IterativeRouter:
                 path = self.astar.route_connection(
                     net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
                     soft=False, max_expansions=self.config.max_expansions,
-                    layer_multipliers=layer_mult, add_core=hard_core,
+                    add_core=hard_core,
                 )
             if path is None:
                 path = self.astar.route_connection(
                     net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
                     soft=True, max_expansions=self.config.max_expansions,
-                    layer_multipliers=layer_mult,
                 )
                 if path is None:
                     return None, conflicts, unreachable

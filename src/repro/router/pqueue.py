@@ -38,13 +38,14 @@ class BucketQueue:
         modulus: exclusive upper bound on any ``g`` value; keys pack as
             ``f * modulus + g``.
 
-    Nodes are grouped per distinct key; :meth:`pop_batch` retires the
-    smallest occupied bucket wholesale.  Push order within a bucket is
-    preserved (callers sort when they need node-order batches).
+    Nodes are grouped per distinct key, and push order within a bucket
+    is preserved (callers sort when they need node-order batches).
 
     ``modulus`` / ``buckets`` / ``key_heap`` are deliberately public: the
     router's expansion loop inlines :meth:`push` to skip the call overhead
-    (hundreds of thousands of pushes per route).
+    (hundreds of thousands of pushes per route) and retires the smallest
+    occupied bucket wholesale by popping ``key_heap`` and then
+    ``buckets``.
     """
 
     __slots__ = ("modulus", "buckets", "key_heap")
@@ -56,12 +57,6 @@ class BucketQueue:
         self.buckets: dict[int, list[int]] = {}
         self.key_heap: list[int] = []
 
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
-
-    def __bool__(self) -> bool:
-        return bool(self.buckets)
-
     def push(self, f: int, g: int, node: int) -> None:
         """Add a node under priority ``(f, g)``."""
         key = f * self.modulus + g
@@ -72,12 +67,3 @@ class BucketQueue:
         else:
             bucket.append(node)
 
-    def pop_batch(self) -> tuple[int, int, list[int]]:
-        """Remove and return the lowest bucket as ``(f, g, nodes)``.
-
-        Raises ``IndexError`` when empty.
-        """
-        key = heapq.heappop(self.key_heap)
-        nodes = self.buckets.pop(key)
-        f, g = divmod(key, self.modulus)
-        return f, g, nodes

@@ -40,9 +40,6 @@ BREAKER_CLOSED = 0
 BREAKER_HALF_OPEN = 1
 BREAKER_OPEN = 2
 
-_STATE_NAMES = {BREAKER_CLOSED: "closed", BREAKER_HALF_OPEN: "half_open",
-                BREAKER_OPEN: "open"}
-
 
 class CircuitBreaker:
     """Per-worker breaker: open after K consecutive failures, half-open
@@ -69,9 +66,6 @@ class CircuitBreaker:
             self._state = BREAKER_HALF_OPEN
             self._probe_outstanding = False
         return self._state
-
-    def state_name(self, now: float) -> str:
-        return _STATE_NAMES[self.state(now)]
 
     def allows(self, now: float) -> bool:
         """Whether a request may be routed to this worker right now.

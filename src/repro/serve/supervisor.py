@@ -331,6 +331,3 @@ class Supervisor:
 
     def is_alive(self, index: int) -> bool:
         return self._slots[index].alive()
-
-    def versions_of(self, index: int) -> dict:
-        return dict(self._slots[index].versions)

@@ -11,12 +11,6 @@ from repro.simulation.metrics import FoMWeights, PerformanceMetrics
 from repro.simulation.mna import MnaSystem
 from repro.simulation.smallsignal import MosSmallSignal, mos_small_signal
 from repro.simulation.testbench import Testbench, TestbenchConfig
-from repro.simulation.transient import (
-    StepMetrics,
-    TransientResult,
-    step_response_metrics,
-    transient,
-)
 
 __all__ = [
     "simulate_performance",
@@ -27,8 +21,4 @@ __all__ = [
     "mos_small_signal",
     "Testbench",
     "TestbenchConfig",
-    "StepMetrics",
-    "TransientResult",
-    "step_response_metrics",
-    "transient",
 ]

@@ -12,6 +12,7 @@ from repro.core import (
     RelaxationConfig,
     generate_dataset,
 )
+from repro.eval.runtime import runtime_breakdown
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig
 from repro.simulation.metrics import FoMWeights
 
@@ -174,7 +175,7 @@ class TestPipeline:
 
     def test_runtime_breakdown_sums_to_one(self, trained_setup):
         result = trained_setup.run()
-        fractions = result.runtime_breakdown()
+        fractions = runtime_breakdown(result)
         assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_select_by_simulation(self, ota1, ota1_placement, tech):

@@ -1,13 +1,11 @@
-"""Tests for extension circuits, layer-cost routing, and report collation."""
+"""Tests for the extension circuits."""
 
 import numpy as np
 import pytest
 
-from repro.eval.report import collate_report, write_report
-from repro.netlist import NetType
 from repro.netlist.extensions import EXTENSION_BENCHMARKS, build_folded_cascode
 from repro.placement import place_benchmark
-from repro.router import IterativeRouter, RouterConfig, RoutingGrid
+from repro.router import IterativeRouter, RoutingGrid
 from repro.extraction import extract
 from repro.simulation import simulate_performance
 
@@ -37,67 +35,3 @@ class TestFoldedCascode:
 
     def test_registry(self):
         assert "OTA_FC" in EXTENSION_BENCHMARKS
-
-
-class TestLayerCostRouting:
-    def test_supply_pushed_to_upper_layers(self, ota1_placement, tech):
-        """With strong lower-layer penalties on supplies, supply wirelength
-        share on the lower metals must not increase."""
-        def supply_layer_share(config):
-            grid = RoutingGrid(ota1_placement, tech)
-            result = IterativeRouter(grid, config=config).route_all()
-            assert result.success
-            lower = upper = 0
-            for net_name in ("VDD", "VSS"):
-                for a, b in result.routes[net_name].segments():
-                    if a[2] != b[2]:
-                        continue
-                    if a[2] <= 1:
-                        lower += 1
-                    else:
-                        upper += 1
-            return lower / max(lower + upper, 1)
-
-        plain = supply_layer_share(RouterConfig())
-        biased = supply_layer_share(RouterConfig(layer_cost_by_type={
-            NetType.POWER: (6.0, 6.0, 1.0, 1.0),
-            NetType.GROUND: (6.0, 6.0, 1.0, 1.0),
-        }))
-        assert biased <= plain
-
-    def test_bad_multiplier_length_raises(self, fresh_grid):
-        from repro.router import AStarRouter
-        router = AStarRouter(fresh_grid)
-        with pytest.raises(ValueError):
-            router.route_connection("VDD", {(1, 1, 1)}, {(3, 3, 1)},
-                                    layer_multipliers=np.ones(2))
-
-    def test_signal_nets_unaffected_by_supply_bias(self, ota1_placement, tech):
-        grid_a = RoutingGrid(ota1_placement, tech)
-        plain = IterativeRouter(grid_a).route_all()
-        grid_b = RoutingGrid(ota1_placement, tech)
-        config = RouterConfig(layer_cost_by_type={
-            NetType.POWER: (6.0, 6.0, 1.0, 1.0)})
-        biased = IterativeRouter(grid_b, config=config).route_all()
-        # Signal nets route before supplies in priority order, so their
-        # geometry is identical.
-        assert plain.routes["NET1L"].cells() == biased.routes["NET1L"].cells()
-
-
-class TestReport:
-    def test_collate_includes_existing(self, tmp_path):
-        (tmp_path / "table1.txt").write_text("TABLE ONE CONTENT")
-        report = collate_report(tmp_path)
-        assert "TABLE ONE CONTENT" in report
-        assert "Table 1" in report
-
-    def test_collate_lists_missing(self, tmp_path):
-        report = collate_report(tmp_path)
-        assert "Missing artifacts" in report
-        assert "table2.txt" in report
-
-    def test_write_report(self, tmp_path):
-        (tmp_path / "fig5_runtime.txt").write_text("RUNTIME")
-        out = write_report(tmp_path, tmp_path / "report.md")
-        assert out.exists()
-        assert "RUNTIME" in out.read_text()

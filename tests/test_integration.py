@@ -20,8 +20,8 @@ from repro import (
 )
 from repro.core import RelaxationConfig
 from repro.model import Gnn3dConfig, TrainConfig
-from repro.router import check_drc
 from repro.router.guidance import random_guidance
+from tests.router_oracle import check_drc
 
 
 class TestPhysicalChain:

@@ -184,6 +184,30 @@ class TestTrainer:
         with pytest.raises(ValueError):
             trainer.fit(self._samples(ota1_graph, n=1))
 
+    def test_fit_is_fit_multi_on_one_design(self, ota1_graph):
+        """One epoch loop: ``fit`` trains exactly as ``fit_multi`` does
+        on the same single design (weights and history ``==``)."""
+        samples = self._samples(ota1_graph, n=12)
+
+        def train(run):
+            model = Gnn3d(ota1_graph.ap_features.shape[1],
+                          ota1_graph.module_features.shape[1],
+                          Gnn3dConfig(hidden=8, num_layers=2, seed=0))
+            trainer = Trainer(model, ota1_graph,
+                              TrainConfig(epochs=3, batch_size=4,
+                                          val_fraction=0.25, patience=0))
+            history = run(trainer)
+            return [p.data.copy() for p in model.parameters()], history
+
+        single, single_history = train(lambda t: t.fit(samples))
+        multi, multi_history = train(
+            lambda t: t.fit_multi([(ota1_graph, samples)]))
+        assert len(single_history.train_loss) == 3
+        assert len(single_history.val_loss) == 3
+        assert single_history == multi_history
+        assert len(single) == len(multi)
+        assert all(np.array_equal(a, b) for a, b in zip(single, multi))
+
     def test_early_stopping_caps_epochs(self, ota1_graph):
         model = Gnn3d(
             ota1_graph.ap_features.shape[1],

@@ -1,17 +1,22 @@
-"""Equivalence and unit tests for the rebuilt A* engines.
+"""Equivalence and unit tests for the A* engines.
 
-The rebuilt router (PR 7) must be *bit-identical* to the seed router:
-same paths, same expansion counts, for every engine and guidance vector.
-These tests pin that contract — the bucket queue in isolation,
-engine-vs-reference equivalence under hypothesis-generated obstacles and
-guidance, whole-circuit reference-vs-auto identity, quantization
-detection, and the router's observability surface.  The iterative
-router skips hard searches whose target is unreachable; the skip verdict
-is held to the engines' own searches, and the whole router to the
-flooding oracle that runs every search.
+The router must be *bit-identical* to the seed router
+(``tests/router_oracle.py``): same paths, same expansion counts, on both
+engines and for every guidance vector.  These tests pin that contract —
+the bucket queue in isolation, engine-vs-seed equivalence under
+hypothesis-generated obstacles and guidance, whole-circuit seed-vs-shipped
+identity, quantization detection, and the router's observability
+surface.  The scalar engine runs whenever a connection's costs do not
+quantize, so the tests force it by patching ``CostField.quantize`` to
+return None.  The iterative router skips hard searches whose target is
+unreachable; the skip verdict is held to the engines' own searches, and
+the whole router to the flooding oracle that runs every search.
 """
 
+import contextlib
 import copy
+import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +42,11 @@ from repro.router.astar import _STAMP_MAX
 from repro.router.guidance import RoutingGuidance, random_guidance
 from repro.router.iterative import _components_entered
 from repro.router.pqueue import BucketQueue as PQBucketQueue
-from tests.router_oracle import FloodingRouter
+from tests.router_oracle import (
+    FloodingRouter,
+    SeedAStarRouter,
+    SeedEngineRouter,
+)
 
 
 def _free_cell(grid, layer=1, start=(0, 0)):
@@ -48,42 +57,45 @@ def _free_cell(grid, layer=1, start=(0, 0)):
     raise AssertionError("no free cell found")
 
 
+@contextlib.contextmanager
+def _scalar_engine():
+    """Run every connection on the scalar engine: no cost field quantizes."""
+    with mock.patch.object(CostField, "quantize", lambda self: None):
+        yield
+
+
+def _pop_batch(q):
+    """Retire the lowest bucket as ``(f, g, nodes)``, as the router's
+    expansion loop does with the queue's public fields."""
+    key = heapq.heappop(q.key_heap)
+    f, g = divmod(key, q.modulus)
+    return f, g, q.buckets.pop(key)
+
+
 class TestBucketQueue:
     def test_pops_in_priority_order(self):
         q = BucketQueue(modulus=100)
         q.push(5, 2, 11)
         q.push(3, 1, 22)
         q.push(5, 1, 33)
-        assert q.pop_batch() == (3, 1, [22])
-        assert q.pop_batch() == (5, 1, [33])
-        assert q.pop_batch() == (5, 2, [11])
+        assert _pop_batch(q) == (3, 1, [22])
+        assert _pop_batch(q) == (5, 1, [33])
+        assert _pop_batch(q) == (5, 2, [11])
+        assert not q.key_heap and not q.buckets
 
     def test_g_breaks_f_ties(self):
         q = BucketQueue(modulus=10)
         q.push(4, 9, 1)
         q.push(4, 0, 2)
-        f, g, nodes = q.pop_batch()
+        f, g, nodes = _pop_batch(q)
         assert (f, g, nodes) == (4, 0, [2])
 
     def test_batch_groups_equal_keys_in_push_order(self):
         q = BucketQueue(modulus=64)
         for node in (7, 3, 9):
             q.push(2, 5, node)
-        assert q.pop_batch() == (2, 5, [7, 3, 9])
-
-    def test_len_and_bool(self):
-        q = BucketQueue(modulus=8)
-        assert not q and len(q) == 0
-        q.push(1, 0, 0)
-        q.push(1, 0, 1)
-        q.push(2, 1, 2)
-        assert q and len(q) == 3
-        q.pop_batch()
-        assert len(q) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            BucketQueue(modulus=8).pop_batch()
+        assert q.key_heap == [2 * 64 + 5]
+        assert _pop_batch(q) == (2, 5, [7, 3, 9])
 
     def test_invalid_modulus_rejected(self):
         with pytest.raises(ValueError, match="modulus"):
@@ -116,40 +128,29 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="shape"):
             self._route(fresh_grid, guidance_vec=np.array([1.0, 1.0]))
 
-    def test_poisoned_layer_multipliers_raise_routing_error(self, fresh_grid):
-        nl = fresh_grid.num_layers
-        for bad in (np.full(nl, np.nan), -np.ones(nl)):
-            with pytest.raises(RoutingError):
-                self._route(fresh_grid, layer_multipliers=bad)
-
-    def test_layer_multiplier_length_stays_value_error(self, fresh_grid):
-        with pytest.raises(ValueError, match="entries"):
-            self._route(fresh_grid,
-                        layer_multipliers=np.ones(fresh_grid.num_layers + 1))
-
     def test_routing_error_reaches_reference_engine_too(self, fresh_grid):
-        router = AStarRouter(fresh_grid, engine="reference")
+        router = SeedAStarRouter(fresh_grid)
         net = fresh_grid.net_names[0]
         src = _free_cell(fresh_grid, layer=1)
         with pytest.raises(RoutingError):
             router.route_connection(net, {src}, {src},
                                     guidance_vec=np.array([np.nan, 1, 1]))
 
-    def test_unknown_engine_rejected(self, fresh_grid):
-        with pytest.raises(ValueError, match="engine"):
-            AStarRouter(fresh_grid, engine="warp")
-
 
 def _route_one(grid, engine, src, dst, guid, soft):
-    router = AStarRouter(grid, engine=engine)
-    path = router.route_connection(grid.net_names[0], {src}, {dst},
-                                   guidance_vec=guid, soft=soft)
+    """One connection on ``engine``: "seed", "auto" or "scalar"."""
+    router = (SeedAStarRouter if engine == "seed" else AStarRouter)(grid)
+    forced = (_scalar_engine() if engine == "scalar"
+              else contextlib.nullcontext())
+    with forced:
+        path = router.route_connection(grid.net_names[0], {src}, {dst},
+                                       guidance_vec=guid, soft=soft)
     return path, router.expansions_total
 
 
 class TestEngineEquivalence:
-    """Every engine returns the reference router's exact path and
-    expansion count, under randomized obstacles, guidance, and mode."""
+    """Both engines return the seed router's exact path and expansion
+    count, under randomized obstacles, guidance, and mode."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -179,9 +180,9 @@ class TestEngineEquivalence:
             dst = tuple(int(v) for v in still_free[t_idx])
             guid = np.array([gx, gy, gz])
 
-            ref_path, ref_exp = _route_one(grid, "reference", src, dst,
+            ref_path, ref_exp = _route_one(grid, "seed", src, dst,
                                            guid, soft)
-            for engine in ("auto", "scalar", "bucketed"):
+            for engine in ("auto", "scalar"):
                 path, exp = _route_one(grid, engine, src, dst, guid, soft)
                 assert path == ref_path, engine
                 assert exp == ref_exp, engine
@@ -197,11 +198,11 @@ class TestEngineEquivalence:
         expected = AStarRouter(grid).route_connection(net, {src}, {dst})
         assert expected is not None
 
-        for engine, state_getter in (
-            ("auto", AStarRouter._get_list_state),
-            ("reference", AStarRouter._get_ref_state),
+        for router_cls, state_getter in (
+            (AStarRouter, AStarRouter._get_list_state),
+            (SeedAStarRouter, SeedAStarRouter._get_ref_state),
         ):
-            router = AStarRouter(grid, engine=engine)
+            router = router_cls(grid)
             assert router.route_connection(net, {src}, {dst}) == expected
             state = state_getter(router)
             state.generation = _STAMP_MAX
@@ -228,10 +229,15 @@ def _skip_verdict(grid, net, sources, target):
 
 def _hard_searches(grid, net, sources, target):
     """Unbounded hard-mode search on every engine, keyed by engine."""
-    return {engine: AStarRouter(grid, engine=engine).route_connection(
-                net, set(sources), {target}, soft=False,
-                max_expansions=10**9)
-            for engine in ("reference", "scalar", "bucketed")}
+    def search(router):
+        return router.route_connection(net, set(sources), {target},
+                                       soft=False, max_expansions=10**9)
+
+    paths = {"seed": search(SeedAStarRouter(grid)),
+             "auto": search(AStarRouter(grid))}
+    with _scalar_engine():
+        paths["scalar"] = search(AStarRouter(grid))
+    return paths
 
 
 class TestReachabilityVerdict:
@@ -320,9 +326,9 @@ class TestReachabilityVerdict:
             assert path is None
         assert not _skip_verdict(grid, net, [left, gate], target)
         paths = _hard_searches(grid, net, [left, gate], target)
-        assert paths["reference"] is not None
-        assert paths["reference"][0] == gate
-        assert all(path == paths["reference"] for path in paths.values())
+        assert paths["seed"] is not None
+        assert paths["seed"][0] == gate
+        assert all(path == paths["seed"] for path in paths.values())
 
 
 def _path_cost(field: CostField, path) -> float:
@@ -358,7 +364,7 @@ class TestLayerAwareHeuristic:
         assert path_aware[0] == src and path_aware[-1] == dst
 
         field = CostField(
-            grid, net=net, guid=(1.0, 1.0, 1.0), layer_multipliers=None,
+            grid, net=net, guid=(1.0, 1.0, 1.0),
             soft=False, targets={dst}, wire_cost=1.0, wrong_way_penalty=2.5,
             via_cost=4.0, present_penalty=25.0, history_weight=1.0)
         assert _path_cost(field, path_aware) == pytest.approx(
@@ -373,10 +379,14 @@ class TestLayerAwareHeuristic:
         dst = _free_cell(grid, layer=grid.num_layers - 1,
                          start=(src[0] + 3, 0))
         params = CostParams(layer_aware_h=True)
-        a = AStarRouter(grid, params, engine="bucketed")
-        b = AStarRouter(grid, params, engine="scalar")
-        assert (a.route_connection(net, {src}, {dst})
-                == b.route_connection(net, {src}, {dst}))
+        a = AStarRouter(grid, params)
+        b = AStarRouter(grid, params)
+        path_a = a.route_connection(net, {src}, {dst})
+        with _scalar_engine():
+            path_b = b.route_connection(net, {src}, {dst})
+        assert path_a == path_b
+        assert a.expansions_by_mode == {"bucketed": a.expansions_total}
+        assert b.expansions_by_mode == {"scalar": b.expansions_total}
         assert a.expansions_total == b.expansions_total
 
 
@@ -386,7 +396,7 @@ class TestQuantizationDetection:
         net = grid.net_names[0]
         dst = _free_cell(grid, layer=1)
         return CostField(
-            grid, net=net, guid=guid, layer_multipliers=None, soft=False,
+            grid, net=net, guid=guid, soft=False,
             targets={dst}, wire_cost=wire_cost, wrong_way_penalty=2.5,
             via_cost=via_cost, present_penalty=25.0, history_weight=1.0)
 
@@ -453,10 +463,10 @@ class TestCostFieldReuse:
 
 
 class TestWholeRouterIdentity:
-    """Routing a whole OTA is bit-identical across engines."""
+    """Routing a whole OTA is bit-identical to the seed engine."""
 
     @staticmethod
-    def _route(placement, tech, engine, guidance_seed):
+    def _route(placement, tech, router_cls, guidance_seed):
         grid = RoutingGrid(placement, tech)
         guidance = RoutingGuidance()
         if guidance_seed is not None:
@@ -464,7 +474,7 @@ class TestWholeRouterIdentity:
                     for ap in aps]
             guidance = random_guidance(
                 keys, np.random.default_rng(guidance_seed))
-        router = IterativeRouter(grid, guidance, RouterConfig(engine=engine))
+        router = router_cls(grid, guidance)
         result = router.route_all()
         paths = {name: tuple(tuple(p) for p in route.paths)
                  for name, route in result.routes.items()}
@@ -474,8 +484,9 @@ class TestWholeRouterIdentity:
                              ids=["neutral", "guided"])
     def test_reference_matches_auto(self, ota1_placement, tech,
                                     guidance_seed):
-        auto = self._route(ota1_placement, tech, "auto", guidance_seed)
-        reference = self._route(ota1_placement, tech, "reference",
+        auto = self._route(ota1_placement, tech, IterativeRouter,
+                           guidance_seed)
+        reference = self._route(ota1_placement, tech, SeedEngineRouter,
                                 guidance_seed)
         assert auto[0] and auto[2] > 0
         assert auto == reference

@@ -106,11 +106,6 @@ class TestOccupancy:
         for ap in fresh_grid.access_points[net]:
             assert fresh_grid.owner(ap.cell) == fresh_grid.net_index[net]
 
-    def test_congestion_map_shape(self, ota1_grid):
-        cmap = ota1_grid.congestion_map()
-        assert cmap.shape == (ota1_grid.num_layers,)
-        assert (cmap >= 0).all() and (cmap <= 1).all()
-
     def test_blocked_not_available_to_anyone(self, fresh_grid):
         blocked_cells = np.argwhere(fresh_grid.occupancy == BLOCKED)
         assert len(blocked_cells) > 0

@@ -1,4 +1,4 @@
-"""Tests for the iterative router, symmetry routing, and post-processing."""
+"""Tests for the iterative router, symmetry routing, and the DRC check."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,11 @@ from repro.router import (
     IterativeRouter,
     RouterConfig,
     RoutingGrid,
-    check_drc,
-    post_process,
     uniform_guidance,
 )
 from repro.router.guidance import RoutingGuidance, random_guidance
 from repro.router.symmetry import mirror_path, mirror_route
+from tests.router_oracle import check_drc
 
 
 class TestRouteAll:
@@ -130,8 +129,7 @@ class TestGuidanceIntegration:
 class TestPostProcess:
     def test_clean_result_has_no_hard_violations(self, ota1_routed):
         result, grid = ota1_routed
-        _, violations = post_process(result, grid)
-        kinds = {v.kind for v in violations}
+        kinds = {v.kind for v in check_drc(result, grid)}
         assert not kinds & {"short", "open", "bounds", "unrouted"}
 
     def test_detects_injected_short(self, ota1_placement, tech):
