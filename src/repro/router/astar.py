@@ -12,6 +12,14 @@ gate keep as an oracle (``tests/router_oracle.py``): a ``heapq`` of
 float tuples whose pop order ``(f, g, node)`` and first-writer-wins
 g-score ties define the semantics.
 
+The heuristic is ``man * h_scale + |l - l_t| * via``: the Manhattan
+distance to the target at the cheapest planar step cost plus the layer
+distance at the via cost.  Both are lower bounds on the remaining cost,
+so it is admissible (and consistent).  A push computes it in O(1) as
+``ng + (h[nxt] * h_factor + h_layer[layer])``, the oracle's float
+association: ``h`` is an unscaled Manhattan field shared across
+connections and ``h_layer`` a per-connection list of layer terms.
+
 ``scalar``
     The general engine: all per-node arithmetic is precomputed into
     flat cost fields (``repro.router.costfield``) over a *padded* grid, so
@@ -20,11 +28,10 @@ g-score ties define the semantics.
 
 ``bucketed``
     Used whenever the step-cost alphabet quantizes onto a dyadic
-    lattice (:meth:`CostField.quantize`): costs become exact integers, the
-    open set becomes a monotone :class:`~repro.router.pqueue.BucketQueue`
-    over packed ``(f, g)`` keys, and all equal-priority frontier nodes are
-    expanded as one numpy batch — bounds, occupancy, stamp, and relaxation
-    masks computed for the whole batch in one shot.
+    lattice (:meth:`CostField.quantize`): costs become exact integers,
+    the open set becomes a monotone
+    :class:`~repro.router.pqueue.BucketQueue` over packed ``(f, g)``
+    keys, and the frontier nodes sharing one priority pop as one batch.
 
 G-scores, parents, and visited marks live in preallocated flat state
 indexed by the cell encoding, reused across connections via a generation
@@ -63,13 +70,12 @@ class CostParams:
         present_penalty: additive cost of stepping onto a cell owned by
             another net (soft/negotiation mode only).
         history_weight: multiplier on the grid's history cost.
-        layer_aware_h: add the ``|l_t - l| * via_cost`` layer-distance term
-            to the heuristic.  Tighter and still admissible (a path to a
-            target on another layer must pay that many vias), typically
-            ~35% fewer expansions — but tighter f-values break g-score
-            ties differently, so routed paths may be *equal-cost
-            different* from the default heuristic's.  Off by default to
-            keep paths bit-identical with the seed router.
+
+    The search heuristic is fixed: ``man * h_scale + |l - l_t| * via``,
+    the Manhattan distance to the target at the cheapest planar step
+    cost plus the vias the path must still take at the via cost.  Both
+    terms are lower bounds, so the heuristic is admissible and routed
+    paths stay optimal.
     """
 
     wire_cost: float = 1.0
@@ -77,7 +83,6 @@ class CostParams:
     via_cost: float = 4.0
     present_penalty: float = 25.0
     history_weight: float = 1.0
-    layer_aware_h: bool = False
 
 
 class _SearchState:
@@ -150,15 +155,6 @@ class AStarRouter:
         self.expansions_by_mode[mode] = (
             self.expansions_by_mode.get(mode, 0) + count)
 
-    def _observe_batch(self, size: int) -> None:
-        stats = self.batch_window
-        stats["count"] += 1
-        stats["sum"] += size
-        if size < stats["min"]:
-            stats["min"] = size
-        if size > stats["max"]:
-            stats["max"] = size
-
     def take_batch_window(self) -> dict:
         """Return and reset the batch summary since the last call."""
         window = self.batch_window
@@ -210,7 +206,7 @@ class AStarRouter:
         field = None
         cache_key = None
         if add_core is not None:
-            cache_key = (guid, soft, p.layer_aware_h)
+            cache_key = (guid, soft)
             field = add_core.field_cache.get(cache_key)
         if field is not None:
             field.retarget(targets)
@@ -219,8 +215,7 @@ class AStarRouter:
                 self.grid, net=net, guid=guid, soft=soft, targets=targets,
                 wire_cost=p.wire_cost, wrong_way_penalty=p.wrong_way_penalty,
                 via_cost=p.via_cost, present_penalty=p.present_penalty,
-                history_weight=p.history_weight,
-                layer_aware_h=p.layer_aware_h, add_core=add_core,
+                history_weight=p.history_weight, add_core=add_core,
                 man_cache=self._man_cache)
             if cache_key is not None:
                 add_core.field_cache[cache_key] = field
@@ -238,45 +233,44 @@ class AStarRouter:
         Emulates the seed engine exactly: identical pop keys
         ``(f, g, node)``, identical float arithmetic (see
         ``costfield.CostField``), identical first-writer-wins relaxation.
+        A push's f is ``ng + (h_l[nxt] * hf + hl[layer])``, the seed's
+        ``new_g + (man * h_scale + ldist * via)`` term for term.
         """
         state = self._get_list_state()
         g_l, par_l, st_l = state.g, state.parent, state.stamp
         gen = state.next_generation()
-        add_l = field.add_list
         h_l = field.h_list
-        step_x, step_y = field.step_x, field.step_y
-        via = field.via
-        nlp = field.nlp
-        dx = field.dix
-        dy = nlp
+        hl = field.h_layer
         hf = field.h_factor
-        t_set = field.target_nodes
+        nlp = field.nlp
         heap: list[tuple[float, float, int]] = []
-        push, pop = heapq.heappush, heapq.heappop
+        push = heapq.heappush
         for s in sorted(sources):
             node = field.encode(s)
             g_l[node] = 0.0
             par_l[node] = -1
             st_l[node] = gen
-            push(heap, (h_l[node] * hf, 0.0, node))
+            push(heap, (h_l[node] * hf + hl[node % nlp], 0.0, node))
 
         if field.extra_list is None:
             expansions, found = self._scalar_hard(
-                heap, g_l, par_l, st_l, gen, add_l, h_l, hf, step_x, step_y,
-                via, nlp, dx, dy, t_set, max_expansions)
+                heap, g_l, par_l, st_l, gen, field.add_list, h_l, hl, hf,
+                field.step_x, field.step_y, field.via, nlp, field.dix,
+                field.target_nodes, max_expansions)
         else:
             expansions, found = self._scalar_soft(
                 heap, g_l, par_l, st_l, gen, field.extra_list,
-                field.hist_list, h_l, hf, step_x, step_y, via, nlp, dx, dy,
-                t_set, max_expansions)
+                field.hist_list, h_l, hl, hf, field.step_x, field.step_y,
+                field.via, nlp, field.dix, field.target_nodes,
+                max_expansions)
         self._note_expansions("scalar", expansions)
         if found < 0:
             return None
         return self._reconstruct_padded(field, par_l, found)
 
     @staticmethod
-    def _scalar_hard(heap, g_l, par_l, st_l, gen, add_l, h_l, hf, step_x,
-                     step_y, via, nlp, dx, dy, t_set, max_expansions):
+    def _scalar_hard(heap, g_l, par_l, st_l, gen, add_l, h_l, hl, hf, step_x,
+                     step_y, via, nlp, dx, t_set, max_expansions):
         """Hard-blocked inner loop: ``new_g = (g + step) + add``.
 
         With hard blocking the seed router's ``extra`` term is always
@@ -285,6 +279,7 @@ class AStarRouter:
         """
         push, pop = heapq.heappush, heapq.heappop
         inf = INF
+        dy = nlp
         expansions = 0
         found = -1
         while heap and expansions < max_expansions:
@@ -298,9 +293,12 @@ class AStarRouter:
             layer = node % nlp
             cx = step_x[layer]
             cy = step_y[layer]
+            tl = hl[layer]
             # Six unrolled neighbor relaxations in the seed's direction
             # order (+x, -x, +y, -y, +z, -z).  Padding guarantees every
             # index is valid; ``add == inf`` marks blocked/foreign/border.
+            # Planar pushes stay on this layer (layer term ``tl``); the
+            # two via pushes read the layer term of the layer they enter.
             nxt = node + dx
             a = add_l[nxt]
             if a != inf:
@@ -309,11 +307,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
             nxt = node - dx
             a = add_l[nxt]
             if a != inf:
@@ -322,11 +320,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
             nxt = node + dy
             a = add_l[nxt]
             if a != inf:
@@ -335,11 +333,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
             nxt = node - dy
             a = add_l[nxt]
             if a != inf:
@@ -348,11 +346,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
             nxt = node + 1
             a = add_l[nxt]
             if a != inf:
@@ -361,11 +359,13 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                                ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                                ng, nxt))
             nxt = node - 1
             a = add_l[nxt]
             if a != inf:
@@ -374,28 +374,31 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                                ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                                ng, nxt))
         return expansions, found
 
     @staticmethod
-    def _scalar_soft(heap, g_l, par_l, st_l, gen, extra_l, hist_l, h_l, hf,
-                     step_x, step_y, via, nlp, dx, dy, t_set,
+    def _scalar_soft(heap, g_l, par_l, st_l, gen, extra_l, hist_l, h_l, hl,
+                     hf, step_x, step_y, via, nlp, dx, t_set,
                      max_expansions):
         """Soft-mode inner loop: ``new_g = ((g + step) + extra) + hist``.
 
         Keeps the present-penalty and history terms as separate additions
         in the seed router's association order — folding them first could
-        shift the sum by an ulp and flip a float tie.
+        shift the sum by an ulp and flip a float tie.  Unrolled like
+        :meth:`_scalar_hard`; ``extra == inf`` marks blocked/border cells.
         """
         push, pop = heapq.heappush, heapq.heappop
         inf = INF
+        dy = nlp
         expansions = 0
         found = -1
-        deltas = (dx, -dx, dy, -dy, 1, -1)
         while heap and expansions < max_expansions:
             _, g, node = pop(heap)
             if g > g_l[node]:
@@ -407,51 +410,111 @@ class AStarRouter:
             layer = node % nlp
             cx = step_x[layer]
             cy = step_y[layer]
-            costs = (cx, cx, cy, cy, via, via)
-            for i in range(6):
-                nxt = node + deltas[i]
-                e = extra_l[nxt]
-                if e != inf:
-                    ng = ((g + costs[i]) + e) + hist_l[nxt]
-                    if st_l[nxt] != gen:
-                        g_l[nxt] = ng
-                        par_l[nxt] = node
-                        st_l[nxt] = gen
-                        push(heap, (ng + h_l[nxt] * hf, ng, nxt))
-                    elif ng < g_l[nxt]:
-                        g_l[nxt] = ng
-                        par_l[nxt] = node
-                        push(heap, (ng + h_l[nxt] * hf, ng, nxt))
+            tl = hl[layer]
+            nxt = node + dx
+            e = extra_l[nxt]
+            if e != inf:
+                ng = ((g + cx) + e) + hist_l[nxt]
+                if st_l[nxt] != gen:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    st_l[nxt] = gen
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                elif ng < g_l[nxt]:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+            nxt = node - dx
+            e = extra_l[nxt]
+            if e != inf:
+                ng = ((g + cx) + e) + hist_l[nxt]
+                if st_l[nxt] != gen:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    st_l[nxt] = gen
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                elif ng < g_l[nxt]:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+            nxt = node + dy
+            e = extra_l[nxt]
+            if e != inf:
+                ng = ((g + cy) + e) + hist_l[nxt]
+                if st_l[nxt] != gen:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    st_l[nxt] = gen
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                elif ng < g_l[nxt]:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+            nxt = node - dy
+            e = extra_l[nxt]
+            if e != inf:
+                ng = ((g + cy) + e) + hist_l[nxt]
+                if st_l[nxt] != gen:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    st_l[nxt] = gen
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                elif ng < g_l[nxt]:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+            nxt = node + 1
+            e = extra_l[nxt]
+            if e != inf:
+                ng = ((g + via) + e) + hist_l[nxt]
+                if st_l[nxt] != gen:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    st_l[nxt] = gen
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                                ng, nxt))
+                elif ng < g_l[nxt]:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                                ng, nxt))
+            nxt = node - 1
+            e = extra_l[nxt]
+            if e != inf:
+                ng = ((g + via) + e) + hist_l[nxt]
+                if st_l[nxt] != gen:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    st_l[nxt] = gen
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                                ng, nxt))
+                elif ng < g_l[nxt]:
+                    g_l[nxt] = ng
+                    par_l[nxt] = node
+                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                                ng, nxt))
         return expansions, found
 
     # -- bucketed engine ----------------------------------------------------
-
-    #: Popped buckets at least this large take the vectorized numpy
-    #: expansion path; smaller batches run the sequential integer loop
-    #: (fixed numpy dispatch overhead dominates below this size).
-    VECTOR_BATCH_MIN = 48
 
     def _route_bucketed(self, field: CostField, quantized, sources,
                         max_expansions):
         """Bucket-queue engine with batched frontier expansion.
 
         All nodes sharing one exact packed ``(f, g)`` integer priority pop
-        as a batch.  Large batches relax all six neighbors of the whole
-        batch with numpy (candidate generation, blocked masks, and
-        winner-per-neighbor selection in one shot); small batches run an
-        unrolled sequential integer loop with the queue push inlined.
-        Both resolve candidates in node-major, direction-minor order — the
-        order the seed loop would have visited them — and integer
-        costs are bit-exact with the seed engine's float costs, so routed
-        paths are identical.
+        as a batch, sorted by node: the order the seed engine's heap
+        would pop them in.  An unrolled integer loop expands the batch
+        with the queue push inlined.  Integer costs are bit-exact with
+        the seed engine's float costs, so routed paths are identical.
         """
         state = self._get_list_state()
         g_l, par_l, st_l = state.g, state.parent, state.stamp
         gen = state.next_generation()
-        add_l = quantized.add_list
-        h_l = quantized.h_list
-        step_x = quantized.step_x_list
-        step_y = quantized.step_y_list
+        add_l = quantized.add
+        h_l = quantized.h
+        hl = quantized.h_layer
+        step_x = quantized.step_x
+        step_y = quantized.step_y
         via = quantized.via
         impassable = quantized.impassable
         hf = quantized.h_factor
@@ -464,13 +527,12 @@ class AStarRouter:
         buckets = queue.buckets
         key_heap = queue.key_heap
         heappush, heappop = heapq.heappush, heapq.heappop
-        vector_min = self.VECTOR_BATCH_MIN
         for s in sorted(sources):
             node = field.encode(s)
             g_l[node] = 0
             par_l[node] = -1
             st_l[node] = gen
-            queue.push(h_l[node] * hf, 0, node)
+            queue.push(h_l[node] * hf + hl[node % nlp], 0, node)
 
         expansions = 0
         found = -1
@@ -484,13 +546,6 @@ class AStarRouter:
             g = key % modulus
             if len(nodes) > 1:
                 nodes.sort()
-                if len(nodes) >= vector_min:
-                    expansions, found, stop = self._expand_batch_vector(
-                        quantized, field, queue, nodes, g, gen, state,
-                        expansions, max_expansions)
-                    if stop:
-                        break
-                    continue
             batch_size = 0
             for node in nodes:
                 if expansions >= max_expansions:
@@ -505,6 +560,7 @@ class AStarRouter:
                 layer = node % nlp
                 cx = step_x[layer]
                 cy = step_y[layer]
+                tl = hl[layer]
                 nxt = node + dx
                 a = add_l[nxt]
                 if a != impassable:
@@ -513,7 +569,7 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -523,7 +579,7 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -538,7 +594,7 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -548,7 +604,7 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -563,7 +619,7 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -573,7 +629,7 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -588,7 +644,7 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -598,7 +654,7 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -613,7 +669,8 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = ((ng + (h_l[nxt] * hf + hl[layer + 1]))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -623,7 +680,8 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = ((ng + (h_l[nxt] * hf + hl[layer + 1]))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -638,7 +696,8 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = ((ng + (h_l[nxt] * hf + hl[layer - 1]))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -648,7 +707,8 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + h_l[nxt] * hf) * modulus + ng
+                        key = ((ng + (h_l[nxt] * hf + hl[layer - 1]))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -676,75 +736,6 @@ class AStarRouter:
         if found < 0:
             return None
         return self._reconstruct_padded(field, par_l, found)
-
-    def _expand_batch_vector(self, quantized, field, queue, nodes, g, gen,
-                             state, expansions, max_expansions):
-        """Vectorized expansion of one large equal-priority batch.
-
-        Returns ``(expansions, found, stop)``; exact emulation of popping
-        the (sorted) batch nodes one by one from the seed engine's heap.
-        """
-        g_l, par_l, st_l = state.g, state.parent, state.stamp
-        t_set = field.target_nodes
-        live = [n for n in nodes if g_l[n] == g]
-        found = -1
-        if not live:
-            return expansions, found, False
-        remaining = max_expansions - expansions
-        first_hit = len(live)
-        for i, n in enumerate(live):
-            if n in t_set:
-                first_hit = i
-                break
-        n_expand = min(first_hit, remaining)
-        if first_hit < len(live) and first_hit < remaining:
-            found = live[first_hit]
-        if n_expand:
-            self._observe_batch(n_expand)
-            expansions += n_expand
-            batch = np.asarray(live[:n_expand], dtype=np.int64)
-            nlp = field.nlp
-            strides = np.array([field.dix, -field.dix, nlp, -nlp, 1, -1],
-                               dtype=np.int64)
-            layer_idx = batch % nlp
-            costs = np.empty((n_expand, 6), dtype=np.int64)
-            costs[:, 0] = costs[:, 1] = quantized.step_x[layer_idx]
-            costs[:, 2] = costs[:, 3] = quantized.step_y[layer_idx]
-            costs[:, 4] = costs[:, 5] = quantized.via
-            nb_flat = (batch[:, None] + strides[None, :]).ravel()
-            add_flat = quantized.add[nb_flat]
-            valid = add_flat < quantized.impassable
-            nb_v = nb_flat[valid]
-            if nb_v.size:
-                ng_v = g + costs.ravel()[valid] + add_flat[valid]
-                par_v = np.repeat(batch, 6)[valid]
-                # Winner per neighbor: min new_g, earliest candidate in
-                # sequential (node, direction) order on ties — exactly
-                # the first writer the seed loop keeps.
-                order = np.arange(nb_v.size)
-                sel = np.lexsort((order, ng_v, nb_v))
-                nb_s = nb_v[sel]
-                keep = np.ones(nb_s.size, dtype=bool)
-                keep[1:] = nb_s[1:] != nb_s[:-1]
-                h_l = quantized.h_list
-                hf = quantized.h_factor
-                push = queue.push
-                for nxt, ng, par in zip(nb_s[keep].tolist(),
-                                        ng_v[sel][keep].tolist(),
-                                        par_v[sel][keep].tolist()):
-                    if st_l[nxt] != gen:
-                        g_l[nxt] = ng
-                        par_l[nxt] = par
-                        st_l[nxt] = gen
-                        push(ng + h_l[nxt] * hf, ng, nxt)
-                    elif ng < g_l[nxt]:
-                        g_l[nxt] = ng
-                        par_l[nxt] = par
-                        push(ng + h_l[nxt] * hf, ng, nxt)
-        # Stop when the target was reached or the budget cut the batch
-        # short (the seed loop would stop mid-heap too).
-        stop = found >= 0 or n_expand < len(live)
-        return expansions, found, stop
 
     # -- shared helpers -----------------------------------------------------
 

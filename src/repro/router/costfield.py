@@ -9,9 +9,12 @@ multi-target heuristic — is folded into flat arrays once per
   plus the soft-mode present penalty), with ``inf`` marking impassable
   cells.  One comparison against ``inf`` replaces the bounds / blocked /
   ownership branch cascade.
-* ``h``: the admissible heuristic for every cell, a vectorized ``min`` over
-  the target coordinate arrays (the seed router re-derived this from a
-  Python generator on every heap push).
+* ``h`` / ``h_layer``: the admissible heuristic
+  ``man * h_scale + |l - l_t| * via``.  A single-target search reads an
+  unscaled Manhattan field shared across connections plus a per-layer
+  list of layer terms, so each push costs two lookups; a multi-target
+  search reads a full precomputed field (a vectorized ``min`` over the
+  target coordinate arrays) and a zero layer list.
 * ``step_x`` / ``step_y``: per-layer planar step costs (wire cost, wrong-way
   penalty and guidance ``C[d]`` premultiplied).
 
@@ -82,37 +85,36 @@ def validate_connection_inputs(
 class QuantizedField:
     """Integer twin of a :class:`CostField` on a dyadic cost lattice.
 
+    Every per-cell and per-layer field is a plain list: the bucketed
+    engine indexes them one element at a time, where Python list
+    indexing beats numpy scalar indexing by ~10x.
+
     Attributes:
         scale: ``int_cost = float_cost * scale`` for every alphabet member.
-        add: int64 additive-entry costs (padded flat); ``impassable`` marks
+        add: additive-entry costs (padded flat); ``impassable`` marks
             blocked cells (any value >= it is unreachable).
-        h: int64 heuristic (padded flat).
-        step_x / step_y: int64 planar step cost per *padded* layer index.
-        via: integer via step cost.
+        h: heuristic (padded flat), multiplied by ``h_factor`` per push.
+        h_layer: layer term per *padded* layer index (zero for a
+            multi-target field, whose ``h`` already holds it).
+        h_factor: folds ``h_scale * scale`` when ``h`` is the shared
+            unscaled Manhattan field; 1 when ``h`` is a full field.
+        step_x / step_y: planar step cost per *padded* layer index.
+        via: via step cost.
         impassable: sentinel additive cost for blocked cells.
         f_bound: exclusive upper bound on any reachable f value; the bucket
             queue packs ``(f, g)`` keys with this modulus.
-        add_list / h_list / step_x_list / step_y_list: plain-list mirrors
-            of the arrays for the sequential small-batch loop (Python list
-            indexing beats numpy scalar indexing by ~10x).
-        h_factor: integer multiplier applied to ``h`` per push (folds
-            ``h_scale * scale`` when ``h`` is the shared unscaled
-            Manhattan field; 1 when ``h`` is a full precomputed field).
     """
 
     scale: int
-    add: np.ndarray
-    h: np.ndarray
-    step_x: np.ndarray
-    step_y: np.ndarray
+    add: list
+    h: list
+    h_layer: list
+    h_factor: int
+    step_x: list
+    step_y: list
     via: int
     impassable: int
     f_bound: int
-    add_list: list
-    h_list: list
-    h_factor: int
-    step_x_list: list
-    step_y_list: list
 
 
 class CostField:
@@ -137,7 +139,6 @@ class CostField:
         via_cost: float,
         present_penalty: float,
         history_weight: float,
-        layer_aware_h: bool = False,
         add_core: "AddField | None" = None,
         man_cache: "dict | None" = None,
     ) -> None:
@@ -146,7 +147,6 @@ class CostField:
         self.nyp, self.nlp = ny + 2, nl + 2
         self.dix = self.nyp * self.nlp  # +x neighbor stride (padded)
         self.soft = soft
-        self.layer_aware_h = layer_aware_h
 
         # Per-(layer, axis) planar step cost, matching the seed router's
         # arithmetic term for term (identical float rounding).
@@ -168,8 +168,6 @@ class CostField:
         pad_y[1:-1] = planar[:, 1]
         self.step_x = pad_x.tolist()
         self.step_y = pad_y.tolist()
-        self._step_x_arr = pad_x
-        self._step_y_arr = pad_y
 
         # Additive entry costs.  The scalar engine keeps the history and
         # present-penalty terms separate in soft mode so its float sums
@@ -222,14 +220,15 @@ class CostField:
         self.single_target = (next(iter(self.target_nodes))
                               if len(self.target_nodes) == 1 else None)
 
-        # Heuristic field.  Single-target searches (the iterative router's
-        # only shape) read an *unscaled* integer Manhattan-distance field,
-        # cacheable across connections/guidance in ``man_cache``, and the
-        # engines multiply by ``h_factor`` per push — ``man * h_scale`` is
-        # the seed router's exact float expression.  Multi-target or
-        # layer-aware searches precompute the full scaled field as a
-        # vectorized min over the target coordinate arrays.
-        if self.single_target is not None and not self.layer_aware_h:
+        # Heuristic ``man * h_scale + |l - l_t| * via``, the seed router's
+        # exact float expression.  Single-target searches (the iterative
+        # router's only shape) read an *unscaled* integer Manhattan field,
+        # cacheable across connections/guidance in ``man_cache``, which
+        # the engines multiply by ``h_factor`` per push, and add the
+        # layer term from ``h_layer`` (indexed by padded layer).
+        # Multi-target searches precompute the full field as a vectorized
+        # min over the target coordinate arrays, with a zero layer list.
+        if self.single_target is not None:
             target = next(iter(targets))
             key = (target[0], target[1])
             man_cache = self._man_cache
@@ -239,14 +238,15 @@ class CostField:
                             - target[0])
                 my = np.abs(np.arange(-1, ny + 1, dtype=np.int64)
                             - target[1])
-                man = np.broadcast_to(
+                cached = np.broadcast_to(
                     (mx[:, None] + my[None, :])[:, :, None],
-                    (nx + 2, self.nyp, self.nlp)).reshape(-1)
-                cached = (man, man.tolist())
+                    (nx + 2, self.nyp, self.nlp)).reshape(-1).tolist()
                 if man_cache is not None:
                     man_cache[key] = cached
-            self.h, self.h_list = cached
+            self.h_list = cached
             self.h_factor = self.h_scale
+            self.h_layer = [abs(lp - 1 - target[2]) * self.via
+                            for lp in range(self.nlp)]
             self._h_is_man = True
             return
 
@@ -259,18 +259,14 @@ class CostField:
         man = (np.abs(np.arange(nx)[:, None] - txs[None, :])[:, None, :]
                + np.abs(np.arange(ny)[:, None] - tys[None, :])[None, :, :])
         h_t = man * self.h_scale  # (nx, ny, T)
-        if self.layer_aware_h:
-            ldist = np.abs(np.arange(nl)[:, None] - tls[None, :])  # (nl, T)
-            h_core = (h_t[:, :, None, :] + ldist[None, None, :, :] * self.via
-                      ).min(axis=3)
-        else:
-            h_core = np.broadcast_to(
-                h_t.min(axis=2)[:, :, None], (nx, ny, nl))
+        ldist = np.abs(np.arange(nl)[:, None] - tls[None, :])  # (nl, T)
         h = np.zeros((nx + 2, self.nyp, self.nlp), dtype=np.float64)
-        h[1:-1, 1:-1, 1:-1] = h_core
-        self.h = h.reshape(-1)
-        self.h_list = self.h.tolist()
+        h[1:-1, 1:-1, 1:-1] = (
+            h_t[:, :, None, :] + ldist[None, None, :, :] * self.via
+        ).min(axis=3)
+        self.h_list = h.reshape(-1).tolist()
         self.h_factor = 1.0
+        self.h_layer = [0.0] * self.nlp
         self._h_is_man = False
 
     # -- coordinates ---------------------------------------------------------
@@ -305,32 +301,27 @@ class CostField:
             core = self._quant_core = self._build_quant_core()
         if core is _NO_QUANT:
             return None
-        (scale, via_i, impassable, f_bound, add_i, add_i_list,
-         sx_i, sy_i, sx_i_list, sy_i_list, h_factor_man) = core
+        scale, via_i, impassable, f_bound, add_i, sx_i, sy_i, h_factor_man = (
+            core)
         if self._h_is_man:
             # The cached Manhattan field is already integer and unscaled;
             # the integer factor folds ``h_scale * scale`` (exact dyadic).
-            h_i = self.h
-            h_i_list = self.h_list
+            h_i = self.h_list
             h_factor = h_factor_man
         else:
-            h_i = (self.h * scale).astype(np.int64)
-            h_i_list = h_i.tolist()
+            h_i = (np.array(self.h_list) * scale).astype(np.int64).tolist()
             h_factor = 1
         return QuantizedField(
             scale=scale,
             add=add_i,
             h=h_i,
+            h_layer=[int(t * scale) for t in self.h_layer],
+            h_factor=h_factor,
             step_x=sx_i,
             step_y=sy_i,
             via=via_i,
             impassable=impassable,
             f_bound=f_bound,
-            add_list=add_i_list,
-            h_list=h_i_list,
-            h_factor=h_factor,
-            step_x_list=sx_i_list,
-            step_y_list=sy_i_list,
         )
 
     def _build_quant_core(self):
@@ -338,20 +329,25 @@ class CostField:
         # Probe the *separate* terms of the seed engine's float chain
         # ``((g + step) + extra) + history`` — each must be dyadic for the
         # chain to be rounding-free under any association.
-        add_alphabet = self._add_core.alphabet()
-        alphabet = np.concatenate([
-            self.planar.reshape(-1),
-            np.array([self.via, self.h_scale], dtype=np.float64),
-            add_alphabet,
-        ])
         if float(min(self.planar.min(), self.via)) <= 0.0:
             # A zero step cost would let a relaxation re-enter the (f, g)
             # bucket currently being expanded, breaking the monotone-queue
             # invariant; the heap engine handles that regime instead.
             return _NO_QUANT
+        steps = np.concatenate([
+            self.planar.reshape(-1),
+            np.array([self.via, self.h_scale], dtype=np.float64),
+        ])
         # Fast-fail probe: if a value isn't dyadic at the finest scale it
         # isn't dyadic at any coarser one (power-of-two scaling is exact),
-        # so continuous-guidance connections pay one check, not 21.
+        # so continuous-guidance connections pay one check, not 21.  The
+        # step costs go first: continuous guidance fails there, before
+        # the grid-wide scan of the additive-cost alphabet.
+        finest = steps * _QUANT_SCALES[-1]
+        if not np.all(finest == np.floor(finest)):
+            return _NO_QUANT
+        add_alphabet = self._add_core.alphabet()
+        alphabet = np.concatenate([steps, add_alphabet])
         finest = alphabet * _QUANT_SCALES[-1]
         if not np.all(finest == np.floor(finest)):
             return _NO_QUANT
@@ -374,12 +370,11 @@ class CostField:
         if f_bound >= _EXACT_SUM_BOUND:
             return _NO_QUANT
         impassable = f_bound + 1
-        add_i, add_i_list = self._add_core.quantized_add(scale, impassable)
-        sx_i = (self._step_x_arr * scale).astype(np.int64)
-        sy_i = (self._step_y_arr * scale).astype(np.int64)
         return (scale, int(self.via * scale), impassable, f_bound,
-                add_i, add_i_list, sx_i, sy_i,
-                sx_i.tolist(), sy_i.tolist(), int(self.h_scale * scale))
+                self._add_core.quantized_add(scale, impassable),
+                [int(c * scale) for c in self.step_x],
+                [int(c * scale) for c in self.step_y],
+                int(self.h_scale * scale))
 
 
 class AddField:
@@ -405,7 +400,7 @@ class AddField:
         self.combined = combined
         self.history = history
         self.extra = extra
-        #: (guidance, mode, heuristic) -> reusable :class:`CostField`
+        #: (guidance, mode) -> reusable :class:`CostField`
         #: (see ``AStarRouter.route_connection``); dies with the instance,
         #: so it can never outlive the grid state it was built from.
         self.field_cache: dict = {}
@@ -413,7 +408,7 @@ class AddField:
         self._padded_list: "list | None" = None
         self._split: "tuple[list, list] | None" = None
         self._alphabet: "np.ndarray | None" = None
-        self._quant: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
+        self._quant: dict[tuple[int, int], list] = {}
 
     def _pad(self, volume: np.ndarray, fill: float) -> np.ndarray:
         nx, ny, nl = self.combined.shape
@@ -449,16 +444,14 @@ class AddField:
             ])
         return self._alphabet
 
-    def quantized_add(self, scale: int, impassable: int
-                      ) -> "tuple[np.ndarray, list]":
-        """Integer padded combined costs at ``scale``, cached per key."""
+    def quantized_add(self, scale: int, impassable: int) -> list:
+        """Integer padded combined costs at ``scale`` (a list), cached."""
         key = (scale, impassable)
         cached = self._quant.get(key)
         if cached is None:
             flat = self.padded_combined()
-            add_i = np.where(np.isfinite(flat), flat * scale,
-                             float(impassable)).astype(np.int64)
-            cached = (add_i, add_i.tolist())
+            cached = np.where(np.isfinite(flat), flat * scale,
+                              float(impassable)).astype(np.int64).tolist()
             self._quant[key] = cached
         return cached
 

@@ -282,10 +282,11 @@ class IterativeRouter:
         # state); reuse it across this net's connections, rebuilding after
         # any history bump from a soft fallback.
         hard_core = None
+        net_mean = self.guidance.net_vector(aps)
         for target_ap in remaining:
             if target_ap.cell in tree_cells:
                 continue
-            guid = self._connection_guidance(target_ap, aps)
+            guid = self._connection_guidance(target_ap, net_mean)
             path = None
             if (labels is not None
                     and int(labels[target_ap.cell]) not in entered):
@@ -354,10 +355,9 @@ class IterativeRouter:
         return ordered
 
     def _connection_guidance(
-        self, target_ap: AccessPoint, aps: list[AccessPoint]
+        self, target_ap: AccessPoint, net_mean: np.ndarray
     ) -> np.ndarray:
         """Blend of the target AP's guidance and the net-mean guidance."""
-        net_mean = self.guidance.net_vector(aps)
         target_vec = self.guidance.get(target_ap.key)
         return 0.5 * (net_mean + target_vec)
 

@@ -12,7 +12,7 @@ far less machinery than a binary heap of ``(float, float, int)`` tuples:
   current bucket strictly increase ``g``), so buckets can be retired in
   order and never revisited;
 * all nodes sharing one ``(f, g)`` key form a *batch* that the expansion
-  loop can process with vectorized numpy (see
+  loop pops in one step and expands in node order (see
   ``repro.router.astar.AStarRouter``), because no member of the batch can
   relax another member (that would need a zero-cost step).
 

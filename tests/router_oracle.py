@@ -1,11 +1,12 @@
 """Router oracles: the seed A* engine, the flooding router and a DRC check.
 
-:class:`SeedAStarRouter` is the seed router's A* search, verbatim: a
-``heapq`` of ``(f, g, node)`` float tuples over flat numpy arrays, with
-the heuristic recomputed on every push.  It defines the semantics the
-shipped engines reproduce bit for bit (pop order ``(f, g, node)``,
-first-writer-wins on g-score ties), and it is the baseline
-``benchmarks/bench_perf.py`` measures their speedups against.
+:class:`SeedAStarRouter` is the seed router's A* search: a ``heapq`` of
+``(f, g, node)`` float tuples over flat numpy arrays, with the heuristic
+``man * h_scale + |l - l_t| * via`` recomputed on every push by a Python
+``min`` over the targets.  It defines the semantics the shipped engines
+reproduce bit for bit (pop order ``(f, g, node)``, first-writer-wins on
+g-score ties, the heuristic's float association), and it is the
+baseline ``benchmarks/bench_perf.py`` measures their speedups against.
 
 :class:`FloodingRouter` runs every hard-mode A* search, including those
 whose target no source can reach, which flood their sources' region and
@@ -59,7 +60,7 @@ class SeedAStarRouter(AStarRouter):
 
     def _route_reference(self, net, sources, targets, guid, soft,
                          max_expansions):
-        """The seed router, verbatim: semantics oracle and perf baseline."""
+        """The seed router: semantics oracle and perf baseline."""
         grid = self.grid
         p = self.params
         nx, ny, nl = grid.nx, grid.ny, grid.num_layers
@@ -79,23 +80,8 @@ class SeedAStarRouter(AStarRouter):
             return (cell[0] * ny + cell[1]) * nl + cell[2]
 
         target_nodes = {encode(t) for t in targets}
-        target_xy = [(t[0], t[1]) for t in targets]
-        single_target = target_xy[0] if len(target_xy) == 1 else None
-        if p.layer_aware_h:
-            target_xyl = [(t[0], t[1], t[2]) for t in targets]
-
-            def heuristic(ix: int, iy: int, l: int) -> float:
-                return min(
-                    (abs(tx - ix) + abs(ty - iy)) * h_scale
-                    + abs(tl - l) * via_cost
-                    for tx, ty, tl in target_xyl)
-        else:
-            def heuristic(ix: int, iy: int, l: int) -> float:
-                if single_target is not None:
-                    tx, ty = single_target
-                    return (abs(tx - ix) + abs(ty - iy)) * h_scale
-                return min(abs(tx - ix) + abs(ty - iy)
-                           for tx, ty in target_xy) * h_scale
+        heuristic = self._heuristic(
+            [(t[0], t[1], t[2]) for t in targets], h_scale, via_cost)
 
         occ = grid.occupancy.reshape(-1)
         history = grid.history.reshape(-1)
@@ -167,6 +153,29 @@ class SeedAStarRouter(AStarRouter):
                               new_g, nxt))
         self._note_expansions("reference", expansions)
         return found
+
+    @staticmethod
+    def _heuristic(targets, h_scale, via_cost):
+        """The search heuristic: Manhattan distance at the cheapest planar
+        step cost plus the layer distance at the via cost, minimised over
+        the targets.  A test patches this to return 0 to get Dijkstra.
+
+        A single target skips the ``min`` (the same float), so the
+        reference arm of the route gate is not slowed by a generator the
+        seed router never ran on that shape."""
+        if len(targets) == 1:
+            (tx, ty, tl), = targets
+
+            def heuristic(ix: int, iy: int, l: int) -> float:
+                return ((abs(tx - ix) + abs(ty - iy)) * h_scale
+                        + abs(tl - l) * via_cost)
+        else:
+            def heuristic(ix: int, iy: int, l: int) -> float:
+                return min(
+                    (abs(tx - ix) + abs(ty - iy)) * h_scale
+                    + abs(tl - l) * via_cost
+                    for tx, ty, tl in targets)
+        return heuristic
 
     @staticmethod
     def _reconstruct(parent, end, ny, nl):

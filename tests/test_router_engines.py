@@ -4,13 +4,15 @@ The router must be *bit-identical* to the seed router
 (``tests/router_oracle.py``): same paths, same expansion counts, on both
 engines and for every guidance vector.  These tests pin that contract —
 the bucket queue in isolation, engine-vs-seed equivalence under
-hypothesis-generated obstacles and guidance, whole-circuit seed-vs-shipped
-identity, quantization detection, and the router's observability
-surface.  The scalar engine runs whenever a connection's costs do not
-quantize, so the tests force it by patching ``CostField.quantize`` to
-return None.  The iterative router skips hard searches whose target is
-unreachable; the skip verdict is held to the engines' own searches, and
-the whole router to the flooding oracle that runs every search.
+hypothesis-generated obstacles and guidance, the heuristic's optimality
+against Dijkstra (the seed router with its heuristic patched to 0),
+whole-circuit seed-vs-shipped identity, quantization detection, and the
+router's observability surface.  The scalar engine runs whenever a
+connection's costs do not quantize, so the tests force it by patching
+``CostField.quantize`` to return None.  The iterative router skips hard
+searches whose target is unreachable; the skip verdict is held to the
+engines' own searches, and the whole router to the flooding oracle that
+runs every search.
 """
 
 import contextlib
@@ -32,7 +34,6 @@ from repro.router import (
     AStarRouter,
     BucketQueue,
     CostField,
-    CostParams,
     IterativeRouter,
     RouterConfig,
     RoutingGrid,
@@ -137,20 +138,41 @@ class TestInputValidation:
                                     guidance_vec=np.array([np.nan, 1, 1]))
 
 
-def _route_one(grid, engine, src, dst, guid, soft):
-    """One connection on ``engine``: "seed", "auto" or "scalar"."""
+def _route_one(grid, engine, src, dsts, guid, soft):
+    """One connection to any of ``dsts`` on ``engine``: "seed", "auto" or
+    "scalar"."""
     router = (SeedAStarRouter if engine == "seed" else AStarRouter)(grid)
     forced = (_scalar_engine() if engine == "scalar"
               else contextlib.nullcontext())
     with forced:
-        path = router.route_connection(grid.net_names[0], {src}, {dst},
+        path = router.route_connection(grid.net_names[0], {src}, set(dsts),
                                        guidance_vec=guid, soft=soft)
-    return path, router.expansions_total
+    return path, router.expansions_total, _g_scores(router, grid)
+
+
+def _g_scores(router, grid):
+    """The last search's g-score of every cell it pushed, keyed by cell."""
+    if isinstance(router, SeedAStarRouter):
+        state = router._get_ref_state()
+        nodes = np.flatnonzero(state.stamp == state.generation)
+        shape = grid.occupancy.shape
+        offset = 0
+    else:
+        state = router._get_list_state()
+        nodes = np.flatnonzero(np.array(state.stamp) == state.generation)
+        shape = (grid.nx + 2, grid.ny + 2, grid.num_layers + 2)
+        offset = 1  # padded layout
+    cells = zip(*(axis - offset
+                  for axis in np.unravel_index(nodes, shape)))
+    return {tuple(int(v) for v in cell): state.g[node]
+            for cell, node in zip(cells, nodes.tolist())}
 
 
 class TestEngineEquivalence:
     """Both engines return the seed router's exact path and expansion
-    count, under randomized obstacles, guidance, and mode."""
+    count, under randomized obstacles, guidance, history, and mode; the
+    scalar engine also leaves bitwise the seed's g-scores, so its float
+    sums associate as the seed's do."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -161,13 +183,22 @@ class TestEngineEquivalence:
         gy=st.sampled_from([0.25, 1.0, 2.0, 0.7]),
         gz=st.sampled_from([0.5, 1.0, 2.0, 1.3]),
         soft=st.booleans(),
+        n_targets=st.integers(1, 3),
+        history=st.booleans(),
+        wires=st.booleans(),
     )
-    def test_engines_match_reference(self, fresh_grid, seed, n_blocks,
-                                     gx, gy, gz, soft):
+    def test_engines_match_reference(self, fresh_grid, ota1_routed, seed,
+                                     n_blocks, gx, gy, gz, soft, n_targets,
+                                     history, wires):
         grid = fresh_grid
         saved = grid.occupancy.copy()
+        saved_history = grid.history.copy()
         try:
             rng = np.random.default_rng(seed)
+            if wires:  # other nets' wires: soft mode pays present penalties
+                grid.occupancy[:] = ota1_routed[1].occupancy
+            if history:
+                grid.history[:] = rng.uniform(0.0, 3.0, grid.history.shape)
             free = np.argwhere(grid.occupancy == -1)
             picks = rng.choice(len(free), size=min(n_blocks, len(free) - 2),
                                replace=False)
@@ -175,19 +206,24 @@ class TestEngineEquivalence:
                 x, y, layer = free[idx]
                 grid.occupancy[x, y, layer] = BLOCKED
             still_free = np.argwhere(grid.occupancy == -1)
-            s_idx, t_idx = rng.choice(len(still_free), size=2, replace=False)
-            src = tuple(int(v) for v in still_free[s_idx])
-            dst = tuple(int(v) for v in still_free[t_idx])
+            picks = rng.choice(len(still_free), size=1 + n_targets,
+                               replace=False)
+            src, *dsts = (tuple(int(v) for v in still_free[i])
+                          for i in picks)
             guid = np.array([gx, gy, gz])
 
-            ref_path, ref_exp = _route_one(grid, "seed", src, dst,
-                                           guid, soft)
+            ref_path, ref_exp, ref_g = _route_one(grid, "seed", src, dsts,
+                                                  guid, soft)
             for engine in ("auto", "scalar"):
-                path, exp = _route_one(grid, engine, src, dst, guid, soft)
+                path, exp, g = _route_one(grid, engine, src, dsts, guid,
+                                          soft)
                 assert path == ref_path, engine
                 assert exp == ref_exp, engine
+                if engine == "scalar":  # bucketed g-scores are integers
+                    assert g == ref_g
         finally:
             grid.occupancy[:] = saved
+            grid.history[:] = saved_history
 
     def test_generation_wraparound_is_harmless(self, fresh_grid):
         """uint32 stamp wraparound resets stamps instead of aliasing."""
@@ -345,42 +381,77 @@ def _path_cost(field: CostField, path) -> float:
     return cost
 
 
+@contextlib.contextmanager
+def _dijkstra_oracle():
+    """The seed oracle with its heuristic patched to 0: plain Dijkstra."""
+    zero = staticmethod(lambda targets, h_scale, via_cost:
+                        lambda ix, iy, l: 0.0)
+    with mock.patch.object(SeedAStarRouter, "_heuristic", zero):
+        yield
+
+
+_GUIDANCE_ENTRY = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+                            st.floats(0.2, 3.8))
+
+
 class TestLayerAwareHeuristic:
-    """Satellite (b): the |l_t - l| * via_cost heuristic term is
-    admissible — fewer expansions, same optimal path cost."""
+    """The layer term ``|l - l_t| * via`` keeps the heuristic admissible:
+    the shipped router finds a path as cheap as Dijkstra's and never
+    expands more nodes, in hard and soft mode."""
 
-    def test_fewer_expansions_same_cost(self, fresh_grid):
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        guid=st.tuples(_GUIDANCE_ENTRY, _GUIDANCE_ENTRY, _GUIDANCE_ENTRY),
+        soft=st.booleans(),
+        history=st.booleans(),
+        n_targets=st.integers(1, 3),
+    )
+    def test_fewer_expansions_same_cost(self, fresh_grid, ota1_routed, seed,
+                                        guid, soft, history, n_targets):
         grid = fresh_grid
+        # Other nets' wires make soft mode pay present penalties.
+        grid.occupancy[:] = ota1_routed[1].occupancy
+        rng = np.random.default_rng(seed)
+        grid.history[:] = (rng.uniform(0.0, 3.0, grid.history.shape)
+                           if history else 0.0)
         net = grid.net_names[0]
-        src = _free_cell(grid, layer=0)
-        dst = _free_cell(grid, layer=grid.num_layers - 1,
-                         start=(src[0] + 3, 0))
+        own = grid.net_index[net]
+        passable = np.argwhere((grid.occupancy == FREE)
+                               | (grid.occupancy == own))
+        picks = rng.choice(len(passable), size=1 + n_targets, replace=False)
+        src, *dsts = (tuple(int(v) for v in passable[i]) for i in picks)
+        guid = np.array(guid)
 
-        plain = AStarRouter(grid, CostParams())
-        aware = AStarRouter(grid, CostParams(layer_aware_h=True))
-        path_plain = plain.route_connection(net, {src}, {dst})
-        path_aware = aware.route_connection(net, {src}, {dst})
-        assert path_plain is not None and path_aware is not None
-        assert path_aware[0] == src and path_aware[-1] == dst
-
+        shipped = AStarRouter(grid)
+        path = shipped.route_connection(net, {src}, set(dsts),
+                                        guidance_vec=guid, soft=soft)
+        dijkstra = SeedAStarRouter(grid)
+        with _dijkstra_oracle():
+            best = dijkstra.route_connection(net, {src}, set(dsts),
+                                             guidance_vec=guid, soft=soft)
+        assert (path is None) == (best is None)
+        assert shipped.expansions_total <= dijkstra.expansions_total
+        if path is None:
+            return
+        assert path[0] == src and path[-1] in dsts
         field = CostField(
-            grid, net=net, guid=(1.0, 1.0, 1.0),
-            soft=False, targets={dst}, wire_cost=1.0, wrong_way_penalty=2.5,
-            via_cost=4.0, present_penalty=25.0, history_weight=1.0)
-        assert _path_cost(field, path_aware) == pytest.approx(
-            _path_cost(field, path_plain))
-        assert aware.expansions_total <= plain.expansions_total
+            grid, net=net, guid=tuple(guid), soft=soft, targets=set(dsts),
+            wire_cost=1.0, wrong_way_penalty=2.5, via_cost=4.0,
+            present_penalty=25.0, history_weight=1.0)
+        assert _path_cost(field, path) == pytest.approx(
+            _path_cost(field, best), rel=1e-12, abs=0.0)
 
-    def test_layer_aware_matches_scalar_engine(self, fresh_grid):
-        """Both engines agree under the tighter heuristic too."""
+    def test_engines_agree_across_layers(self, fresh_grid):
+        """Both engines agree on a connection across every layer."""
         grid = fresh_grid
         net = grid.net_names[0]
         src = _free_cell(grid, layer=0)
         dst = _free_cell(grid, layer=grid.num_layers - 1,
                          start=(src[0] + 3, 0))
-        params = CostParams(layer_aware_h=True)
-        a = AStarRouter(grid, params)
-        b = AStarRouter(grid, params)
+        a = AStarRouter(grid)
+        b = AStarRouter(grid)
         path_a = a.route_connection(net, {src}, {dst})
         with _scalar_engine():
             path_b = b.route_connection(net, {src}, {dst})
