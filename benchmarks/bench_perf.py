@@ -1,9 +1,9 @@
 """Performance benchmark harness: stage timings -> BENCH_perf.json.
 
 Runs the AnalogFold pipeline on OTA1 at the selected ``REPRO_SCALE`` (or
-``--scale``) with the pipeline's own :class:`repro.perf.timing.StageTimer`
-instrumentation, then records per-stage wall time (route / extract /
-simulate / train / relax, plus calls), one paper-shape relaxation run
+``--scale``) under a recording :class:`repro.obs.RunContext`, then records
+per-stage wall time (route / extract / simulate / train / relax, plus
+calls) from the run manifest's span aggregates, one paper-shape relaxation run
 (GNN forwards, candidate evaluations and seconds), a
 forward-scaling sweep (per-candidate ``forward_batch``
 time vs batch size, float64 and float32, with the blocked-parity
@@ -45,6 +45,7 @@ import numpy as np
 from repro import AnalogFold, build_benchmark, generic_40nm, place_benchmark
 from repro.core import PotentialFunction, PotentialRelaxer, RelaxationConfig
 from repro.eval.compare import SCALES
+from repro.obs import RunContext
 from repro.graph import build_hetero_graph
 from repro.model.gnn3d import Gnn3d
 from repro.nn import Tensor, no_grad
@@ -548,15 +549,17 @@ def measure(scale_name: str, workers: int = 1) -> dict:
 
     config = scale.analogfold_config(seed=0)
     config.workers = workers
-    fold = AnalogFold(circuit, placement, tech, config=config)
+    obs = RunContext.recording()
+    fold = AnalogFold(circuit, placement, tech, config=config, obs=obs)
     result = fold.run()
+    payload = bench_payload(obs.manifest()["spans"])
 
     # One relaxation run on the just-trained model (a separate potential
-    # so the pipeline timer above stays untouched), at the paper-default
-    # 12-restart / pool-6 shape regardless of scale.  A forward carries a
-    # whole wave of candidates, so the record keeps forwards, candidate
-    # evaluations and seconds: the forward count alone is not a speedup.
-    # The seconds are a single timing.
+    # and an untraced relaxer, so the spans above stay untouched), at the
+    # paper-default 12-restart / pool-6 shape regardless of scale.  A
+    # forward carries a whole wave of candidates, so the record keeps
+    # forwards, candidate evaluations and seconds: the forward count
+    # alone is not a speedup.  The seconds are a single timing.
     relax_kwargs = dict(
         n_restarts=12,
         pool_size=6,
@@ -572,7 +575,7 @@ def measure(scale_name: str, workers: int = 1) -> dict:
     relaxer.run(pot)
     relax_seconds = time.perf_counter() - start
 
-    return bench_payload(fold.timer, extra={
+    payload.update({
         "scale": scale_name,
         "workers": workers,
         "circuit": "OTA1",
@@ -582,8 +585,10 @@ def measure(scale_name: str, workers: int = 1) -> dict:
         "relax_forwards": relaxer.trace.gnn_forwards,
         "relax_candidates": pot.stats.candidates,
         "relax_seconds": round(relax_seconds, 4),
-        "total_seconds": round(fold.timer.total_seconds(), 4),
+        "total_seconds": round(
+            sum(s["seconds"] for s in payload["stages"].values()), 4),
     })
+    return payload
 
 
 def main(argv: list[str] | None = None) -> int:

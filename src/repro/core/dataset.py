@@ -32,7 +32,6 @@ from repro.graph.hetero import HeteroGraph
 from repro.model.training import TrainSample
 from repro.netlist.circuit import Circuit
 from repro.obs import NULL_CONTEXT, RunContext
-from repro.perf.timing import StageTimer
 from repro.placement.layout import Placement
 from repro.reliability.checkpoint import (
     CheckpointWriter,
@@ -142,25 +141,22 @@ def route_and_measure(
     testbench_config: TestbenchConfig | None = None,
     routing_pitch: float = 0.5,
     sample_index: int | None = None,
-    timer: StageTimer | None = None,
     obs: RunContext | None = None,
 ) -> GuidanceSample:
     """Route one guidance setting and simulate the result.
 
     A fresh grid is built per call because routing mutates occupancy.
     Failures surface as typed :class:`~repro.reliability.errors.ReproError`
-    subclasses with the stage and sample index attached.  When ``timer``
-    is given, the route/extract/simulate stages report their wall time
-    into it; an enabled ``obs`` context additionally emits one span per
-    stage (the same clock read feeds both).
+    subclasses with the stage and sample index attached.  An enabled
+    ``obs`` context times the route/extract/simulate stages as one span
+    each.
     """
-    timer = timer if timer is not None else StageTimer()
     obs = obs if obs is not None else NULL_CONTEXT
     grid = RoutingGrid(placement, tech, pitch=routing_pitch)
     router = IterativeRouter(grid, guidance=guidance, config=router_config,
                              obs=obs)
     try:
-        with obs.span("route", timer=timer):
+        with obs.span("route"):
             result = router.route_all()
     except ReproError as exc:
         raise exc.with_context(stage="routing", sample_index=sample_index)
@@ -168,7 +164,7 @@ def route_and_measure(
         raise RoutingError(str(exc), stage="routing",
                            sample_index=sample_index) from exc
     try:
-        with obs.span("extract", timer=timer):
+        with obs.span("extract"):
             parasitics = extract(result, grid, tech)
     except ReproError as exc:
         raise exc.with_context(stage="extraction", sample_index=sample_index)
@@ -176,7 +172,7 @@ def route_and_measure(
         raise ExtractionError(str(exc), stage="extraction",
                               sample_index=sample_index) from exc
     try:
-        with obs.span("simulate", timer=timer):
+        with obs.span("simulate"):
             metrics = simulate_performance(circuit, parasitics,
                                            testbench_config)
     except ReproError as exc:
@@ -212,7 +208,6 @@ class AttemptOutcome:
         sample: the completed sample, or ``None`` when abandoned.
         retries: retry attempts consumed (0 when the first try succeeded).
         failure: the skip record when abandoned after retries.
-        stage_timer: route/extract/simulate wall time of this attempt.
         obs_events: span records buffered by the attempt's recording
             context (empty when observability is disabled); the parent
             absorbs them in submission order.
@@ -226,7 +221,6 @@ class AttemptOutcome:
     sample: GuidanceSample | None
     retries: int = 0
     failure: FailureRecord | None = None
-    stage_timer: StageTimer = field(default_factory=StageTimer)
     obs_events: list = field(default_factory=list)
     obs_counters: dict = field(default_factory=dict)
     obs_histograms: dict = field(default_factory=dict)
@@ -268,7 +262,6 @@ def attempt_sample(
             testbench_config=testbench_config,
             routing_pitch=cfg.routing_pitch,
             sample_index=index,
-            timer=outcome.stage_timer,
             obs=ctx,
         )
         reason = validate_sample(sample, require_routed=policy.require_routed)
@@ -323,7 +316,6 @@ def generate_dataset(
     checkpoint_path=None,
     resume: bool = False,
     workers: int = 1,
-    timer: StageTimer | None = None,
     obs: RunContext | None = None,
 ) -> Database:
     """Build the training database for one (circuit, placement) design.
@@ -340,8 +332,6 @@ def generate_dataset(
             in-process.  Output is bit-identical across worker counts
             (deterministic per-sample RNG streams; the parent applies
             the degradation policy in submission order).
-        timer: optional stage timer absorbing per-sample
-            route/extract/simulate wall time.
         obs: observability context; when enabled, every sample attempt
             emits a ``dataset.sample`` span tree (worker spans are
             buffered per attempt and absorbed in submission order, so
@@ -445,8 +435,6 @@ def generate_dataset(
             obs.absorb(outcome.obs_events, outcome.obs_counters,
                        outcome.obs_histograms)
             report.retried += outcome.retries
-            if timer is not None:
-                timer.absorb(outcome.stage_timer)
             if outcome.sample is not None:
                 database.samples.append(outcome.sample)
                 report.valid += 1

@@ -26,7 +26,6 @@ from repro.core.relaxation import PotentialRelaxer, RelaxationConfig, RelaxedGui
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig, Trainer
 from repro.netlist.circuit import Circuit
 from repro.obs import NULL_CONTEXT, RunContext
-from repro.perf.timing import StageTimer
 from repro.placement.layout import Placement
 from repro.reliability.errors import RelaxationError, ReproError, RoutingError
 from repro.reliability.policy import DegradationPolicy
@@ -80,11 +79,9 @@ class AnalogFoldResult:
         metrics: measured post-layout metrics of the final routing.
         derived: all relaxation outputs (top-N_derive).
         stage_seconds: wall-clock per stage, keyed by stage name
-            (Figure 5's categories).
-        stage_stats: fine-grained hot-path timings from the pipeline's
-            :class:`~repro.perf.timing.StageTimer` —
-            ``{stage: {"seconds": s, "calls": n}}`` over the canonical
-            route/extract/simulate/train/relax stages.
+            (Figure 5's categories).  Finer hot-path timings
+            (route/extract/simulate/train/relax) are span aggregates of
+            the run's :class:`~repro.obs.RunContext`.
         candidate_foms: measured FoM of every routed candidate, in
             evaluation order (derived guidances first, then the database
             best when ``include_database_best``); ``inf`` marks a
@@ -101,7 +98,6 @@ class AnalogFoldResult:
     metrics: PerformanceMetrics
     derived: list[RelaxedGuidance] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    stage_stats: dict[str, dict[str, float]] = field(default_factory=dict)
     candidate_foms: list[float] = field(default_factory=list)
     winner_index: int = 0
     winner_source: str = "derived"
@@ -138,9 +134,6 @@ class AnalogFold:
         self.database: Database | None = None
         self.model: Gnn3d | None = None
         self.stage_seconds: dict[str, float] = {}
-        #: Hot-path timer fed by every stage (route/extract/simulate via
-        #: dataset construction and guided routing, train, relax).
-        self.timer = StageTimer()
 
     # -- stages ---------------------------------------------------------------------
 
@@ -157,7 +150,6 @@ class AnalogFold:
                 checkpoint_path=self.config.checkpoint_path,
                 resume=self.config.resume,
                 workers=self.config.workers,
-                timer=self.timer,
                 obs=self.obs,
             )
         self.stage_seconds["construct_database"] = time.perf_counter() - start
@@ -177,7 +169,7 @@ class AnalogFold:
             )
             trainer = Trainer(self.model, graph, self.config.training,
                               obs=self.obs)
-            with self.obs.span("train", timer=self.timer):
+            with self.obs.span("train"):
                 trainer.fit(self.database.train_samples())
         self.stage_seconds["model_training"] = time.perf_counter() - start
         return self.model
@@ -194,7 +186,7 @@ class AnalogFold:
                 c_max=self.config.dataset.c_max,
             )
             relaxer = PotentialRelaxer(self.config.relaxation, obs=self.obs)
-            with self.obs.span("relax", timer=self.timer):
+            with self.obs.span("relax"):
                 derived = relaxer.run(
                     potential, seed_guidance=self._best_database_guidance())
         self.stage_seconds["guide_generation"] = time.perf_counter() - start
@@ -218,7 +210,6 @@ class AnalogFold:
             router_config=self.config.router,
             testbench_config=self.config.testbench,
             routing_pitch=self.config.dataset.routing_pitch,
-            timer=self.timer,
             obs=self.obs,
         )
 
@@ -286,7 +277,6 @@ class AnalogFold:
             metrics=best_sample.metrics,
             derived=derived,
             stage_seconds=dict(self.stage_seconds),
-            stage_stats=self.timer.to_dict(),
             candidate_foms=candidate_foms,
             winner_index=winner_index,
             winner_source=winner_source,

@@ -43,11 +43,4 @@ def runtime_breakdown_table(
             f"  {fractions[key] * 100:6.2f}%  {label}  ({seconds[key]:.2f}s)"
         )
     lines.append(f"  total: {sum(seconds.values()):.2f}s")
-    if result.stage_stats:
-        lines.append("  hot paths:")
-        for name, stats in result.stage_stats.items():
-            lines.append(
-                f"    {name}: {stats['seconds']:.2f}s "
-                f"over {stats['calls']} calls"
-            )
     return "\n".join(lines)

@@ -42,13 +42,6 @@ def render_layout(
     return "\n".join([f"layer M{layer + 1}"] + rows + [f"legend: {legend}"])
 
 
-def render_stack(result: RoutingResult, grid: RoutingGrid) -> str:
-    """Render every layer, separated by blank lines."""
-    return "\n\n".join(
-        render_layout(result, grid, layer) for layer in range(grid.num_layers)
-    )
-
-
 def render_guidance(guidance: RoutingGuidance, grid: RoutingGrid) -> str:
     """List per-AP guidance vectors with the preferred direction marked
     (Figure 1(a)/(b) as text: each access point and its 1x3 cost vector)."""

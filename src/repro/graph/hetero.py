@@ -114,9 +114,3 @@ class HeteroGraph:
         self._directed_cache[edge_type] = (id(pairs), len(pairs), (src, dst))
         return src, dst
 
-    def ap_index_of_key(self, key: tuple[str, str]) -> int:
-        """Index of an access point by its (device, pin) identity."""
-        try:
-            return self.ap_keys.index(key)
-        except ValueError:
-            raise KeyError(f"no access point for pin {key}") from None

@@ -209,7 +209,3 @@ def write_spice(circuit: Circuit, path: str | Path) -> None:
     """Write a circuit to a .sp file."""
     Path(path).write_text(circuit_to_spice(circuit))
 
-
-def read_spice(path: str | Path) -> Circuit:
-    """Read a circuit from a .sp file."""
-    return spice_to_circuit(Path(path).read_text(), path=str(path))

@@ -1,8 +1,7 @@
 """Clock discipline: durations come from ``perf_counter``, nothing else.
 
-Every span, stage timer, and relaxation-trace duration in this repo is
-measured on the monotonic ``time.perf_counter`` clock (via the
-``obs.span``/``perf.timing`` helpers).  A wall clock (``time.time``,
+Every span and relaxation-trace duration in this repo is measured on
+the monotonic ``time.perf_counter`` clock (via ``obs.span``).  A wall clock (``time.time``,
 ``datetime.now``) mixed into a timed path makes durations jump on NTP
 steps and DST, and breaks the trace/manifest agreement tests.  Wall
 clocks are legitimate only for human-facing timestamps (the run
@@ -32,9 +31,9 @@ class WallClockRule(Rule):
 
     id = "CLK001"
     name = "wall-clock"
-    invariant = ("all durations are measured on time.perf_counter via the "
-                 "obs.span / perf.timing helpers; wall clocks only stamp "
-                 "human-facing metadata, under an explicit suppression")
+    invariant = ("all durations are measured on time.perf_counter via "
+                 "obs.span; wall clocks only stamp human-facing metadata, "
+                 "under an explicit suppression")
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         qualname = ctx.qualified_name(node.func)
@@ -44,7 +43,7 @@ class WallClockRule(Rule):
         if label is None:
             return
         ctx.report(self, node, (
-            f"wall-clock read `{label}` — time code with obs.span()/"
-            "StageTimer (perf_counter) instead; if this is a deliberate "
+            f"wall-clock read `{label}` — time code with obs.span() "
+            "(perf_counter) instead; if this is a deliberate "
             "human-facing timestamp, suppress with "
             "`# repro-lint: disable=CLK001 -- <why>`"))

@@ -45,10 +45,6 @@ class Pin:
     offset: tuple[float, float] = (0.0, 0.0)
     layer: int = 0
 
-    @property
-    def full_name(self) -> str:
-        return f"{self.device}.{self.name}"
-
 
 @dataclass
 class Device:

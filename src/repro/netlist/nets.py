@@ -25,11 +25,6 @@ class NetType(enum.Enum):
     def is_supply(self) -> bool:
         return self in (NetType.POWER, NetType.GROUND)
 
-    @property
-    def is_critical(self) -> bool:
-        """Nets whose routing strongly affects post-layout performance."""
-        return self in (NetType.SIGNAL, NetType.INPUT, NetType.OUTPUT)
-
 
 @dataclass
 class Net:

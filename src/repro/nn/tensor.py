@@ -12,8 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.nn.scatter import Scatter
-
 
 #: Global tape switch (see :class:`no_grad`).
 _GRAD_ENABLED = True
@@ -153,9 +151,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data.copy()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- autograd ---------------------------------------------------------------------
 
@@ -424,28 +419,6 @@ class Tensor:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
             self._accumulate(full)
-
-        return Tensor(out_data, parents=(self,), backward=backward)
-
-    def gather_rows(self, indices: "np.ndarray | Scatter") -> "Tensor":
-        """Select rows by integer index (supports repeats).
-
-        ``indices`` is an index array or a prebuilt
-        :class:`~repro.nn.scatter.Scatter` over this tensor's rows, whose
-        ids are the index; the backward scatters the gradient rows back
-        through it.  Hot paths pass the operator their forward cache
-        built; an array builds one on the spot.
-        """
-        scatter = (indices if isinstance(indices, Scatter)
-                   else Scatter(indices, len(self.data), self.data.dtype))
-        if scatter.num_segments != len(self.data):
-            raise ValueError(
-                f"scatter over {scatter.num_segments} rows gathers from a "
-                f"tensor of {len(self.data)}")
-        out_data = self.data[scatter.ids]
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(scatter(grad))
 
         return Tensor(out_data, parents=(self,), backward=backward)
 

@@ -93,22 +93,19 @@ NULL_SPAN = _NullSpan()
 class Span:
     """One timed unit of work; emitted as a trace record on exit.
 
-    Returned by :meth:`RunContext.span` as a context manager.  Call
-    :meth:`set` inside the block to record the outcome (default ``ok``;
-    an exception leaving the block records ``error``) and attributes.
-    When constructed with a ``timer``, the measured duration also feeds
-    ``timer.add(name, seconds)`` — one clock read serving both the
-    trace and the :class:`~repro.perf.timing.StageTimer` perf record.
+    Returned by :meth:`RunContext.span` as a context manager, only on
+    an enabled context.  Call :meth:`set` inside the block to record the
+    outcome (default ``ok``; an exception leaving the block records
+    ``error``) and attributes.
     """
 
-    __slots__ = ("_ctx", "name", "timer", "attrs", "outcome", "seconds",
+    __slots__ = ("_ctx", "name", "attrs", "outcome", "seconds",
                  "span_id", "parent_id", "_start")
 
     def __init__(self, ctx: "RunContext", name: str,
-                 timer: Any = None, attrs: dict[str, Any] | None = None):
+                 attrs: dict[str, Any] | None = None):
         self._ctx = ctx
         self.name = name
-        self.timer = timer
         self.attrs = dict(attrs) if attrs else {}
         self.outcome: str | None = None
         self.seconds = 0.0
@@ -125,28 +122,24 @@ class Span:
 
     def __enter__(self) -> "Span":
         ctx = self._ctx
-        if ctx.enabled:
-            self.span_id = ctx._allocate_span_id()
-            self.parent_id = ctx._stack[-1] if ctx._stack else None
-            ctx._stack.append(self.span_id)
+        self.span_id = ctx._allocate_span_id()
+        self.parent_id = ctx._stack[-1] if ctx._stack else None
+        ctx._stack.append(self.span_id)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type: object, *exc_info: object) -> bool:
         self.seconds = time.perf_counter() - self._start
-        if self.timer is not None:
-            self.timer.add(self.name, self.seconds)
         ctx = self._ctx
-        if ctx.enabled:
-            ctx._stack.pop()
-            outcome = self.outcome
-            if outcome is None:
-                outcome = "error" if exc_type is not None else "ok"
-            ctx._emit_span_record(
-                name=self.name, span_id=self.span_id,
-                parent_id=self.parent_id, start=self._start,
-                seconds=self.seconds, outcome=outcome, attrs=self.attrs,
-            )
+        ctx._stack.pop()
+        outcome = self.outcome
+        if outcome is None:
+            outcome = "error" if exc_type is not None else "ok"
+        ctx._emit_span_record(
+            name=self.name, span_id=self.span_id,
+            parent_id=self.parent_id, start=self._start,
+            seconds=self.seconds, outcome=outcome, attrs=self.attrs,
+        )
         return False
 
 
@@ -220,17 +213,15 @@ class RunContext:
 
     # -- spans ----------------------------------------------------------------------
 
-    def span(self, name: str, timer: Any = None, **attrs: Any):
+    def span(self, name: str, **attrs: Any):
         """A context manager timing one unit of work.
 
-        When the context is disabled and no ``timer`` rides along, the
-        shared :data:`NULL_SPAN` is returned — no allocation, no clock
-        read.  A ``timer`` forces real timing (the perf record needs it)
-        but still skips record emission on a disabled context.
+        A disabled context returns the shared :data:`NULL_SPAN`: no
+        allocation, no clock read.
         """
-        if not self.enabled and timer is None:
+        if not self.enabled:
             return NULL_SPAN
-        return Span(self, name, timer=timer, attrs=attrs)
+        return Span(self, name, attrs=attrs)
 
     def emit_span(self, name: str, seconds: float, outcome: str = "ok",
                   **attrs: Any) -> None:

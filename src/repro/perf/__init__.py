@@ -1,10 +1,11 @@
-"""Performance layer: stage timing, forward caches, parallel execution.
+"""Performance layer: the perf record, forward caches, parallel execution.
 
 Three concerns live here, all serving the ROADMAP's "as fast as the
 hardware allows" north star:
 
-* :mod:`repro.perf.timing` — named stage timers and the machine-readable
-  ``BENCH_perf.json`` record that tracks the performance trajectory;
+* :mod:`repro.perf.timing` — the machine-readable ``BENCH_perf.json``
+  record, a projection of the run manifest's span aggregates, that
+  tracks the performance trajectory;
 * :mod:`repro.perf.cache` — graph-invariant forward-pass caches and the
   disjoint-union batching plan behind the batched 3DGNN forward;
 * :mod:`repro.perf.parallel` — the process-pool executor for database
@@ -20,8 +21,6 @@ from repro.perf.cache import (
 from repro.perf.timing import (
     BENCH_SCHEMA_VERSION,
     PIPELINE_STAGES,
-    StageStats,
-    StageTimer,
     bench_payload,
     compare_to_baseline,
     load_bench_json,
@@ -31,8 +30,6 @@ from repro.perf.timing import (
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "PIPELINE_STAGES",
-    "StageStats",
-    "StageTimer",
     "bench_payload",
     "compare_to_baseline",
     "load_bench_json",

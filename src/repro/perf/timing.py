@@ -1,36 +1,28 @@
-"""Stage timers and the machine-readable performance record.
+"""The machine-readable performance record, ``BENCH_perf.json``.
 
-Every hot path of the pipeline (route / extract / simulate / train /
-relax) reports into a :class:`StageTimer`, and ``benchmarks/bench_perf.py``
-serializes the aggregate as ``BENCH_perf.json`` at the repo root so the
-performance trajectory is tracked across PRs.  The Figure 5 runtime
-breakdown (``benchmarks/bench_fig5_runtime.py``) reads the *same* timers,
-so the paper-facing numbers and the perf record cannot diverge.
+``benchmarks/bench_perf.py`` runs the pipeline under a recording
+:class:`~repro.obs.RunContext` and serializes the run manifest's span
+aggregates for the hot paths (route / extract / simulate / train /
+relax) as ``BENCH_perf.json`` at the repo root, so the performance
+trajectory is tracked across PRs.  The spans are the only record of
+hot-path time: the trace, the manifest, ``fold --metrics-summary`` and
+this record all come from the same clock reads (see
+``docs/OBSERVABILITY.md``).
 
 Usage::
 
-    timer = StageTimer()
-    with timer.stage("route"):
-        router.route_all()
-    timer.to_dict()   # {"route": {"seconds": ..., "calls": 1}}
-
-The observability layer unifies timers and trace spans: pipeline code
-wraps hot paths in ``obs.span(name, timer=timer)`` instead of
-``timer.stage(name)``, so one ``perf_counter`` read feeds both this
-perf record and the JSONL trace (see ``docs/OBSERVABILITY.md``).  With
-tracing disabled the span degrades to exactly the timing this module
-did alone.
+    obs = RunContext.recording()
+    AnalogFold(circuit, placement, tech, obs=obs).run()
+    bench_payload(obs.manifest()["spans"])
+    # {"stages": {"route": {"seconds": ..., "calls": ...}, ...}, ...}
 """
 
 from __future__ import annotations
 
 import json
 import platform
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 #: Canonical stage names of the pipeline's hot paths, in flow order.
 PIPELINE_STAGES = ("route", "extract", "simulate", "train", "relax")
@@ -39,76 +31,23 @@ PIPELINE_STAGES = ("route", "extract", "simulate", "train", "relax")
 BENCH_SCHEMA_VERSION = 1
 
 
-@dataclass
-class StageStats:
-    """Accumulated wall time of one named stage.
-
-    Attributes:
-        seconds: total wall-clock seconds across all calls.
-        calls: number of timed entries.
-    """
-
-    seconds: float = 0.0
-    calls: int = 0
-
-    def add(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.calls += 1
-
-
-@dataclass
-class StageTimer:
-    """Accumulates wall time per named stage.
-
-    Not thread-safe; parallel workers time their own stages and the
-    parent merges the returned :class:`StageStats` via :meth:`absorb`.
-    """
-
-    stages: dict[str, StageStats] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under ``name`` (nesting different names ok)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record one timed call of ``seconds`` under ``name``."""
-        self.stages.setdefault(name, StageStats()).add(seconds)
-
-    def absorb(self, other: "StageTimer") -> None:
-        """Merge another timer's stats into this one (e.g. from a worker)."""
-        for name, stats in other.stages.items():
-            mine = self.stages.setdefault(name, StageStats())
-            mine.seconds += stats.seconds
-            mine.calls += stats.calls
-
-    def seconds(self, name: str) -> float:
-        stats = self.stages.get(name)
-        return stats.seconds if stats is not None else 0.0
-
-    def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.stages.values())
-
-    def to_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-ready mapping ``{stage: {"seconds": s, "calls": n}}``."""
-        return {
-            name: {"seconds": stats.seconds, "calls": stats.calls}
-            for name, stats in sorted(self.stages.items())
-        }
-
-
-def bench_payload(timer: StageTimer,
+def bench_payload(spans: dict[str, dict[str, Any]],
                   extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Assemble the BENCH_perf.json payload from a timer plus metadata."""
+    """Assemble the BENCH_perf.json payload from a manifest's ``spans``.
+
+    Only the :data:`PIPELINE_STAGES` rows are kept, as
+    ``{stage: {"seconds": s, "calls": count}}``; finer spans such as
+    ``route.net`` stay in the manifest.
+    """
     payload: dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "stages": timer.to_dict(),
+        "stages": {
+            name: {"seconds": spans[name]["seconds"],
+                   "calls": spans[name]["count"]}
+            for name in PIPELINE_STAGES if name in spans
+        },
     }
     if extra:
         payload.update(extra)

@@ -1,4 +1,4 @@
-"""Multi-source multi-target A* maze routing on the 3D grid.
+"""Multi-source single-target A* maze routing on the 3D grid.
 
 Move costs honor per-layer preferred directions, via costs, PathFinder
 history, and the paper's non-uniform guidance: a step along direction ``d``
@@ -168,18 +168,18 @@ class AStarRouter:
         self,
         net: str,
         sources: set[GridNode],
-        targets: set[GridNode],
+        target: GridNode,
         guidance_vec: np.ndarray | None = None,
         soft: bool = False,
         max_expansions: int = 200_000,
         add_core=None,
     ) -> list[GridNode] | None:
-        """Find a cheapest path from any source to any target.
+        """Find a cheapest path from any source to the target.
 
         Args:
             net: the net being routed (its own cells are passable).
             sources: starting cells (the already-routed tree).
-            targets: goal cells.
+            target: the goal cell.
             guidance_vec: length-3 guidance multipliers (x, y, z); neutral
                 when None.  Non-finite or negative entries raise
                 :class:`~repro.reliability.errors.RoutingError`.
@@ -192,10 +192,10 @@ class AStarRouter:
                 (net, soft) state, reused across a net's connections.
 
         Returns:
-            The path as a list of grid cells from a source to a target, or
-            None when no path exists within budget.
+            The path as a list of grid cells from a source to the target,
+            or None when no path exists within budget.
         """
-        if not sources or not targets:
+        if not sources:
             return None
         guid = validate_connection_inputs(guidance_vec)
         p = self.params
@@ -209,10 +209,10 @@ class AStarRouter:
             cache_key = (guid, soft)
             field = add_core.field_cache.get(cache_key)
         if field is not None:
-            field.retarget(targets)
+            field.retarget(target)
         else:
             field = CostField(
-                self.grid, net=net, guid=guid, soft=soft, targets=targets,
+                self.grid, net=net, guid=guid, soft=soft, target=target,
                 wire_cost=p.wire_cost, wrong_way_penalty=p.wrong_way_penalty,
                 via_cost=p.via_cost, present_penalty=p.present_penalty,
                 history_weight=p.history_weight, add_core=add_core,
@@ -241,7 +241,7 @@ class AStarRouter:
         gen = state.next_generation()
         h_l = field.h_list
         hl = field.h_layer
-        hf = field.h_factor
+        hf = field.h_scale
         nlp = field.nlp
         heap: list[tuple[float, float, int]] = []
         push = heapq.heappush
@@ -256,12 +256,12 @@ class AStarRouter:
             expansions, found = self._scalar_hard(
                 heap, g_l, par_l, st_l, gen, field.add_list, h_l, hl, hf,
                 field.step_x, field.step_y, field.via, nlp, field.dix,
-                field.target_nodes, max_expansions)
+                field.target_node, max_expansions)
         else:
             expansions, found = self._scalar_soft(
                 heap, g_l, par_l, st_l, gen, field.extra_list,
                 field.hist_list, h_l, hl, hf, field.step_x, field.step_y,
-                field.via, nlp, field.dix, field.target_nodes,
+                field.via, nlp, field.dix, field.target_node,
                 max_expansions)
         self._note_expansions("scalar", expansions)
         if found < 0:
@@ -270,7 +270,7 @@ class AStarRouter:
 
     @staticmethod
     def _scalar_hard(heap, g_l, par_l, st_l, gen, add_l, h_l, hl, hf, step_x,
-                     step_y, via, nlp, dx, t_set, max_expansions):
+                     step_y, via, nlp, dx, target, max_expansions):
         """Hard-blocked inner loop: ``new_g = (g + step) + add``.
 
         With hard blocking the seed router's ``extra`` term is always
@@ -286,7 +286,7 @@ class AStarRouter:
             _, g, node = pop(heap)
             if g > g_l[node]:
                 continue
-            if node in t_set:
+            if node == target:
                 found = node
                 break
             expansions += 1
@@ -385,7 +385,7 @@ class AStarRouter:
 
     @staticmethod
     def _scalar_soft(heap, g_l, par_l, st_l, gen, extra_l, hist_l, h_l, hl,
-                     hf, step_x, step_y, via, nlp, dx, t_set,
+                     hf, step_x, step_y, via, nlp, dx, target,
                      max_expansions):
         """Soft-mode inner loop: ``new_g = ((g + step) + extra) + hist``.
 
@@ -403,7 +403,7 @@ class AStarRouter:
             _, g, node = pop(heap)
             if g > g_l[node]:
                 continue
-            if node in t_set:
+            if node == target:
                 found = node
                 break
             expansions += 1
@@ -521,7 +521,7 @@ class AStarRouter:
         nlp = field.nlp
         dx = field.dix
         dy = nlp
-        t_set = field.target_nodes
+        target = field.target_node
         queue = BucketQueue(quantized.f_bound)
         modulus = queue.modulus
         buckets = queue.buckets
@@ -552,7 +552,7 @@ class AStarRouter:
                     break
                 if g_l[node] != g:
                     continue  # stale: improved after this push
-                if node in t_set:
+                if node == target:
                     found = node
                     break
                 expansions += 1

@@ -2,19 +2,17 @@
 
 The router's per-node arithmetic — occupancy/blockage tests, history and
 present-penalty lookups, per-direction guidance-scaled step costs, and the
-multi-target heuristic — is folded into flat arrays once per
-``route_connection`` so the expansion loop is pure lookups:
+heuristic — is folded into flat arrays once per ``route_connection`` so
+the expansion loop is pure lookups:
 
 * ``add``: additive cost of *entering* a cell (``history_weight * history``
   plus the soft-mode present penalty), with ``inf`` marking impassable
   cells.  One comparison against ``inf`` replaces the bounds / blocked /
   ownership branch cascade.
 * ``h`` / ``h_layer``: the admissible heuristic
-  ``man * h_scale + |l - l_t| * via``.  A single-target search reads an
-  unscaled Manhattan field shared across connections plus a per-layer
-  list of layer terms, so each push costs two lookups; a multi-target
-  search reads a full precomputed field (a vectorized ``min`` over the
-  target coordinate arrays) and a zero layer list.
+  ``man * h_scale + |l - l_t| * via`` toward the connection's one target:
+  an unscaled Manhattan field shared across connections plus a per-layer
+  list of layer terms, so each push costs two lookups.
 * ``step_x`` / ``step_y``: per-layer planar step costs (wire cost, wrong-way
   penalty and guidance ``C[d]`` premultiplied).
 
@@ -93,11 +91,10 @@ class QuantizedField:
         scale: ``int_cost = float_cost * scale`` for every alphabet member.
         add: additive-entry costs (padded flat); ``impassable`` marks
             blocked cells (any value >= it is unreachable).
-        h: heuristic (padded flat), multiplied by ``h_factor`` per push.
-        h_layer: layer term per *padded* layer index (zero for a
-            multi-target field, whose ``h`` already holds it).
-        h_factor: folds ``h_scale * scale`` when ``h`` is the shared
-            unscaled Manhattan field; 1 when ``h`` is a full field.
+        h: the shared unscaled Manhattan field (padded flat), multiplied
+            by ``h_factor`` per push.
+        h_layer: layer term per *padded* layer index.
+        h_factor: ``h_scale * scale``, an exact integer.
         step_x / step_y: planar step cost per *padded* layer index.
         via: via step cost.
         impassable: sentinel additive cost for blocked cells.
@@ -133,7 +130,7 @@ class CostField:
         net: str,
         guid: tuple[float, float, float],
         soft: bool,
-        targets: "set[GridNode] | frozenset[GridNode]",
+        target: GridNode,
         wire_cost: float,
         wrong_way_penalty: float,
         via_cost: float,
@@ -187,7 +184,7 @@ class CostField:
 
         self._man_cache = man_cache
         self._quant_core: "tuple | None" = None
-        self.retarget(targets)
+        self.retarget(target)
 
     @property
     def add_list(self) -> list:
@@ -206,68 +203,35 @@ class CostField:
             return self._add_core.padded_split()[1]
         return self._add_core.padded_combined_list()
 
-    def retarget(self, targets: "set[GridNode] | frozenset[GridNode]"
-                 ) -> None:
-        """Point the target-dependent fields at a new target set.
+    def retarget(self, target: GridNode) -> None:
+        """Point the target-dependent fields at a new target cell.
 
         Everything else (step costs, additive costs, quantization core)
         depends only on (grid state, guidance, mode) and is
         reused across the connections of one net attempt — the router
         caches the field per that key and calls this per connection.
         """
-        nx, ny, nl = self.nx, self.ny, self.nl
-        self.target_nodes = frozenset(self.encode(t) for t in targets)
-        self.single_target = (next(iter(self.target_nodes))
-                              if len(self.target_nodes) == 1 else None)
-
+        nx, ny = self.nx, self.ny
+        self.target_node = self.encode(target)
         # Heuristic ``man * h_scale + |l - l_t| * via``, the seed router's
-        # exact float expression.  Single-target searches (the iterative
-        # router's only shape) read an *unscaled* integer Manhattan field,
+        # exact float expression: an *unscaled* integer Manhattan field,
         # cacheable across connections/guidance in ``man_cache``, which
-        # the engines multiply by ``h_factor`` per push, and add the
-        # layer term from ``h_layer`` (indexed by padded layer).
-        # Multi-target searches precompute the full field as a vectorized
-        # min over the target coordinate arrays, with a zero layer list.
-        if self.single_target is not None:
-            target = next(iter(targets))
-            key = (target[0], target[1])
-            man_cache = self._man_cache
-            cached = None if man_cache is None else man_cache.get(key)
-            if cached is None:
-                mx = np.abs(np.arange(-1, nx + 1, dtype=np.int64)
-                            - target[0])
-                my = np.abs(np.arange(-1, ny + 1, dtype=np.int64)
-                            - target[1])
-                cached = np.broadcast_to(
-                    (mx[:, None] + my[None, :])[:, :, None],
-                    (nx + 2, self.nyp, self.nlp)).reshape(-1).tolist()
-                if man_cache is not None:
-                    man_cache[key] = cached
-            self.h_list = cached
-            self.h_factor = self.h_scale
-            self.h_layer = [abs(lp - 1 - target[2]) * self.via
-                            for lp in range(self.nlp)]
-            self._h_is_man = True
-            return
-
-        txs = np.fromiter((t[0] for t in targets), dtype=np.int64,
-                          count=len(targets))
-        tys = np.fromiter((t[1] for t in targets), dtype=np.int64,
-                          count=len(targets))
-        tls = np.fromiter((t[2] for t in targets), dtype=np.int64,
-                          count=len(targets))
-        man = (np.abs(np.arange(nx)[:, None] - txs[None, :])[:, None, :]
-               + np.abs(np.arange(ny)[:, None] - tys[None, :])[None, :, :])
-        h_t = man * self.h_scale  # (nx, ny, T)
-        ldist = np.abs(np.arange(nl)[:, None] - tls[None, :])  # (nl, T)
-        h = np.zeros((nx + 2, self.nyp, self.nlp), dtype=np.float64)
-        h[1:-1, 1:-1, 1:-1] = (
-            h_t[:, :, None, :] + ldist[None, None, :, :] * self.via
-        ).min(axis=3)
-        self.h_list = h.reshape(-1).tolist()
-        self.h_factor = 1.0
-        self.h_layer = [0.0] * self.nlp
-        self._h_is_man = False
+        # the engines multiply by ``h_scale`` per push, plus the layer
+        # term from ``h_layer`` (indexed by padded layer).
+        key = (target[0], target[1])
+        man_cache = self._man_cache
+        cached = None if man_cache is None else man_cache.get(key)
+        if cached is None:
+            mx = np.abs(np.arange(-1, nx + 1, dtype=np.int64) - target[0])
+            my = np.abs(np.arange(-1, ny + 1, dtype=np.int64) - target[1])
+            cached = np.broadcast_to(
+                (mx[:, None] + my[None, :])[:, :, None],
+                (nx + 2, self.nyp, self.nlp)).reshape(-1).tolist()
+            if man_cache is not None:
+                man_cache[key] = cached
+        self.h_list = cached
+        self.h_layer = [abs(lp - 1 - target[2]) * self.via
+                        for lp in range(self.nlp)]
 
     # -- coordinates ---------------------------------------------------------
 
@@ -294,27 +258,20 @@ class CostField:
 
         The target-independent part (scale probe, bounds, integer cost
         arrays) is computed once per field and survives :meth:`retarget`;
-        only the heuristic packaging is per-target.
+        only the layer terms are per-target.  The cached Manhattan field
+        is already integer and unscaled, and the integer ``h_factor``
+        folds ``h_scale * scale`` (exact dyadic).
         """
         core = self._quant_core
         if core is None:
             core = self._quant_core = self._build_quant_core()
         if core is _NO_QUANT:
             return None
-        scale, via_i, impassable, f_bound, add_i, sx_i, sy_i, h_factor_man = (
-            core)
-        if self._h_is_man:
-            # The cached Manhattan field is already integer and unscaled;
-            # the integer factor folds ``h_scale * scale`` (exact dyadic).
-            h_i = self.h_list
-            h_factor = h_factor_man
-        else:
-            h_i = (np.array(self.h_list) * scale).astype(np.int64).tolist()
-            h_factor = 1
+        scale, via_i, impassable, f_bound, add_i, sx_i, sy_i, h_factor = core
         return QuantizedField(
             scale=scale,
             add=add_i,
-            h=h_i,
+            h=self.h_list,
             h_layer=[int(t * scale) for t in self.h_layer],
             h_factor=h_factor,
             step_x=sx_i,

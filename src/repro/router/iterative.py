@@ -298,13 +298,13 @@ class IterativeRouter:
                         present_penalty=self.config.cost.present_penalty,
                         history_weight=self.config.cost.history_weight)
                 path = self.astar.route_connection(
-                    net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
+                    net_name, tree_cells, target_ap.cell, guidance_vec=guid,
                     soft=False, max_expansions=self.config.max_expansions,
                     add_core=hard_core,
                 )
             if path is None:
                 path = self.astar.route_connection(
-                    net_name, tree_cells, {target_ap.cell}, guidance_vec=guid,
+                    net_name, tree_cells, target_ap.cell, guidance_vec=guid,
                     soft=True, max_expansions=self.config.max_expansions,
                 )
                 if path is None:

@@ -467,17 +467,6 @@ class Dispatcher:
         return len(self._queued) + sum(len(f) for f in
                                        self._inflight.values())
 
-    def inflight_ids(self, worker: int) -> list[str]:
-        return sorted(self._inflight[worker])
-
-    def queued_ids(self) -> list[str]:
-        return [p.request.request_id for p in self._queued]
-
-    def overdue_since(self, worker: int) -> float | None:
-        """Deadline of the worker's earliest unreturned timed-out
-        request, or ``None`` when the worker owes nothing overdue."""
-        return self._overdue.get(worker)
-
     def result_for(self, request_id: str) -> ClusterResult | None:
         return self._results.get(request_id)
 

@@ -261,12 +261,6 @@ class ModelRegistry:
     def is_quarantined(self, name: str, version: str) -> bool:
         return (self._version_dir(name, version) / _QUARANTINE_FILE).exists()
 
-    def quarantine_reason(self, name: str, version: str) -> str | None:
-        marker = self._version_dir(name, version) / _QUARANTINE_FILE
-        if not marker.exists():
-            return None
-        return json.loads(marker.read_text(encoding="utf-8"))["reason"]
-
     # -- save ---------------------------------------------------------------------
 
     def save(

@@ -90,13 +90,6 @@ class Testbench:
 
     # -- node helpers -------------------------------------------------------------
 
-    def terminal_node(self, device: str, pin: str) -> str:
-        """MNA node a device pin connects to (after parasitic insertion)."""
-        node = self._terminal_node.get((device, pin))
-        if node is None:
-            raise KeyError(f"pin {device}.{pin} is not attached to any net")
-        return node
-
     def net_node(self, net: str) -> str:
         """The internal node of a net."""
         return net

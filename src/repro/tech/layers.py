@@ -23,11 +23,6 @@ class Direction(enum.Enum):
         """Grid axis index: 0 for x (horizontal runs), 1 for y."""
         return 0 if self is Direction.HORIZONTAL else 1
 
-    def orthogonal(self) -> "Direction":
-        if self is Direction.HORIZONTAL:
-            return Direction.VERTICAL
-        return Direction.HORIZONTAL
-
 
 class LayerPurpose(enum.Enum):
     """What a layer is used for."""
@@ -132,12 +127,6 @@ class LayerStack:
 
     def layer(self, index: int) -> Layer:
         return self.layers[index]
-
-    def by_name(self, name: str) -> Layer:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r}")
 
     def via_between(self, lower: int, upper: int) -> Via:
         """Via connecting two adjacent layer indices (order-insensitive)."""

@@ -86,10 +86,6 @@ class DesignRules:
     def min_spacing(self, layer: int) -> float:
         return self.spacing_rules[layer].min_spacing
 
-    def to_grid(self, coord: float) -> int:
-        """Snap a micrometer coordinate to the nearest grid index."""
-        return int(round(coord / self.grid_pitch))
-
     def to_um(self, grid_index: int) -> float:
         """Convert a grid index back to micrometers."""
         return grid_index * self.grid_pitch

@@ -1,8 +1,8 @@
 """Compliant with OBS002: literal dotted lowercase span names."""
 
 
-def trace(obs, net, seconds, timer):
-    with obs.span("route.net", net=net, timer=timer):
+def trace(obs, net, seconds):
+    with obs.span("route.net", net=net):
         pass
     with obs.span("stage.guided_routing"):
         pass

@@ -50,12 +50,14 @@ class SeedAStarRouter(AStarRouter):
             )
         return self._ref_state
 
-    def route_connection(self, net, sources, targets, guidance_vec=None,
+    def route_connection(self, net, sources, target, guidance_vec=None,
                          soft=False, max_expansions=200_000, add_core=None):
-        if not sources or not targets:
+        if not sources:
             return None
         guid = validate_connection_inputs(guidance_vec)
-        return self._route_reference(net, sources, targets, guid, soft,
+        # The seed engine keeps its own target set and its ``min`` over
+        # targets; the shipped engines search for one target cell.
+        return self._route_reference(net, sources, {target}, guid, soft,
                                      max_expansions)
 
     def _route_reference(self, net, sources, targets, guid, soft,

@@ -14,7 +14,7 @@ from repro.eval import (
 )
 from repro.eval.compare import CellResult, MethodResult, wins_against
 from repro.eval.runtime import runtime_breakdown
-from repro.eval.visualize import guidance_histogram, render_stack
+from repro.eval.visualize import guidance_histogram
 from repro.router.guidance import uniform_guidance
 from repro.simulation import PerformanceMetrics
 
@@ -121,12 +121,6 @@ class TestVisualize:
         result, grid = ota1_routed
         with pytest.raises(ValueError):
             render_layout(result, grid, layer=99)
-
-    def test_render_stack_has_all_layers(self, ota1_routed):
-        result, grid = ota1_routed
-        art = render_stack(result, grid)
-        for i in range(grid.num_layers):
-            assert f"layer M{i + 1}" in art
 
     def test_render_guidance_lists_aps(self, ota1_routed):
         result, grid = ota1_routed

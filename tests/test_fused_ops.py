@@ -65,6 +65,7 @@ from repro.router import RoutingGrid
 from repro.serve import FLOAT32_PARITY_RTOL, ScoreRequest, ScoringService
 
 from tests.evaluation_shape import evaluation_shape
+from tests.nn_oracle import gather_rows
 from tests.test_forward_blocking import synthetic_graph
 
 MODES = ("tape", "frozen", "no_grad")
@@ -84,7 +85,7 @@ EDGE_LEVEL_TOL = 1e-10
 
 
 def oracle_cost_distance(guidance, receivers, deltas, workspace=None):
-    c_recv = guidance.gather_rows(receivers)
+    c_recv = gather_rows(guidance, receivers)
     weighted = c_recv * Tensor(deltas)
     return ((weighted * weighted).sum(axis=1) + 1e-6).sqrt()
 
@@ -107,8 +108,8 @@ def oracle_message_layer(h, psi, src_slots, dst_slots, in_degree, offsets,
     num_types = len(weights)
     w_src, b_src, w_dist, b_dist, w_out, b_out = zip(*weights)
     src_out = h.affine(concat(list(w_src), axis=1), concat(list(b_src), axis=0))
-    gathered = src_out.reshape(num_nodes * num_types, hidden).gather_rows(
-        src_slots)
+    gathered = gather_rows(
+        src_out.reshape(num_nodes * num_types, hidden), src_slots)
     dist_out = concat([psi[lo:hi].affine(wd, bd) for lo, hi, wd, bd
                        in zip(offsets[:-1], offsets[1:], w_dist, b_dist)],
                       axis=0)
@@ -122,7 +123,7 @@ def oracle_message_layer(h, psi, src_slots, dst_slots, in_degree, offsets,
 def oracle_message_sum(h, psi, src, dst, weights):
     """One edge type's Eq. 5 messages on every edge, summed at receivers."""
     w_src, b_src, w_dist, b_dist, w_out, b_out = weights
-    gated = (h.gather_rows(src).affine(w_src, b_src)
+    gated = (gather_rows(h, src).affine(w_src, b_src)
              * psi.affine(w_dist, b_dist))
     return segment_sum(gated.affine(w_out, b_out), dst)
 

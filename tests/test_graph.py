@@ -78,12 +78,6 @@ class TestGraphStructure:
         assert len(src) == 2 * ota1_graph.num_edges(EdgeType.PP)
         assert len(src) == len(dst)
 
-    def test_ap_index_of_key(self, ota1_graph):
-        key = ota1_graph.ap_keys[3]
-        assert ota1_graph.ap_index_of_key(key) == 3
-        with pytest.raises(KeyError):
-            ota1_graph.ap_index_of_key(("nope", "G"))
-
     def test_proximity_radius_controls_density(self, ota1_grid):
         tight = build_hetero_graph(ota1_grid, proximity_radius=1.0)
         wide = build_hetero_graph(ota1_grid, proximity_radius=12.0)

@@ -10,7 +10,7 @@ from repro.io import (
     save_guidance,
     save_placement,
 )
-from repro.io.spice import circuit_to_spice, read_spice, spice_to_circuit, write_spice
+from repro.io.spice import circuit_to_spice, spice_to_circuit, write_spice
 from repro.netlist import build_benchmark
 from repro.netlist.nets import Net, NetType
 from repro.reliability.errors import SpiceParseError
@@ -63,7 +63,7 @@ class TestSpiceRoundTrip:
     def test_file_roundtrip(self, ota1, tmp_path):
         path = tmp_path / "ota1.sp"
         write_spice(ota1, path)
-        assert read_spice(path).stats() == ota1.stats()
+        assert spice_to_circuit(path.read_text()).stats() == ota1.stats()
 
     def test_unsupported_card_raises(self):
         with pytest.raises(SpiceParseError) as exc_info:
@@ -111,7 +111,7 @@ class TestSpiceImporterBugs:
         path = tmp_path / "bad.sp"
         path.write_text("MM1 d g s b nch L=0.1u\n.END\n")
         with pytest.raises(SpiceParseError) as exc_info:
-            read_spice(path)
+            spice_to_circuit(path.read_text(), path=str(path))
         assert exc_info.value.path == str(path)
         assert str(path) in str(exc_info.value)
 

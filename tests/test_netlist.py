@@ -71,9 +71,6 @@ class TestDevices:
         with pytest.raises(KeyError):
             MOSFET(name="m").pin("X")
 
-    def test_pin_full_name(self):
-        assert MOSFET(name="m").pin("G").full_name == "m.G"
-
 
 class TestNets:
     def test_connect_is_chainable(self):
@@ -94,10 +91,6 @@ class TestNets:
         assert NetType.POWER.is_supply
         assert NetType.GROUND.is_supply
         assert not NetType.SIGNAL.is_supply
-
-    def test_critical_classification(self):
-        assert NetType.INPUT.is_critical
-        assert not NetType.BIAS.is_critical
 
     def test_symmetry_pair_partner(self):
         pair = SymmetryPair("x", "y")

@@ -23,7 +23,6 @@ from repro.obs import (
     verify_manifest,
 )
 from repro.obs.report import main as report_main
-from repro.perf.timing import StageTimer
 
 
 # -- metrics --------------------------------------------------------------------------
@@ -136,24 +135,6 @@ class TestSpans:
         (event,) = ctx.drain_events()
         assert event["outcome"] == "skipped"
         assert event["attrs"] == {"extra": 2, "fixed": 1}
-
-    def test_span_feeds_stage_timer(self):
-        ctx = RunContext.recording()
-        timer = StageTimer()
-        with ctx.span("route", timer=timer):
-            pass
-        stats = timer.to_dict()["route"]
-        assert stats["calls"] == 1
-        assert stats["seconds"] >= 0.0
-        # The span record and the timer saw the same single measurement.
-        (event,) = ctx.drain_events()
-        assert event["seconds"] == pytest.approx(stats["seconds"])
-
-    def test_disabled_context_with_timer_still_times(self):
-        timer = StageTimer()
-        with NULL_CONTEXT.span("route", timer=timer):
-            pass
-        assert timer.to_dict()["route"]["calls"] == 1
 
     def test_emit_span_uses_given_seconds(self):
         ctx = RunContext.recording()

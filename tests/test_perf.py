@@ -1,4 +1,4 @@
-"""Performance layer: timers, caches, parallel construction, batching.
+"""Performance layer: the perf record, caches, parallel construction, batching.
 
 The contracts under test:
 
@@ -8,7 +8,8 @@ The contracts under test:
 * the batched GNN forward matches per-candidate forwards to 1e-10, and
   relaxation pays one forward-backward per joint wave evaluation, which
   carries every restart of the wave;
-* stage timers and the BENCH_perf regression gate behave as documented.
+* the BENCH_perf record projects the span aggregates, and its
+  regression gate behaves as documented.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from repro.core.relaxation import PotentialRelaxer, RelaxationConfig
 from repro.graph import build_hetero_graph
 from repro.model.gnn3d import Gnn3d
 from repro.nn import Tensor
+from repro.obs import RunContext
 from repro.perf import (
     ForwardCacheStore,
-    StageTimer,
     bench_payload,
     compare_to_baseline,
 )
@@ -102,12 +103,13 @@ class TestParallelDataset:
         assert ck_resume.read_bytes() == ck_parallel.read_bytes()
 
     def test_timer_collects_worker_stages(self, ota1, ota1_placement, tech):
-        timer = StageTimer()
+        # Worker spans reach the parent's aggregates through obs.absorb.
+        obs = RunContext.recording()
         generate_dataset(ota1, ota1_placement, tech, self.CFG, workers=2,
-                         timer=timer)
+                         obs=obs)
         for stage in ("route", "extract", "simulate"):
-            assert timer.stages[stage].calls == self.CFG.num_samples
-            assert timer.stages[stage].seconds > 0.0
+            assert obs.aggregates[stage].count == self.CFG.num_samples
+            assert obs.aggregates[stage].seconds > 0.0
 
     def test_invalid_worker_count_rejected(self, ota1, ota1_placement,
                                            tech):
@@ -273,27 +275,22 @@ class TestBatchedRelaxation:
 
 
 class TestTiming:
-    def test_stage_timer_accumulates_and_absorbs(self):
-        timer = StageTimer()
-        with timer.stage("route"):
-            pass
-        timer.add("route", 1.5)
-        other = StageTimer()
-        other.add("train", 2.0)
-        timer.absorb(other)
-        assert timer.stages["route"].calls == 2
-        assert timer.seconds("route") == pytest.approx(1.5, abs=0.1)
-        assert timer.seconds("train") == 2.0
-        assert timer.total_seconds() == pytest.approx(3.5, abs=0.1)
-        assert set(timer.to_dict()) == {"route", "train"}
-
     def test_bench_payload_shape(self):
-        timer = StageTimer()
-        timer.add("route", 0.25)
-        payload = bench_payload(timer, extra={"scale": "smoke"})
+        spans = {
+            "route": {"count": 8, "seconds": 0.25,
+                      "outcomes": {"ok": 8}},
+            "route.net": {"count": 40, "seconds": 0.2,
+                          "outcomes": {"ok": 40}},
+            "train": {"count": 1, "seconds": 1.5, "outcomes": {"ok": 1}},
+        }
+        payload = bench_payload(spans, extra={"scale": "smoke"})
         assert payload["schema_version"] == 1
         assert payload["scale"] == "smoke"
-        assert payload["stages"]["route"] == {"seconds": 0.25, "calls": 1}
+        # Only pipeline stages come out, with ``count`` renamed ``calls``.
+        assert payload["stages"] == {
+            "route": {"seconds": 0.25, "calls": 8},
+            "train": {"seconds": 1.5, "calls": 1},
+        }
 
     def test_regression_gate(self):
         baseline = {"stages": {"route": {"seconds": 1.0, "calls": 1},

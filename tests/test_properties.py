@@ -91,7 +91,7 @@ class TestRouterProperties:
         net = ota1_grid.net_names[0]
         a, b = (ax, ay, 1), (bx, by, 2)
         path = router.route_connection(
-            net, {a}, {b}, guidance_vec=np.array([gx, gy, gz]))
+            net, {a}, b, guidance_vec=np.array([gx, gy, gz]))
         assert path is not None
         assert path[0] == a and path[-1] == b
         for u, v in zip(path, path[1:]):

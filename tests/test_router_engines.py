@@ -114,7 +114,7 @@ class TestInputValidation:
         net = grid.net_names[0]
         src = _free_cell(grid, layer=1)
         dst = _free_cell(grid, layer=1, start=(src[0] + 2, 0))
-        return router.route_connection(net, {src}, {dst}, **kwargs)
+        return router.route_connection(net, {src}, dst, **kwargs)
 
     @pytest.mark.parametrize("bad", [
         np.array([np.nan, 1.0, 1.0]),
@@ -134,18 +134,18 @@ class TestInputValidation:
         net = fresh_grid.net_names[0]
         src = _free_cell(fresh_grid, layer=1)
         with pytest.raises(RoutingError):
-            router.route_connection(net, {src}, {src},
+            router.route_connection(net, {src}, src,
                                     guidance_vec=np.array([np.nan, 1, 1]))
 
 
-def _route_one(grid, engine, src, dsts, guid, soft):
-    """One connection to any of ``dsts`` on ``engine``: "seed", "auto" or
+def _route_one(grid, engine, src, dst, guid, soft):
+    """One connection to ``dst`` on ``engine``: "seed", "auto" or
     "scalar"."""
     router = (SeedAStarRouter if engine == "seed" else AStarRouter)(grid)
     forced = (_scalar_engine() if engine == "scalar"
               else contextlib.nullcontext())
     with forced:
-        path = router.route_connection(grid.net_names[0], {src}, set(dsts),
+        path = router.route_connection(grid.net_names[0], {src}, dst,
                                        guidance_vec=guid, soft=soft)
     return path, router.expansions_total, _g_scores(router, grid)
 
@@ -183,13 +183,12 @@ class TestEngineEquivalence:
         gy=st.sampled_from([0.25, 1.0, 2.0, 0.7]),
         gz=st.sampled_from([0.5, 1.0, 2.0, 1.3]),
         soft=st.booleans(),
-        n_targets=st.integers(1, 3),
         history=st.booleans(),
         wires=st.booleans(),
     )
     def test_engines_match_reference(self, fresh_grid, ota1_routed, seed,
-                                     n_blocks, gx, gy, gz, soft, n_targets,
-                                     history, wires):
+                                     n_blocks, gx, gy, gz, soft, history,
+                                     wires):
         grid = fresh_grid
         saved = grid.occupancy.copy()
         saved_history = grid.history.copy()
@@ -206,16 +205,15 @@ class TestEngineEquivalence:
                 x, y, layer = free[idx]
                 grid.occupancy[x, y, layer] = BLOCKED
             still_free = np.argwhere(grid.occupancy == -1)
-            picks = rng.choice(len(still_free), size=1 + n_targets,
-                               replace=False)
-            src, *dsts = (tuple(int(v) for v in still_free[i])
-                          for i in picks)
+            picks = rng.choice(len(still_free), size=2, replace=False)
+            src, dst = (tuple(int(v) for v in still_free[i])
+                        for i in picks)
             guid = np.array([gx, gy, gz])
 
-            ref_path, ref_exp, ref_g = _route_one(grid, "seed", src, dsts,
+            ref_path, ref_exp, ref_g = _route_one(grid, "seed", src, dst,
                                                   guid, soft)
             for engine in ("auto", "scalar"):
-                path, exp, g = _route_one(grid, engine, src, dsts, guid,
+                path, exp, g = _route_one(grid, engine, src, dst, guid,
                                           soft)
                 assert path == ref_path, engine
                 assert exp == ref_exp, engine
@@ -231,7 +229,7 @@ class TestEngineEquivalence:
         net = grid.net_names[0]
         src = _free_cell(grid, layer=1)
         dst = _free_cell(grid, layer=1, start=(src[0] + 3, 0))
-        expected = AStarRouter(grid).route_connection(net, {src}, {dst})
+        expected = AStarRouter(grid).route_connection(net, {src}, dst)
         assert expected is not None
 
         for router_cls, state_getter in (
@@ -239,12 +237,12 @@ class TestEngineEquivalence:
             (SeedAStarRouter, SeedAStarRouter._get_ref_state),
         ):
             router = router_cls(grid)
-            assert router.route_connection(net, {src}, {dst}) == expected
+            assert router.route_connection(net, {src}, dst) == expected
             state = state_getter(router)
             state.generation = _STAMP_MAX
             # Next search wraps: stamps reset to 0, generation restarts at
             # 1, and the stale stamps from the first search cannot alias.
-            assert router.route_connection(net, {src}, {dst}) == expected
+            assert router.route_connection(net, {src}, dst) == expected
             assert state.generation == 1
 
 
@@ -266,7 +264,7 @@ def _skip_verdict(grid, net, sources, target):
 def _hard_searches(grid, net, sources, target):
     """Unbounded hard-mode search on every engine, keyed by engine."""
     def search(router):
-        return router.route_connection(net, set(sources), {target},
+        return router.route_connection(net, set(sources), target,
                                        soft=False, max_expansions=10**9)
 
     paths = {"seed": search(SeedAStarRouter(grid)),
@@ -406,10 +404,9 @@ class TestLayerAwareHeuristic:
         guid=st.tuples(_GUIDANCE_ENTRY, _GUIDANCE_ENTRY, _GUIDANCE_ENTRY),
         soft=st.booleans(),
         history=st.booleans(),
-        n_targets=st.integers(1, 3),
     )
     def test_fewer_expansions_same_cost(self, fresh_grid, ota1_routed, seed,
-                                        guid, soft, history, n_targets):
+                                        guid, soft, history):
         grid = fresh_grid
         # Other nets' wires make soft mode pay present penalties.
         grid.occupancy[:] = ota1_routed[1].occupancy
@@ -420,24 +417,24 @@ class TestLayerAwareHeuristic:
         own = grid.net_index[net]
         passable = np.argwhere((grid.occupancy == FREE)
                                | (grid.occupancy == own))
-        picks = rng.choice(len(passable), size=1 + n_targets, replace=False)
-        src, *dsts = (tuple(int(v) for v in passable[i]) for i in picks)
+        picks = rng.choice(len(passable), size=2, replace=False)
+        src, dst = (tuple(int(v) for v in passable[i]) for i in picks)
         guid = np.array(guid)
 
         shipped = AStarRouter(grid)
-        path = shipped.route_connection(net, {src}, set(dsts),
+        path = shipped.route_connection(net, {src}, dst,
                                         guidance_vec=guid, soft=soft)
         dijkstra = SeedAStarRouter(grid)
         with _dijkstra_oracle():
-            best = dijkstra.route_connection(net, {src}, set(dsts),
+            best = dijkstra.route_connection(net, {src}, dst,
                                              guidance_vec=guid, soft=soft)
         assert (path is None) == (best is None)
         assert shipped.expansions_total <= dijkstra.expansions_total
         if path is None:
             return
-        assert path[0] == src and path[-1] in dsts
+        assert path[0] == src and path[-1] == dst
         field = CostField(
-            grid, net=net, guid=tuple(guid), soft=soft, targets=set(dsts),
+            grid, net=net, guid=tuple(guid), soft=soft, target=dst,
             wire_cost=1.0, wrong_way_penalty=2.5, via_cost=4.0,
             present_penalty=25.0, history_weight=1.0)
         assert _path_cost(field, path) == pytest.approx(
@@ -452,9 +449,9 @@ class TestLayerAwareHeuristic:
                          start=(src[0] + 3, 0))
         a = AStarRouter(grid)
         b = AStarRouter(grid)
-        path_a = a.route_connection(net, {src}, {dst})
+        path_a = a.route_connection(net, {src}, dst)
         with _scalar_engine():
-            path_b = b.route_connection(net, {src}, {dst})
+            path_b = b.route_connection(net, {src}, dst)
         assert path_a == path_b
         assert a.expansions_by_mode == {"bucketed": a.expansions_total}
         assert b.expansions_by_mode == {"scalar": b.expansions_total}
@@ -468,7 +465,7 @@ class TestQuantizationDetection:
         dst = _free_cell(grid, layer=1)
         return CostField(
             grid, net=net, guid=guid, soft=False,
-            targets={dst}, wire_cost=wire_cost, wrong_way_penalty=2.5,
+            target=dst, wire_cost=wire_cost, wrong_way_penalty=2.5,
             via_cost=via_cost, present_penalty=25.0, history_weight=1.0)
 
     def test_dyadic_costs_quantize(self, fresh_grid):
@@ -493,7 +490,7 @@ class TestQuantizationDetection:
         field = self._field(fresh_grid)
         first = field.quantize()
         other = _free_cell(fresh_grid, layer=2, start=(3, 3))
-        field.retarget({other})
+        field.retarget(other)
         second = field.quantize()
         assert first is not None and second is not None
         assert second.scale == first.scale
@@ -511,13 +508,13 @@ class TestCostFieldReuse:
         dst2 = _free_cell(grid, layer=1, start=(src[0] + 4, 1))
 
         router = AStarRouter(grid)
-        p1 = router.route_connection(net, {src}, {dst1}, add_core=core)
-        p2 = router.route_connection(net, {src}, {dst2}, add_core=core)
+        p1 = router.route_connection(net, {src}, dst1, add_core=core)
+        p2 = router.route_connection(net, {src}, dst2, add_core=core)
         assert len(core.field_cache) == 1  # same (guid, mult, mode) key
 
         fresh = AStarRouter(grid)
-        assert p1 == fresh.route_connection(net, {src}, {dst1})
-        assert p2 == fresh.route_connection(net, {src}, {dst2})
+        assert p1 == fresh.route_connection(net, {src}, dst1)
+        assert p2 == fresh.route_connection(net, {src}, dst2)
 
     def test_distinct_guidance_gets_distinct_fields(self, fresh_grid):
         grid = fresh_grid
@@ -527,8 +524,8 @@ class TestCostFieldReuse:
         src = _free_cell(grid, layer=1)
         dst = _free_cell(grid, layer=1, start=(src[0] + 2, 0))
         router = AStarRouter(grid)
-        router.route_connection(net, {src}, {dst}, add_core=core)
-        router.route_connection(net, {src}, {dst}, add_core=core,
+        router.route_connection(net, {src}, dst, add_core=core)
+        router.route_connection(net, {src}, dst, add_core=core,
                                 guidance_vec=np.array([2.0, 1.0, 1.0]))
         assert len(core.field_cache) == 2
 
@@ -699,7 +696,7 @@ class TestRouterObservability:
         net = fresh_grid.net_names[0]
         src = _free_cell(fresh_grid, layer=1)
         dst = _free_cell(fresh_grid, layer=1, start=(src[0] + 3, 0))
-        router.route_connection(net, {src}, {dst})
+        router.route_connection(net, {src}, dst)
         window = router.take_batch_window()
         assert window["count"] > 0
         assert router.take_batch_window()["count"] == 0

@@ -210,10 +210,11 @@ class TestRegistryDurability:
         registry = ModelRegistry(tmp_path / "registry", obs=obs)
         registry.save("ota1", small_model(fresh_graph), fresh_graph)
         registry.save("ota1", small_model(fresh_graph), fresh_graph)
-        registry.quarantine("ota1", "v0002", reason="failed verification")
+        marker = registry.quarantine("ota1", "v0002",
+                                     reason="failed verification")
         assert registry.is_quarantined("ota1", "v0002")
         assert not registry.is_quarantined("ota1", "v0001")
-        assert registry.quarantine_reason("ota1", "v0002") == \
+        assert json.loads(marker.read_text())["reason"] == \
             "failed verification"
         assert registry.versions("ota1") == ["v0001"]
         assert registry.latest("ota1") == "v0001"

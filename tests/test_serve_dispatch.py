@@ -54,6 +54,24 @@ def ok_payload(request_id: str) -> dict:
             "fom": 0.0, "batch_size": 1}
 
 
+# The dispatcher's queue, in-flight and overdue state, read directly:
+# no serving code needs these views, only the tests do.
+
+
+def inflight_ids(dispatcher: Dispatcher, worker: int) -> list[str]:
+    return sorted(dispatcher._inflight[worker])
+
+
+def queued_ids(dispatcher: Dispatcher) -> list[str]:
+    return [p.request.request_id for p in dispatcher._queued]
+
+
+def overdue_since(dispatcher: Dispatcher, worker: int) -> float | None:
+    """Deadline of the worker's earliest unreturned timed-out request,
+    or ``None`` when the worker owes nothing overdue."""
+    return dispatcher._overdue.get(worker)
+
+
 # -- circuit breaker ------------------------------------------------------------------
 
 
@@ -165,10 +183,10 @@ class TestDispatcher:
                                      deadline=clock() + 10)
             ids.append(pending.request.request_id)
         dispatcher.assign(ready=[0])
-        assert dispatcher.inflight_ids(0) == sorted(ids)
+        assert inflight_ids(dispatcher, 0) == sorted(ids)
         requeued = dispatcher.worker_down(0)
         assert requeued == 3
-        assert dispatcher.queued_ids() == ids  # ack order preserved
+        assert queued_ids(dispatcher) == ids  # ack order preserved
         assert dispatcher.stats.redispatched == 3
         # The re-dispatch serves to completion on the restarted slot.
         for worker, pending in dispatcher.assign(ready=[0]):
@@ -196,7 +214,7 @@ class TestDispatcher:
         assert dispatcher.expire(hang_grace_s=5.0) == set()
         assert dispatcher.result_for("fast").status == "timeout"
         assert dispatcher.result_for("stuck").status == "timeout"
-        assert dispatcher.overdue_since(worker) == 1.0
+        assert overdue_since(dispatcher, worker) == 1.0
         # No message for hang_grace past the missed deadline: hung.
         clock.advance(4.5)
         assert dispatcher.expire(hang_grace_s=5.0) == {worker}
@@ -212,7 +230,7 @@ class TestDispatcher:
         # worker is no longer overdue (it is alive, just slow).
         assert not dispatcher.record_result(
             0, ok_payload(pending.request.request_id))
-        assert dispatcher.overdue_since(0) is None
+        assert overdue_since(dispatcher, 0) is None
         assert dispatcher.stats.duplicates == 1
         assert dispatcher.result_for("slow").status == "timeout"
 
@@ -231,7 +249,7 @@ class TestDispatcher:
             dispatcher.ack(request(request_id=f"r{index}"),
                            deadline=clock() + 10)
         assert len(dispatcher.assign(ready=[0])) == 2
-        assert dispatcher.queued_ids() == ["r2", "r3"]
+        assert queued_ids(dispatcher) == ["r2", "r3"]
 
     def test_take_completed_releases_prefix_in_ack_order(self):
         dispatcher, clock = self.make(workers=1, worker_window=4)
@@ -362,8 +380,8 @@ def test_shedding_prefers_earliest_deadline(deadlines, max_queue):
         shed_ids = [r for r in by_id
                     if (res := dispatcher.result_for(r)) is not None
                     and res.status == "shed"]
-        queued = dispatcher.queued_ids()
+        queued = queued_ids(dispatcher)
         if shed_ids and queued:
             assert max(by_id[r] for r in shed_ids) <= \
                 min(by_id[r] for r in queued)
-    assert len(dispatcher.queued_ids()) <= max_queue
+    assert len(queued_ids(dispatcher)) <= max_queue

@@ -32,10 +32,6 @@ class TestDirection:
     def test_vertical_axis_is_y(self):
         assert Direction.VERTICAL.axis == 1
 
-    def test_orthogonal_is_involution(self):
-        for d in Direction:
-            assert d.orthogonal().orthogonal() is d
-
 
 class TestLayer:
     def test_wire_resistance_scales_with_length(self):
@@ -78,14 +74,6 @@ class TestLayerStack:
     def test_num_layers(self):
         assert self._stack(3).num_layers == 3
 
-    def test_by_name(self):
-        stack = self._stack()
-        assert stack.by_name("M2").index == 1
-
-    def test_by_name_missing_raises(self):
-        with pytest.raises(KeyError):
-            self._stack().by_name("M9")
-
     def test_via_between_order_insensitive(self):
         stack = self._stack()
         assert stack.via_between(0, 1) is stack.via_between(1, 0)
@@ -111,15 +99,6 @@ class TestDesignRules:
             spacing_rules=[SpacingRule(0, 0.06), SpacingRule(1, 0.06)],
             grid_pitch=pitch,
         )
-
-    def test_grid_roundtrip(self):
-        rules = self._rules()
-        assert rules.to_grid(rules.to_um(7)) == 7
-
-    def test_to_grid_snaps_to_nearest(self):
-        rules = self._rules(pitch=0.2)
-        assert rules.to_grid(0.29) == 1
-        assert rules.to_grid(0.31) == 2
 
     def test_pitch_must_fit_width_plus_spacing(self):
         with pytest.raises(ValueError):
