@@ -10,7 +10,9 @@ Stages, each timed for the Figure 5 runtime breakdown:
 
 from __future__ import annotations
 
+import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.core.potential import PotentialFunction
 from repro.core.relaxation import PotentialRelaxer, RelaxationConfig, RelaxedGuidance
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig, Trainer
 from repro.netlist.circuit import Circuit
-from repro.obs import NULL_CONTEXT, RunContext
+from repro.obs import NULL_CONTEXT, NULL_SPAN, RunContext
 from repro.placement.layout import Placement
 from repro.reliability.errors import RelaxationError, ReproError, RoutingError
 from repro.reliability.policy import DegradationPolicy
@@ -115,7 +117,9 @@ class AnalogFold:
             every emission a no-op.  When enabled, each pipeline stage
             opens a root ``stage.*`` span under which the fine-grained
             spans (``dataset.sample``, ``route.net``, ``train.epoch``,
-            ``relax.restart``, ...) nest.
+            ``relax.restart``, ...) nest.  The span's ``minflt``
+            attribute, also added to the ``stage_minflt_total{stage=...}``
+            counter, is the minor page faults the process took in it.
     """
 
     def __init__(
@@ -137,10 +141,27 @@ class AnalogFold:
 
     # -- stages ---------------------------------------------------------------------
 
+    @contextmanager
+    def _minor_faults(self, span):
+        """Record the minor page faults of a ``stage.*`` span's block."""
+        if span is NULL_SPAN:
+            yield
+            return
+        usage = resource.getrusage
+        before = usage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            yield
+        finally:
+            faults = usage(resource.RUSAGE_SELF).ru_minflt - before
+            span.set(minflt=faults)
+            stage = span.name.removeprefix("stage.")
+            self.obs.counter("stage_minflt_total", stage=stage).inc(faults)
+
     def build_database(self) -> Database:
         """Stage 1: construct the training database."""
         start = time.perf_counter()
-        with self.obs.span("stage.construct_database"):
+        with self.obs.span("stage.construct_database") as span, \
+                self._minor_faults(span):
             self.database = generate_dataset(
                 self.circuit, self.placement, self.tech,
                 config=self.config.dataset,
@@ -160,7 +181,8 @@ class AnalogFold:
         if self.database is None:
             self.build_database()
         start = time.perf_counter()
-        with self.obs.span("stage.model_training"):
+        with self.obs.span("stage.model_training") as span, \
+                self._minor_faults(span):
             graph = self.database.graph
             self.model = Gnn3d(
                 graph.ap_features.shape[1],
@@ -179,7 +201,8 @@ class AnalogFold:
         if self.model is None:
             self.train()
         start = time.perf_counter()
-        with self.obs.span("stage.guide_generation"):
+        with self.obs.span("stage.guide_generation") as span, \
+                self._minor_faults(span):
             potential = PotentialFunction(
                 self.model, self.database.graph,
                 weights=self.config.fom_weights,
@@ -238,7 +261,8 @@ class AnalogFold:
         weights = self.config.fom_weights
         candidates: list[tuple[object, str]] = []
         candidate_foms: list[float] = []
-        with self.obs.span("stage.guided_routing"):
+        with self.obs.span("stage.guided_routing") as span, \
+                self._minor_faults(span):
             if self.config.select_by == "simulation":
                 for d in derived:
                     try:

@@ -296,9 +296,13 @@ class PotentialRelaxer:
             for x, _ in inits
         ])
 
+        # The last evaluation's point and per-restart values.
+        last: list[np.ndarray] = []
+
         def objective(x_joint: np.ndarray) -> tuple[float, np.ndarray]:
             values, grads = potential.value_and_grad_batch(
                 x_joint.reshape(wave, n_vars))
+            last[:] = [x_joint.copy(), values.copy()]
             return float(values.sum()), grads.reshape(-1)
 
         evals_before = potential.stats.batched_evals
@@ -312,10 +316,14 @@ class PotentialRelaxer:
                 bounds=bounds,
                 options={"maxiter": cfg.maxiter},
             )
-            # One more batched eval for the final per-restart values (the
-            # joint ``result.fun`` only exposes their sum).
-            values, _ = potential.value_and_grad_batch(
-                result.x.reshape(wave, n_vars))
+            # The joint ``result.fun`` only exposes the sum of the
+            # per-restart values.  L-BFGS-B usually evaluated ``result.x``
+            # last; otherwise evaluate it once more.
+            if last and last[0].tobytes() == result.x.tobytes():
+                values = last[1]
+            else:
+                values, _ = potential.value_and_grad_batch(
+                    result.x.reshape(wave, n_vars))
         except RelaxationError as exc:
             elapsed = time.perf_counter() - started
             evals = potential.stats.batched_evals - evals_before

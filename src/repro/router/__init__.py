@@ -1,7 +1,7 @@
 """Grid-based analog detailed router with symmetry and guidance support."""
 
 from repro.router.astar import AStarRouter, CostParams
-from repro.router.costfield import CostField, build_add_core
+from repro.router.costfield import CostField, CostState
 from repro.router.pqueue import BucketQueue
 from repro.router.grid import FREE, BLOCKED, GridNode, RoutingGrid
 from repro.router.guidance import AccessPoint, RoutingGuidance, uniform_guidance
@@ -13,7 +13,7 @@ __all__ = [
     "BucketQueue",
     "CostField",
     "CostParams",
-    "build_add_core",
+    "CostState",
     "FREE",
     "BLOCKED",
     "GridNode",

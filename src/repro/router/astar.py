@@ -17,8 +17,9 @@ distance to the target at the cheapest planar step cost plus the layer
 distance at the via cost.  Both are lower bounds on the remaining cost,
 so it is admissible (and consistent).  A push computes it in O(1) as
 ``ng + (h[nxt] * h_factor + h_layer[layer])``, the oracle's float
-association: ``h`` is an unscaled Manhattan field shared across
-connections and ``h_layer`` a per-connection list of layer terms.
+association: ``h`` is an unscaled Manhattan list shared by the
+connections to one target column and ``h_layer`` a per-connection list
+of layer terms.
 
 ``scalar``
     The general engine: all per-node arithmetic is precomputed into
@@ -48,6 +49,7 @@ import numpy as np
 
 from repro.router.costfield import (
     CostField,
+    CostState,
     INF,
     validate_connection_inputs,
 )
@@ -133,9 +135,6 @@ class AStarRouter:
                              "min": float("inf"), "max": float("-inf")}
         # Engine state, lazily allocated.
         self._list_state: _SearchState | None = None
-        # (tx, ty) -> padded unscaled Manhattan heuristic field, shared
-        # across connections, guidance vectors, and rip-up rounds.
-        self._man_cache: dict = {}
 
     # -- state management ---------------------------------------------------
 
@@ -164,6 +163,19 @@ class AStarRouter:
 
     # -- public API ---------------------------------------------------------
 
+    def cost_state(self, net: str | None = None) -> CostState:
+        """Entry-cost lists of the grid as it stands, with ``net`` open.
+
+        :meth:`IterativeRouter.route_all
+        <repro.router.iterative.IterativeRouter.route_all>` keeps the one
+        it asks for (``net=None``) live across its run; a standalone
+        :meth:`route_connection` takes a fresh one per call.
+        """
+        costs = CostState(self.grid, self.params)
+        if net is not None:
+            costs.open_net(net)
+        return costs
+
     def route_connection(
         self,
         net: str,
@@ -172,7 +184,7 @@ class AStarRouter:
         guidance_vec: np.ndarray | None = None,
         soft: bool = False,
         max_expansions: int = 200_000,
-        add_core=None,
+        costs: CostState | None = None,
     ) -> list[GridNode] | None:
         """Find a cheapest path from any source to the target.
 
@@ -187,9 +199,9 @@ class AStarRouter:
                 ``present_penalty`` (negotiation mode); when False they are
                 hard blocked.
             max_expansions: search budget before giving up.
-            add_core: optional precomputed
-                :class:`~repro.router.costfield.AddField` for this
-                (net, soft) state, reused across a net's connections.
+            costs: live :class:`~repro.router.costfield.CostState` of
+                this grid with ``net`` open; a snapshot of the grid when
+                None.
 
         Returns:
             The path as a list of grid cells from a source to the target,
@@ -198,27 +210,13 @@ class AStarRouter:
         if not sources:
             return None
         guid = validate_connection_inputs(guidance_vec)
-        p = self.params
-        # A caller-provided add_core pins the grid state, so the whole
-        # cost field (and its quantization core) is reusable across that
-        # net's connections whenever guidance repeats — only the
-        # target-dependent heuristic needs repointing.
-        field = None
-        cache_key = None
-        if add_core is not None:
-            cache_key = (guid, soft)
-            field = add_core.field_cache.get(cache_key)
-        if field is not None:
-            field.retarget(target)
-        else:
-            field = CostField(
-                self.grid, net=net, guid=guid, soft=soft, target=target,
-                wire_cost=p.wire_cost, wrong_way_penalty=p.wrong_way_penalty,
-                via_cost=p.via_cost, present_penalty=p.present_penalty,
-                history_weight=p.history_weight, add_core=add_core,
-                man_cache=self._man_cache)
-            if cache_key is not None:
-                add_core.field_cache[cache_key] = field
+        if costs is None:
+            costs = self.cost_state(net)
+        elif costs.net != net:
+            raise ValueError(
+                f"cost state has net {costs.net!r} open, not {net!r}")
+        field = costs.cost_field(guid, soft)
+        field.retarget(target)
         quantized = field.quantize()
         if quantized is not None:
             return self._route_bucketed(
@@ -252,17 +250,17 @@ class AStarRouter:
             st_l[node] = gen
             push(heap, (h_l[node] * hf + hl[node % nlp], 0.0, node))
 
-        if field.extra_list is None:
+        costs = field.costs
+        if field.soft:
+            expansions, found = self._scalar_soft(
+                heap, g_l, par_l, st_l, gen, costs.extra, costs.hist, h_l,
+                hl, hf, field.step_x, field.step_y, field.via, nlp,
+                field.dix, field.target_node, max_expansions)
+        else:
             expansions, found = self._scalar_hard(
-                heap, g_l, par_l, st_l, gen, field.add_list, h_l, hl, hf,
+                heap, g_l, par_l, st_l, gen, costs.hard, h_l, hl, hf,
                 field.step_x, field.step_y, field.via, nlp, field.dix,
                 field.target_node, max_expansions)
-        else:
-            expansions, found = self._scalar_soft(
-                heap, g_l, par_l, st_l, gen, field.extra_list,
-                field.hist_list, h_l, hl, hf, field.step_x, field.step_y,
-                field.via, nlp, field.dix, field.target_node,
-                max_expansions)
         self._note_expansions("scalar", expansions)
         if found < 0:
             return None
@@ -510,7 +508,7 @@ class AStarRouter:
         state = self._get_list_state()
         g_l, par_l, st_l = state.g, state.parent, state.stamp
         gen = state.next_generation()
-        add_l = quantized.add
+        add_l = quantized.entry
         h_l = quantized.h
         hl = quantized.h_layer
         step_x = quantized.step_x

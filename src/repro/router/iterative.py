@@ -25,7 +25,7 @@ from repro.netlist.nets import Net, NetType
 from repro.obs import NULL_CONTEXT, RunContext
 from repro.reliability.faults import maybe_inject
 from repro.router.astar import AStarRouter, CostParams
-from repro.router.costfield import build_add_core
+from repro.router.costfield import CostState
 from repro.router.grid import FREE, GridNode, RoutingGrid
 from repro.router.guidance import AccessPoint, RoutingGuidance
 from repro.router.result import NetRoute, RoutingResult
@@ -72,22 +72,45 @@ _TYPE_PRIORITY = {
 #: Face connectivity (+-x, +-y, +-z): the moves every A* engine makes.
 _FACE_NEIGHBOURS = ndimage.generate_binary_structure(3, 1)
 
-#: Offsets of a cell and its six face neighbours.
-_CELL_AND_NEIGHBOURS = np.argwhere(_FACE_NEIGHBOURS) - 1
 
+class _Components:
+    """Face-connected components of the cells a hard search may enter.
 
-def _components_entered(labels: np.ndarray, cells) -> set[int]:
-    """Labels of the hard-passable components a search from ``cells`` enters.
-
-    A search pushes its sources whether or not they are passable, and
-    from each one only its passable neighbours, so it can enter the
-    components of its sources and of their in-bounds face neighbours.
+    ``labels`` is a padded flat list (the cost lists' layout): the free
+    cells and the net's own are labelled from 1, blocked, foreign and
+    border cells 0, so a cell's six neighbours need no bounds checks.
     """
-    near = (np.array(list(cells), dtype=np.int64)[:, None, :]
-            + _CELL_AND_NEIGHBOURS).reshape(-1, 3)
-    near = near[np.all((near >= 0) & (near < labels.shape), axis=1)]
-    found = labels[near[:, 0], near[:, 1], near[:, 2]]
-    return set(found[found > 0].tolist())
+
+    __slots__ = ("labels", "nyp", "nlp")
+
+    def __init__(self, labels: list, nyp: int, nlp: int) -> None:
+        self.labels = labels
+        self.nyp = nyp
+        self.nlp = nlp
+
+    def label(self, cell: GridNode) -> int:
+        """Component of one cell; 0 when a hard search cannot enter it."""
+        return self.labels[((cell[0] + 1) * self.nyp + cell[1] + 1)
+                           * self.nlp + cell[2] + 1]
+
+    def entered(self, cells) -> set[int]:
+        """Components a search from ``cells`` enters.
+
+        A search pushes its sources whether or not they are passable, and
+        from each one only its passable neighbours, so it can enter the
+        components of its sources and of their face neighbours.
+        """
+        labels, nyp, nlp = self.labels, self.nyp, self.nlp
+        dx = nyp * nlp
+        found = set()
+        for x, y, layer in cells:
+            node = ((x + 1) * nyp + y + 1) * nlp + layer + 1
+            found.update((labels[node], labels[node + dx],
+                          labels[node - dx], labels[node + nlp],
+                          labels[node - nlp], labels[node + 1],
+                          labels[node - 1]))
+        found.discard(0)
+        return found
 
 
 class IterativeRouter:
@@ -106,6 +129,8 @@ class IterativeRouter:
         self.obs = obs if obs is not None else NULL_CONTEXT
         self.astar = AStarRouter(grid, self.config.cost)
         self.circuit = grid.placement.circuit
+        # The engine's live cost lists, only while route_all runs.
+        self._costs: CostState | None = None
 
     # -- public API ---------------------------------------------------------------
 
@@ -119,10 +144,23 @@ class IterativeRouter:
         ``route_expansions_total{mode=...}`` and its frontier batches to
         the ``route_frontier_batch`` histogram.
 
+        The engine's cost lists are built once per call and kept live:
+        each commit, rip-up and history bump rewrites only the cells it
+        changes, and each net's attempt opens that net's own cells.  An
+        engine whose :meth:`~repro.router.astar.AStarRouter.cost_state`
+        is None reads the grid itself and gets no lists.
+
         Raises :class:`~repro.reliability.errors.RoutingError` under an
         active fault-injection plan for the ``"routing"`` stage.
         """
         maybe_inject("routing")
+        self._costs = self.astar.cost_state()
+        try:
+            return self._route_all()
+        finally:
+            self._costs = None
+
+    def _route_all(self) -> RoutingResult:
         result = RoutingResult()
         queue: list[str] = self._net_order()
         routed: dict[str, NetRoute] = {}
@@ -236,7 +274,12 @@ class IterativeRouter:
         astar = self.astar
         before = dict(astar.expansions_by_mode)
         astar.take_batch_window()
+        costs = self._costs
+        if costs is not None:
+            costs.open_net(net_name)
         route, conflicts, unreachable = self._route_net(net_name)
+        if costs is not None:
+            costs.close_net()
         for mode in sorted(astar.expansions_by_mode):
             count = astar.expansions_by_mode[mode] - before.get(mode, 0)
             if count:
@@ -274,64 +317,57 @@ class IterativeRouter:
         conflicts: set[str] = set()
         tree_cells: set[GridNode] = {aps[0].cell}
         remaining = list(self._mst_order(aps))
-        labels = self._hard_components(net_name)
-        entered = (set() if labels is None
-                   else _components_entered(labels, tree_cells))
+        components = self._hard_components(net_name)
+        entered = (set() if components is None
+                   else components.entered(tree_cells))
         unreachable = 0
-        # The hard-mode additive cost field only depends on (net, grid
-        # state); reuse it across this net's connections, rebuilding after
-        # any history bump from a soft fallback.
-        hard_core = None
+        costs = self._costs
         net_mean = self.guidance.net_vector(aps)
         for target_ap in remaining:
             if target_ap.cell in tree_cells:
                 continue
             guid = self._connection_guidance(target_ap, net_mean)
             path = None
-            if (labels is not None
-                    and int(labels[target_ap.cell]) not in entered):
+            if (components is not None
+                    and components.label(target_ap.cell) not in entered):
                 unreachable += 1
             else:
-                if hard_core is None:
-                    hard_core = build_add_core(
-                        self.grid, net=net_name, soft=False,
-                        present_penalty=self.config.cost.present_penalty,
-                        history_weight=self.config.cost.history_weight)
                 path = self.astar.route_connection(
                     net_name, tree_cells, target_ap.cell, guidance_vec=guid,
                     soft=False, max_expansions=self.config.max_expansions,
-                    add_core=hard_core,
+                    costs=costs,
                 )
             if path is None:
                 path = self.astar.route_connection(
                     net_name, tree_cells, target_ap.cell, guidance_vec=guid,
                     soft=True, max_expansions=self.config.max_expansions,
+                    costs=costs,
                 )
                 if path is None:
                     return None, conflicts, unreachable
-                for cell in path:
-                    owner = self.grid.owner(cell)
-                    if owner >= 0 and self.grid.net_names[owner] != net_name:
-                        conflicts.add(self.grid.net_names[owner])
-                        self.grid.history[cell] += self.config.history_increment
-                hard_core = None
+                conflicts |= self._bump_history(net_name, path)
             route.paths.append(path)
             tree_cells.update(path)
-            if labels is not None:
-                entered |= _components_entered(labels, path)
+            if components is not None:
+                entered |= components.entered(path)
         return route, conflicts, unreachable
 
-    def _hard_components(self, net_name: str) -> np.ndarray | None:
+    def _hard_components(self, net_name: str) -> _Components | None:
         """Face-connected components of the cells a hard search may enter.
 
-        Those cells are the free ones and the net's own; they are labelled
-        from 1, blocked and foreign cells 0.  An override returning None
-        runs every hard search (the flooding oracle of the router tests).
+        Those cells are the free ones and the net's own.  An override
+        returning None runs every hard search (the flooding oracle of the
+        router tests).
         """
-        occ = self.grid.occupancy
-        passable = (occ == FREE) | (occ == self.grid.net_index[net_name])
-        labels, _ = ndimage.label(passable, structure=_FACE_NEIGHBOURS)
-        return labels
+        grid = self.grid
+        occ = grid.occupancy
+        passable = (occ == FREE) | (occ == grid.net_index[net_name])
+        padded = np.zeros((grid.nx + 2, grid.ny + 2, grid.num_layers + 2),
+                          dtype=np.int32)
+        ndimage.label(passable, structure=_FACE_NEIGHBOURS,
+                      output=padded[1:-1, 1:-1, 1:-1])
+        return _Components(padded.reshape(-1).tolist(), grid.ny + 2,
+                           grid.num_layers + 2)
 
     def _mst_order(self, aps: list[AccessPoint]) -> list[AccessPoint]:
         """Order terminals by nearest-neighbour growth from the first AP."""
@@ -363,10 +399,34 @@ class IterativeRouter:
 
     # -- occupancy management ------------------------------------------------------------
 
+    def _bump_history(self, net_name: str, path) -> set[str]:
+        """Raise history on the path's cells other nets hold.
+
+        Returns the nets holding them: the ones a soft path ripped through.
+        """
+        grid = self.grid
+        owners: set[str] = set()
+        bumped = []
+        for cell in path:
+            owner = grid.owner(cell)
+            if owner >= 0 and grid.net_names[owner] != net_name:
+                owners.add(grid.net_names[owner])
+                grid.history[cell] += self.config.history_increment
+                bumped.append(cell)
+        if self._costs is not None:
+            self._costs.refresh_cells(bumped)
+        return owners
+
     def _commit(self, route: NetRoute) -> None:
-        for cell in route.cells():
+        cells = route.cells()
+        for cell in cells:
             self.grid.claim(cell, route.net)
+        if self._costs is not None:
+            self._costs.refresh_cells(cells)
 
     def _rip_up(self, route: NetRoute) -> None:
+        cells = route.cells()
         self.grid.release_net(route.net)
         route.paths.clear()
+        if self._costs is not None:
+            self._costs.refresh_cells(cells)

@@ -81,26 +81,29 @@ def output_noise_uvrms(
 ) -> float:
     """Integrated differential output noise in microvolts rms.
 
-    One adjoint solve per frequency prices every thermal and flicker
-    source; the PSD integrates by trapezoid over the log grid.
+    One stacked adjoint solve over every frequency prices every thermal
+    and flicker source; the PSD integrates by trapezoid over the log grid.
     """
     pos, neg = bench.config.output_nets
-    weights = {bench.net_node(pos): 1.0, bench.net_node(neg): -1.0}
+    system = bench.system
+    transfers = system.solve_sweep(
+        freqs, [{bench.net_node(pos): 1.0, bench.net_node(neg): -1.0}],
+        transposed=True)[:, :, 0]
+    ground = np.zeros(len(freqs), dtype=complex)
+
+    def transfer(node: str) -> np.ndarray:
+        if node == system.GROUND:
+            return ground
+        return transfers[:, system.node(node)]
+
+    # Sources accumulate in a fixed order, and ``|t| ** 2`` rounds as a
+    # scalar complex ``abs`` (hypot) raised by C ``pow`` does:
+    # ``np.abs`` on a complex array and the array square do not.
     psd = np.zeros(len(freqs))
-    for i, freq in enumerate(freqs):
-        transfers = bench.system.adjoint_solve(freq, weights)
-
-        def transfer(node: str) -> complex:
-            if node == bench.system.GROUND:
-                return 0.0 + 0.0j
-            return transfers[node]
-
-        total = 0.0
-        for node_d, node_s, thermal, flicker in bench.noise_sources:
-            t = transfer(node_d) - transfer(node_s)
-            source_psd = thermal + flicker / freq
-            total += (abs(t) ** 2) * source_psd
-        psd[i] = total
+    for node_d, node_s, thermal, flicker in bench.noise_sources:
+        t = transfer(node_d) - transfer(node_s)
+        psd += (np.float_power(np.hypot(t.real, t.imag), 2.0)
+                * (thermal + flicker / freqs))
     variance = np.trapezoid(psd, freqs)
     return float(np.sqrt(max(variance, 0.0)) * 1e6)
 

@@ -37,6 +37,8 @@ class MnaSystem:
         self._c_entries: list[tuple[int, int, float]] = []
         self._g: np.ndarray | None = None
         self._c: np.ndarray | None = None
+        # (frequency bytes, matrix stack) of the last sweep.
+        self._sweep: tuple[bytes, np.ndarray] | None = None
 
     # -- node management --------------------------------------------------------
 
@@ -116,11 +118,19 @@ class MnaSystem:
     def _system_matrices(self, freqs: np.ndarray) -> np.ndarray:
         """``G + j*2*pi*f*C`` at each frequency, stacked (F, n, n).
 
+        The stack of the last frequency grid is kept until a stamp
+        changes the system, so an AC sweep and a noise sweep over the
+        same grid build it once.
+
         Raises:
             SimulationError: a system matrix has non-finite entries.
         """
         if self._g is None:
             self._assemble()
+            self._sweep = None
+        key = freqs.tobytes()
+        if self._sweep is not None and self._sweep[0] == key:
+            return self._sweep[1]
         omega = 2.0 * np.pi * freqs
         matrices = (self._g.astype(complex)
                     + 1j * omega[:, None, None] * self._c)
@@ -130,16 +140,24 @@ class MnaSystem:
             raise SimulationError(
                 f"MNA matrix has non-finite entries at {freq:g} Hz",
                 stage="simulation", details={"freq_hz": freq})
+        self._sweep = (key, matrices)
         return matrices
 
     def solve_sweep(self, freqs: Sequence[float],
-                    injections: Sequence[dict[str, complex]]) -> np.ndarray:
+                    injections: Sequence[dict[str, complex]],
+                    transposed: bool = False) -> np.ndarray:
         """Node voltages for several injection sets at every frequency.
 
         Args:
             freqs: analysis frequencies in hertz.
             injections: per right-hand side, the current (amperes)
                 injected *into* each named node.
+            transposed: solve the transposed (adjoint) systems instead.
+                With one right-hand side of output weights ``w_k`` on
+                nodes ``k``, entry ``[f, node(n), 0]`` is then the output
+                ``sum_k w_k * V(k)`` that 1 A injected into node ``n``
+                produces: noise analysis prices every source with one
+                solve.
 
         Returns:
             (F, num_nodes, K) complex voltages, in node-index order
@@ -151,6 +169,8 @@ class MnaSystem:
         """
         freqs = np.asarray(freqs, dtype=float).reshape(-1)
         matrices = self._system_matrices(freqs)
+        if transposed:
+            matrices = matrices.transpose(0, 2, 1)
         rhs = np.zeros((self.num_nodes, len(injections)), dtype=complex)
         for k, currents in enumerate(injections):
             for name, current in currents.items():
@@ -188,36 +208,4 @@ class MnaSystem:
             Mapping of node name to complex voltage (ground excluded).
         """
         solution = self.solve_sweep([freq], [injections])[0, :, 0]
-        return {name: solution[i] for name, i in self._index.items()}
-
-    def adjoint_solve(
-        self, freq: float, output_weights: dict[str, float]
-    ) -> dict[str, complex]:
-        """Transfer from unit current injection at every node to an output.
-
-        Solves the transposed system once: the returned mapping gives, for
-        each node ``n``, the output voltage produced by injecting 1 A into
-        ``n``, where the output is ``sum_k w_k * V(node_k)`` per
-        ``output_weights``.  Noise analysis uses this to price every noise
-        source with a single factorization per frequency.
-        """
-        if self._g is None:
-            self._assemble()
-        omega = 2.0 * np.pi * freq
-        matrix = (self._g.astype(complex) + 1j * omega * self._c).T
-        rhs = np.zeros(self.num_nodes, dtype=complex)
-        for name, weight in output_weights.items():
-            idx = self.node(name)
-            if idx >= 0:
-                rhs[idx] += weight
-        try:
-            solution = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(
-                f"adjoint MNA solve failed at {freq:g} Hz: {exc}",
-                stage="simulation", details={"freq_hz": freq}) from exc
-        if not np.isfinite(solution).all():
-            raise SimulationError(
-                f"singular adjoint MNA system at {freq:g} Hz",
-                stage="simulation", details={"freq_hz": freq})
         return {name: solution[i] for name, i in self._index.items()}

@@ -50,8 +50,13 @@ class SeedAStarRouter(AStarRouter):
             )
         return self._ref_state
 
+    def cost_state(self, net=None):
+        """None: the seed engine reads the grid itself, so ``route_all``
+        keeps no cost lists live for it."""
+        return None
+
     def route_connection(self, net, sources, target, guidance_vec=None,
-                         soft=False, max_expansions=200_000, add_core=None):
+                         soft=False, max_expansions=200_000, costs=None):
         if not sources:
             return None
         guid = validate_connection_inputs(guidance_vec)

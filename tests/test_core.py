@@ -1,5 +1,7 @@
 """Tests for the potential function, relaxation, dataset, and pipeline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core import (
     RelaxationConfig,
     generate_dataset,
 )
+from repro.core import relaxation
 from repro.eval.runtime import runtime_breakdown
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig
 from repro.simulation.metrics import FoMWeights
@@ -118,6 +121,37 @@ class TestRelaxation:
         relaxer.run(pot)
         bests = relaxer.trace.best_per_restart
         assert bests == sorted(bests, reverse=True)
+
+    def test_final_values_reuse_the_last_evaluation(self, trained_setup):
+        """A wave reads its per-restart values from L-BFGS-B's last
+        evaluation when that was at ``result.x``, and gives the outputs of
+        evaluating ``result.x`` again, bit for bit."""
+        pot = PotentialFunction(trained_setup.model,
+                                trained_setup.database.graph)
+        cfg = RelaxationConfig(n_restarts=6, pool_size=3, n_derive=3,
+                               maxiter=6, seed=4)
+
+        def run():
+            before = pot.stats.forwards
+            out = PotentialRelaxer(cfg).run(pot)
+            return out, pot.stats.forwards - before
+
+        reused, reused_forwards = run()
+        real = relaxation.minimize
+
+        def evaluate_elsewhere_last(fun, x0, **kwargs):
+            result = real(fun, x0, **kwargs)
+            fun(x0)  # the last evaluation is no longer at result.x
+            return result
+
+        with mock.patch.object(relaxation, "minimize",
+                               evaluate_elsewhere_last):
+            again, again_forwards = run()
+        # Two waves; each pays the detour and the evaluation at result.x.
+        assert again_forwards == reused_forwards + 2 * 2
+        assert [s.potential for s in reused] == [s.potential for s in again]
+        for a, b in zip(reused, again):
+            assert a.guidance.tobytes() == b.guidance.tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.core import (
     RelaxationConfig,
 )
 from repro.model import Gnn3dConfig, TrainConfig
+from repro.obs import RunContext
 from repro.simulation import FoMWeights
 
 
@@ -106,3 +107,32 @@ class TestSelection:
             "construct_database", "model_training", "guide_generation",
             "guided_routing",
         }
+
+
+class TestStageFaults:
+    def test_recorded_stage_spans_carry_minor_faults(self, ota1,
+                                                     ota1_placement, tech):
+        obs = RunContext.recording()
+        fold = AnalogFold(
+            ota1, ota1_placement, tech,
+            config=AnalogFoldConfig(
+                dataset=DatasetConfig(num_samples=3, seed=5),
+                gnn=Gnn3dConfig(hidden=8, num_layers=1, seed=5),
+                training=TrainConfig(epochs=1, val_fraction=0.0, patience=0),
+                relaxation=RelaxationConfig(n_restarts=2, pool_size=1,
+                                            n_derive=1, maxiter=2, seed=5),
+            ),
+            obs=obs,
+        )
+        fold.run()
+        stages = {e["name"]: e["attrs"] for e in obs.drain_events()
+                  if e["name"].startswith("stage.")}
+        assert set(stages) == {
+            "stage.construct_database", "stage.model_training",
+            "stage.guide_generation", "stage.guided_routing"}
+        counters = obs.metrics.counter_values()
+        for name, attrs in stages.items():
+            faults = attrs["minflt"]
+            assert isinstance(faults, int) and faults >= 0
+            stage = name.removeprefix("stage.")
+            assert counters.get(f"stage_minflt_total{{stage={stage}}}", 0) == faults

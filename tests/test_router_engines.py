@@ -35,13 +35,12 @@ from repro.router import (
     BucketQueue,
     CostField,
     IterativeRouter,
+    NetRoute,
     RouterConfig,
     RoutingGrid,
-    build_add_core,
 )
-from repro.router.astar import _STAMP_MAX
+from repro.router.astar import _STAMP_MAX, CostParams
 from repro.router.guidance import RoutingGuidance, random_guidance
-from repro.router.iterative import _components_entered
 from repro.router.pqueue import BucketQueue as PQBucketQueue
 from tests.router_oracle import (
     FloodingRouter,
@@ -257,8 +256,8 @@ def _small_grid(template, occupancy):
 
 def _skip_verdict(grid, net, sources, target):
     """The iterative router's verdict: True when it skips the hard search."""
-    labels = IterativeRouter(grid)._hard_components(net)
-    return int(labels[target]) not in _components_entered(labels, sources)
+    components = IterativeRouter(grid)._hard_components(net)
+    return components.label(target) not in components.entered(sources)
 
 
 def _hard_searches(grid, net, sources, target):
@@ -366,16 +365,19 @@ class TestReachabilityVerdict:
 
 
 def _path_cost(field: CostField, path) -> float:
-    """Accumulate a path's g the way every engine does."""
+    """Accumulate a path's g: step costs plus entry costs."""
+    costs = field.costs
     cost = 0.0
     for prev, cur in zip(path, path[1:]):
         if prev[2] != cur[2]:
             cost += field.via
         elif prev[1] != cur[1]:
-            cost += field.planar[cur[2], 1]
+            cost += field.step_y[cur[2] + 1]
         else:
-            cost += field.planar[cur[2], 0]
-        cost += float(field.add[field.encode(cur)])
+            cost += field.step_x[cur[2] + 1]
+        node = field.encode(cur)
+        cost += (costs.hist[node] + costs.extra[node] if field.soft
+                 else costs.hard[node])
     return cost
 
 
@@ -433,10 +435,8 @@ class TestLayerAwareHeuristic:
         if path is None:
             return
         assert path[0] == src and path[-1] == dst
-        field = CostField(
-            grid, net=net, guid=tuple(guid), soft=soft, target=dst,
-            wire_cost=1.0, wrong_way_penalty=2.5, via_cost=4.0,
-            present_penalty=25.0, history_weight=1.0)
+        field = AStarRouter(grid).cost_state(net).cost_field(
+            tuple(guid.tolist()), soft)
         assert _path_cost(field, path) == pytest.approx(
             _path_cost(field, best), rel=1e-12, abs=0.0)
 
@@ -462,11 +462,11 @@ class TestQuantizationDetection:
     def _field(self, grid, *, guid=(1.0, 1.0, 1.0), via_cost=4.0,
                wire_cost=1.0):
         net = grid.net_names[0]
-        dst = _free_cell(grid, layer=1)
-        return CostField(
-            grid, net=net, guid=guid, soft=False,
-            target=dst, wire_cost=wire_cost, wrong_way_penalty=2.5,
-            via_cost=via_cost, present_penalty=25.0, history_weight=1.0)
+        params = CostParams(wire_cost=wire_cost, via_cost=via_cost)
+        field = AStarRouter(grid, params).cost_state(net).cost_field(
+            guid, soft=False)
+        field.retarget(_free_cell(grid, layer=1))
+        return field
 
     def test_dyadic_costs_quantize(self, fresh_grid):
         q = self._field(fresh_grid, guid=(1.5, 0.25, 2.0)).quantize()
@@ -494,23 +494,22 @@ class TestQuantizationDetection:
         second = field.quantize()
         assert first is not None and second is not None
         assert second.scale == first.scale
-        assert second.add is first.add  # target-independent parts reused
+        assert second.entry is first.entry  # target-independent parts reused
 
 
 class TestCostFieldReuse:
     def test_field_cache_reused_across_targets(self, fresh_grid):
         grid = fresh_grid
         net = grid.net_names[0]
-        core = build_add_core(grid, net=net, soft=False,
-                              present_penalty=25.0, history_weight=1.0)
+        router = AStarRouter(grid)
+        costs = router.cost_state(net)
         src = _free_cell(grid, layer=1)
         dst1 = _free_cell(grid, layer=1, start=(src[0] + 2, 0))
         dst2 = _free_cell(grid, layer=1, start=(src[0] + 4, 1))
 
-        router = AStarRouter(grid)
-        p1 = router.route_connection(net, {src}, dst1, add_core=core)
-        p2 = router.route_connection(net, {src}, dst2, add_core=core)
-        assert len(core.field_cache) == 1  # same (guid, mult, mode) key
+        p1 = router.route_connection(net, {src}, dst1, costs=costs)
+        p2 = router.route_connection(net, {src}, dst2, costs=costs)
+        assert len(costs._fields) == 1  # same (guidance, mode) key
 
         fresh = AStarRouter(grid)
         assert p1 == fresh.route_connection(net, {src}, dst1)
@@ -519,15 +518,99 @@ class TestCostFieldReuse:
     def test_distinct_guidance_gets_distinct_fields(self, fresh_grid):
         grid = fresh_grid
         net = grid.net_names[0]
-        core = build_add_core(grid, net=net, soft=False,
-                              present_penalty=25.0, history_weight=1.0)
+        router = AStarRouter(grid)
+        costs = router.cost_state(net)
         src = _free_cell(grid, layer=1)
         dst = _free_cell(grid, layer=1, start=(src[0] + 2, 0))
-        router = AStarRouter(grid)
-        router.route_connection(net, {src}, dst, add_core=core)
-        router.route_connection(net, {src}, dst, add_core=core,
+        router.route_connection(net, {src}, dst, costs=costs)
+        router.route_connection(net, {src}, dst, costs=costs,
                                 guidance_vec=np.array([2.0, 1.0, 1.0]))
-        assert len(core.field_cache) == 2
+        router.route_connection(net, {src}, dst, costs=costs, soft=True)
+        assert len(costs._fields) == 3
+
+    def test_state_must_have_the_net_open(self, fresh_grid):
+        grid = fresh_grid
+        net, other = grid.net_names[:2]
+        router = AStarRouter(grid)
+        src = _free_cell(grid, layer=1)
+        dst = _free_cell(grid, layer=1, start=(src[0] + 2, 0))
+        with pytest.raises(ValueError, match="open"):
+            router.route_connection(net, {src}, dst,
+                                    costs=router.cost_state(other))
+
+
+def _bits(values) -> np.ndarray:
+    """Bit patterns of a float list (``inf`` and signed zeros included)."""
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+_LIVE_STEPS = st.sampled_from(["commit", "rip_up", "bump", "open", "close"])
+
+
+class TestLiveCostState:
+    """The cost lists ``route_all`` keeps live equal a fresh snapshot of
+    ``grid.occupancy`` and ``grid.history`` bitwise after every commit,
+    rip-up, history bump and net open/close, the open net's own cells
+    and the integer twins of the entry lists included."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), steps=st.lists(_LIVE_STEPS, min_size=1,
+                                          max_size=14),
+           increment=st.sampled_from([2.0, 0.5, 0.3]))
+    def test_live_lists_match_snapshot(self, ota1_placement, tech, data,
+                                       steps, increment):
+        grid = RoutingGrid(ota1_placement, tech)
+        router = IterativeRouter(
+            grid, config=RouterConfig(history_increment=increment))
+        costs = router._costs = router.astar.cost_state()
+        # Integer twins at a fixed lattice and the cached entry terms,
+        # built before any change.
+        quantized = {soft: costs.quantized_entry(soft, 4, 10**9)
+                     for soft in (False, True)}
+        for soft in quantized:
+            costs.entry_terms(soft)
+        passable = [tuple(c) for c in
+                    np.argwhere(grid.occupancy != BLOCKED).tolist()]
+        anywhere = [tuple(c) for c in np.argwhere(
+            np.ones(grid.occupancy.shape, dtype=bool)).tolist()]
+        routed: dict = {}
+        for step in steps:
+            if step == "commit":
+                free = [n for n in grid.net_names if n not in routed]
+                net = data.draw(st.sampled_from(free))
+                aps = grid.access_points[net]
+                cells = data.draw(st.lists(st.sampled_from(passable),
+                                           max_size=12))
+                route = NetRoute(net=net, access_points=aps,
+                                 paths=[[ap.cell for ap in aps] + cells])
+                router._commit(route)
+                routed[net] = route
+            elif step == "rip_up" and routed:
+                net = data.draw(st.sampled_from(sorted(routed)))
+                router._rip_up(routed.pop(net))
+            elif step == "bump":
+                net = data.draw(st.sampled_from(grid.net_names))
+                path = data.draw(st.lists(st.sampled_from(anywhere),
+                                          max_size=12, unique=True))
+                router._bump_history(net, path)
+            elif step == "open" and costs.net is None:
+                costs.open_net(data.draw(st.sampled_from(grid.net_names)))
+            elif step == "close" and costs.net is not None:
+                costs.close_net()
+
+            snapshot = router.astar.cost_state(costs.net)
+            for name in ("hist", "hard", "extra"):
+                np.testing.assert_array_equal(
+                    _bits(getattr(costs, name)),
+                    _bits(getattr(snapshot, name)), err_msg=name)
+            for soft, live in quantized.items():
+                assert live == snapshot.quantized_entry(soft, 4, 10**9)
+                assert costs.entry_terms(soft) == snapshot.entry_terms(soft)
+
+    def test_route_all_keeps_no_state(self, fresh_grid):
+        router = IterativeRouter(fresh_grid)
+        router.route_all()
+        assert router._costs is None
 
 
 class TestWholeRouterIdentity:

@@ -13,6 +13,7 @@ from repro.simulation import (
     simulate_performance,
 )
 from repro.simulation.analyses import (
+    DEFAULT_FREQS,
     ac_analysis,
     cmrr_db,
     dc_gain_db,
@@ -122,6 +123,49 @@ class TestAnalyses:
         small = offset_voltage_uv(ota1, ota1_parasitics, mismatch_sigma=1e-8)
         large = offset_voltage_uv(ota1, ota1_parasitics, mismatch_sigma=1e-4)
         assert large > small
+
+
+def _noise_per_frequency(bench, freqs):
+    """The per-frequency noise loop: one transposed solve and one pass
+    over the noise sources per frequency (the oracle of the stacked
+    ``output_noise_uvrms``)."""
+    system = bench.system
+    pos, neg = bench.config.output_nets
+    matrices = system._system_matrices(freqs)
+    rhs = np.zeros(system.num_nodes, dtype=complex)
+    rhs[system.node(bench.net_node(pos))] += 1.0
+    rhs[system.node(bench.net_node(neg))] += -1.0
+    psd = np.zeros(len(freqs))
+    for i, freq in enumerate(freqs):
+        solution = np.linalg.solve(matrices[i].T, rhs)
+
+        def transfer(node):
+            if node == system.GROUND:
+                return 0.0 + 0.0j
+            return solution[system.node(node)]
+
+        total = 0.0
+        for node_d, node_s, thermal, flicker in bench.noise_sources:
+            t = transfer(node_d) - transfer(node_s)
+            total += (abs(t) ** 2) * (thermal + flicker / freq)
+        psd[i] = total
+    return float(np.sqrt(max(np.trapezoid(psd, freqs), 0.0)) * 1e6)
+
+
+class TestStackedNoise:
+    """The stacked noise solve equals the per-frequency loop bitwise."""
+
+    @pytest.mark.parametrize("name", ["OTA1", "OTA2", "OTA3", "OTA4"])
+    def test_schematic_matches_loop(self, name):
+        circuit = build_benchmark(name)
+        bench = Testbench(circuit, extract_schematic(list(circuit.nets)))
+        stacked = output_noise_uvrms(bench, DEFAULT_FREQS)
+        assert stacked == _noise_per_frequency(bench, DEFAULT_FREQS)
+
+    def test_routed_layout_matches_loop(self, ota1, ota1_parasitics):
+        bench = Testbench(ota1, ota1_parasitics)
+        stacked = output_noise_uvrms(bench, DEFAULT_FREQS)
+        assert stacked == _noise_per_frequency(bench, DEFAULT_FREQS)
 
 
 class TestSimulatePerformance:

@@ -122,16 +122,32 @@ class TestAdjoint:
         sys.add_resistance("b", "0", 7.0)
         sys.add_capacitance("b", "0", 1e-9)
         sys.add_vccs("b", "0", "a", "0", 1e-4)
-        freq = 1e6
-        transfers = sys.adjoint_solve(freq, {"b": 1.0})
-        direct = sys.solve(freq, {"a": 1.0})
-        assert transfers["a"] == pytest.approx(direct["b"], rel=1e-9)
+        freqs = [1e3, 1e6]
+        transfers = sys.solve_sweep(freqs, [{"b": 1.0}], transposed=True)
+        for f, freq in enumerate(freqs):
+            direct = sys.solve(freq, {"a": 1.0})
+            assert transfers[f, sys.node("a"), 0] == pytest.approx(
+                direct["b"], rel=1e-9)
 
     def test_adjoint_weighted_output(self):
         sys = MnaSystem()
         sys.add_resistance("a", "0", 1.0)
         sys.add_resistance("b", "0", 1.0)
-        transfers = sys.adjoint_solve(0.0, {"a": 1.0, "b": -1.0})
+        transfers = sys.solve_sweep([0.0], [{"a": 1.0, "b": -1.0}],
+                                    transposed=True)
         direct = sys.solve(0.0, {"a": 1.0})
         expected = direct["a"] - direct["b"]
-        assert transfers["a"] == pytest.approx(expected, rel=1e-9)
+        assert transfers[0, sys.node("a"), 0] == pytest.approx(expected,
+                                                               rel=1e-9)
+
+    def test_sweeps_share_the_matrix_stack_until_a_stamp(self):
+        sys = MnaSystem()
+        sys.add_resistance("a", "0", 1.0)
+        sys.add_capacitance("a", "0", 1e-9)
+        freqs = np.array([1e3, 1e6])
+        first = sys._system_matrices(freqs)
+        assert sys._system_matrices(freqs.copy()) is first
+        sys.add_resistance("a", "0", 2.0)
+        again = sys._system_matrices(freqs)
+        assert again is not first
+        assert again[0, 0, 0] == pytest.approx(1.5 + 2j * np.pi * 1e-6)
