@@ -20,23 +20,26 @@ from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.model.heads import NUM_METRICS, ReadoutHead
 from repro.nn import (
     MLP,
+    FrozenLayer,
     Module,
+    Parameter,
     RBFExpansion,
     Tensor,
     concat,
     cost_distance,
     is_grad_enabled,
     message_layer,
+    no_grad,
 )
 from repro.perf.cache import BatchedStatics, ForwardCacheStore
 
 #: Cache-block size of a taped batched forward: replicas per union,
-#: processed one block after another.  A taped forward allocates every
-#: per-edge array afresh, because its backward reads them.  On the
-#: 2-vCPU host a six-candidate relaxation wave evaluates fastest in
-#: 2-replica blocks: one 6-replica union runs its larger products on
-#: numpy's second OpenBLAS thread, which contends with scipy's, used by
-#: L-BFGS-B between evaluations (see docs/PERFORMANCE.md, "Why block=2").
+#: processed one block after another, each in a buffer set of its own
+#: (:class:`repro.nn.TapeBuffers`).  On the 2-vCPU host a six-candidate
+#: relaxation wave evaluates fastest in 2-replica blocks: one 6-replica
+#: union runs its larger products on numpy's second OpenBLAS thread,
+#: which contends with scipy's, used by L-BFGS-B between evaluations
+#: (see docs/PERFORMANCE.md, "Why block=2").
 DEFAULT_CACHE_BLOCK = 2
 
 #: Most replicas a tape-free forward runs as one union: a tape-free
@@ -114,13 +117,70 @@ class _PassingLayer(Module):
         # Register for parameter discovery (dicts are not walked).
         self._block_list = list(dict.fromkeys(self.blocks.values()))
 
-    def forward(self, h: Tensor, psi: Tensor, plan: BatchedStatics) -> Tensor:
-        """``h`` plus every edge type's messages summed at receivers."""
+    def weights(self, plan: BatchedStatics) -> list[tuple[Tensor, ...]]:
+        """Per edge type of ``plan``, the block's message-layer weights."""
+        return [self.blocks[et].weights() for et in plan.edge_types]
+
+    def forward(self, h: Tensor, psi: Tensor, plan: BatchedStatics,
+                workspace, frozen: FrozenLayer | None = None) -> Tensor:
+        """``h`` plus every edge type's messages summed at receivers;
+        ``frozen`` stands in for :meth:`weights` while they are fixed."""
         return message_layer(
             h, psi, plan.src_slots, plan.dst_slots, plan.in_degree,
             plan.edge_offsets,
-            [self.blocks[et].weights() for et in plan.edge_types],
-            workspace=plan.workspace)
+            self.weights(plan) if frozen is None else frozen,
+            workspace=workspace)
+
+
+class _WeightState:
+    """Which version of some weights a frozen forward sees.
+
+    The version moves whenever the weights' values or dtype differ from
+    what the previous call saw, whatever changed them: an optimizer
+    step, a load, a cast or an edit in place.
+
+    Args:
+        params: the weights.
+    """
+
+    __slots__ = ("params", "_seen", "_now", "_version")
+
+    def __init__(self, params: list[Parameter]) -> None:
+        self.params = params
+        self._seen: np.ndarray | None = None
+        self._now: np.ndarray | None = None
+        self._version = 0
+
+    def version(self) -> int | None:
+        """The weights' version, or None while one of them requires grad
+        (they are not held fixed)."""
+        if any(p.requires_grad for p in self.params):
+            return None
+        flat = [p.data.reshape(-1) for p in self.params]
+        seen = self._seen
+        if (seen is None or seen.dtype != flat[0].dtype
+                or not np.array_equal(np.concatenate(flat, out=self._now),
+                                      seen)):
+            self._seen = np.concatenate(flat)
+            self._now = np.empty_like(self._seen)
+            self._version += 1
+        return self._version
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    """A frozen model's guidance-independent forward values on one plan.
+
+    Attributes:
+        version: the weight version they were computed from.
+        h0: (N, H) the embedded node rows.
+        layers: per message layer, its :class:`~repro.nn.FrozenLayer`;
+            layer 1's carries its gathered source rows.
+    """
+
+    version: int
+    h0: Tensor
+    layers: tuple[FrozenLayer, ...]
 
 
 class Gnn3d(Module):
@@ -141,11 +201,17 @@ class Gnn3d(Module):
         ]
         self.head = ReadoutHead(cfg.hidden, rng, NUM_METRICS)
         self.cache = ForwardCacheStore()
+        # Everything the frozen values read: the embeddings and each
+        # layer's source and output affines.
+        self._weight_state = _WeightState(
+            self.ap_embed.parameters() + self.module_embed.parameters()
+            + [w for layer in self.layers for block in layer._block_list
+               for w in block.weights()[:2] + block.weights()[4:]])
 
     # -- distance machinery ------------------------------------------------------
 
-    def _edge_distances(self, guidance_all: Tensor,
-                        plan: BatchedStatics) -> Tensor:
+    def _edge_distances(self, guidance_all: Tensor, plan: BatchedStatics,
+                        workspace) -> Tensor:
         """Cost-aware distance features of every edge (Eq. 1-3).
 
         ``C_k`` of the *receiving* node modulates the (h, w, z) decomposition
@@ -155,10 +221,10 @@ class Gnn3d(Module):
         """
         d = plan.deltas
         dist = (cost_distance(guidance_all, plan.receivers, d,
-                              workspace=plan.workspace)
+                              workspace=workspace)
                 if self.config.use_cost_distance
                 else Tensor(np.sqrt((d * d).sum(axis=1) + 1e-6)))
-        return (self.rbf(dist, workspace=plan.workspace)
+        return (self.rbf(dist, workspace=workspace)
                 if self.config.use_rbf else dist.reshape(-1, 1))
 
     # -- forward -----------------------------------------------------------------------
@@ -192,7 +258,8 @@ class Gnn3d(Module):
         # Fetch the one-replica plan directly, not through union_plan:
         # union plans (and their counters) belong to batched forwards.
         pooled = self._readout_union(graph, guidance,
-                                     self.cache.batched(graph, 1))
+                                     self.cache.batched(graph, 1),
+                                     self._weight_state.version())
         return self.head.fc(pooled).reshape(-1)
 
     def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
@@ -207,9 +274,18 @@ class Gnn3d(Module):
         :data:`TAPE_FREE_UNION` with the tape off, where the per-edge
         arrays go to buffers the block's plan owns and the returned rows
         are fresh arrays, and :data:`DEFAULT_CACHE_BLOCK` with the tape
-        on.  ``block=B`` runs all ``B`` replicas as one union.  Block
-        readouts concatenate, and block backward passes scatter into the
-        corresponding guidance slices.
+        on, where each block leases a buffer set of its plan's
+        (:class:`repro.nn.TapeBuffers`).  ``block=B`` runs all ``B``
+        replicas as one union.  Block readouts concatenate, and block
+        backward passes scatter into the corresponding guidance slices.
+
+        While the embeddings and every layer's source and output affines
+        are held fixed (:class:`repro.nn.frozen`, as a potential
+        evaluation holds them), the plan computes what depends on them
+        alone once per weight version and keeps it: the embedded node
+        rows, layer 1's gathered source rows and each layer's stacked
+        weights (:class:`repro.nn.FrozenLayer`).  The same forward then
+        reads them instead of recomputing them, with the same bits.
 
         Parity contract: float64 results match the single-candidate
         forward to <1e-10 per row.  The pooled rows are the same at every
@@ -232,11 +308,13 @@ class Gnn3d(Module):
             block = (DEFAULT_CACHE_BLOCK if is_grad_enabled()
                      else TAPE_FREE_UNION)
         plan = self.cache.union_plan(graph, batch, block)
+        version = self._weight_state.version()
         pooled = []
         for (start, stop), block_plan in zip(plan.slices, plan.plans):
             sub = (guidance if stop - start == batch
                    else guidance[start:stop])
-            pooled.append(self._readout_union(graph, sub, block_plan))
+            pooled.append(self._readout_union(graph, sub, block_plan,
+                                              version))
         # The metric head runs once over every block's pooled rows.  Run
         # per block, a remainder block of one would be a one-row product,
         # which BLAS computes as gemv and rounds differently from the
@@ -244,8 +322,28 @@ class Gnn3d(Module):
         return self.head.fc(pooled[0] if len(pooled) == 1
                             else concat(pooled, axis=0))
 
+    def _embed(self, graph: HeteroGraph, plan: BatchedStatics) -> Tensor:
+        """The embedded node rows of ``plan``'s union, APs first."""
+        h_ap = self.ap_embed(Tensor(plan.ap_features))
+        h_mod = self.module_embed(Tensor(plan.module_features))
+        return concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
+
+    def _frozen(self, graph: HeteroGraph, plan: BatchedStatics,
+                version: int) -> _Frozen:
+        """``plan``'s frozen values at weight ``version``, computed once."""
+        frozen = plan.frozen
+        if frozen is None or frozen.version != version:
+            with no_grad():
+                h0 = self._embed(graph, plan)
+            frozen = plan.frozen = _Frozen(version, h0, tuple(
+                FrozenLayer(layer.weights(plan), plan.in_degree,
+                            h0.data if i == 0 else None, plan.src_slots)
+                for i, layer in enumerate(self.layers)
+                if plan.edge_types))
+        return frozen
+
     def _readout_union(self, graph: HeteroGraph, guidance: Tensor,
-                       plan: BatchedStatics) -> Tensor:
+                       plan: BatchedStatics, version: int | None) -> Tensor:
         """Pooled embeddings of ``plan.batch`` replicas over one union.
 
         The union keeps all APs first (replica-major), mirroring the
@@ -255,11 +353,13 @@ class Gnn3d(Module):
         Replicas share parameters but exchange no messages (no
         cross-replica edges), and every replica keeps the graph's edge
         order, so row ``b`` is the one-replica readout of candidate ``b``.
+        ``version`` is the weight version while the weights the frozen
+        values read are held fixed, else None.
         """
         plan = plan.as_dtype(guidance.data.dtype)
-        h_ap = self.ap_embed(Tensor(plan.ap_features))
-        h_mod = self.module_embed(Tensor(plan.module_features))
-        h = concat([h_ap, h_mod], axis=0) if graph.num_modules else h_ap
+        frozen = (None if version is None
+                  else self._frozen(graph, plan, version))
+        h = self._embed(graph, plan) if frozen is None else frozen.h0
         if plan.edge_types:
             flat = (guidance if guidance.ndim == 2
                     else guidance.reshape(plan.batch * graph.num_aps, 3))
@@ -267,7 +367,10 @@ class Gnn3d(Module):
                 concat([flat, Tensor(plan.neutral_guidance)], axis=0)
                 if graph.num_modules else flat
             )
-            psi = self._edge_distances(guidance_all, plan)
-            for layer in self.layers:
-                h = layer(h, psi, plan)
+            workspace = (plan.tape.lease() if is_grad_enabled()
+                         else plan.workspace)
+            psi = self._edge_distances(guidance_all, plan, workspace)
+            for i, layer in enumerate(self.layers):
+                h = layer(h, psi, plan, workspace,
+                          None if frozen is None else frozen.layers[i])
         return self.head.readout(h, pool=plan.pool)

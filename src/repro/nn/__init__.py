@@ -13,6 +13,8 @@ on the guidance, so it computes ``dV/dC`` and no weight gradient.
 """
 
 from repro.nn.functional import (
+    FrozenLayer,
+    TapeBuffers,
     Workspace,
     concat,
     cost_distance,
@@ -41,6 +43,8 @@ __all__ = [
     "rbf_expand",
     "message_layer",
     "Workspace",
+    "TapeBuffers",
+    "FrozenLayer",
     "stack",
     "Module",
     "Parameter",

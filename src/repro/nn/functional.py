@@ -11,17 +11,22 @@ Gradients inside a fused backward skip the accumulate step between
 ops: that step changes only the sign of zeros, and every gradient ends
 in an accumulate, which makes its zeros positive.
 
-With the tape off, a fused op given a :class:`Workspace` writes its
-per-edge and per-slot arrays into the workspace's buffers instead of
-fresh allocations; the arithmetic is the same either way, only where
-``out=`` points changes.  Gathers run as ``np.take(..., mode="clip")``:
-the ids come from a :class:`~repro.nn.scatter.Scatter`, which checks
-their range when it is built, and the default ``mode="raise"`` copies
-through a temporary when given ``out=``.
+A fused op given a workspace writes its per-edge and per-slot arrays
+into buffers instead of fresh allocations; the arithmetic is the same
+either way, only where ``out=`` points changes.  With the tape off the
+workspace is a :class:`Workspace` of named buffers.  With the tape on
+it is a :class:`Lease` on a :class:`TapeBuffers` set, whose arrays stay
+the tape's until its backward has run or it is dropped; temporaries
+go to the lease's scratch.  Gathers run as
+``np.take(..., mode="clip")``: the ids come from a
+:class:`~repro.nn.scatter.Scatter`, which checks their range when it is
+built, and the default ``mode="raise"`` copies through a temporary when
+given ``out=``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -60,14 +65,139 @@ class Workspace:
         return buf
 
 
-def _out(workspace: Workspace | None, name: str, shape: tuple[int, ...],
-         dtype) -> np.ndarray | None:
-    """Where an op writes its array ``name``: the workspace buffer while
-    the tape is off, otherwise ``None`` (allocate, since the backward
-    may read it)."""
-    if workspace is None or tensor_mod._GRAD_ENABLED:
+class _BufferSet:
+    """The arrays of one taped forward, in the order it asked for them,
+    and the lease that holds them (a weak reference, or None)."""
+
+    __slots__ = ("arrays", "owner")
+
+    def __init__(self) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.owner: "weakref.ref[Lease] | None" = None
+
+
+class TapeBuffers:
+    """Reusable buffers of the taped forwards on one plan.
+
+    A taped forward's backward reads the arrays its forward wrote, so
+    each taped forward leases a set of its own (:meth:`lease`).  The
+    owner check: a set is handed out again only after the tape that
+    reads it has run its backward or been dropped.  Forwards on one plan
+    ask for the same arrays in the same order, so a reused set's arrays
+    fit without reallocation, and a plan keeps as many sets as it had
+    tapes alive at once (three for a relaxation wave of six candidates
+    in blocks of two).  Temporaries, dead when their op's forward or
+    backward returns, go to one :class:`Workspace` of named buffers
+    that every set shares; a backward reuses the names of its forward's
+    temporaries, so two temporaries share a name only when they are
+    never alive at once.
+    """
+
+    __slots__ = ("_sets", "scratch")
+
+    def __init__(self) -> None:
+        self._sets: list[_BufferSet] = []
+        self.scratch = Workspace()
+
+    def lease(self) -> "Lease":
+        """A lease on a set no live tape holds, new if none is free."""
+        for buffers in self._sets:
+            if buffers.owner is None or buffers.owner() is None:
+                break
+        else:
+            buffers = _BufferSet()
+            self._sets.append(buffers)
+        return Lease(buffers, self.scratch)
+
+
+class Lease:
+    """One taped forward's hold on a :class:`TapeBuffers` set.
+
+    :meth:`buffer` hands out the set's arrays in request order.  Each
+    fused op that records a backward calls :meth:`hold`, and its
+    backward calls :meth:`check` before it reads the set and
+    :meth:`release` when done: the set is free again once every holder's
+    backward has run, or once the lease itself is garbage, which happens
+    when no recorded backward references it (the tape was dropped, or
+    nothing recorded).
+
+    Args:
+        buffers: the set to hold.
+        scratch: where temporaries go.
+    """
+
+    __slots__ = ("_set", "scratch", "_cursor", "_holds", "__weakref__")
+
+    def __init__(self, buffers: _BufferSet, scratch: Workspace) -> None:
+        self._set = buffers
+        self.scratch = scratch
+        self._cursor = 0
+        self._holds = 0
+        buffers.owner = weakref.ref(self)
+
+    def buffer(self, name: str, shape: tuple[int, ...],
+               dtype) -> np.ndarray:
+        """The set's next array, as ``shape`` and ``dtype`` (uninitialized
+        when new); ``name`` documents the call site."""
+        arrays, i = self._set.arrays, self._cursor
+        self._cursor += 1
+        if i == len(arrays):
+            arrays.append(np.empty(shape, dtype))
+        elif arrays[i].shape != shape or arrays[i].dtype != dtype:
+            arrays[i] = np.empty(shape, dtype)
+        return arrays[i]
+
+    def hold(self) -> None:
+        """Keep the set until a matching :meth:`release`."""
+        self._holds += 1
+
+    def check(self) -> None:
+        """Raise unless the set is still this lease's.
+
+        Raises:
+            RuntimeError: the set was released (the tape's backward
+                already ran) and may hold another forward's arrays.
+        """
+        owner = self._set.owner
+        if owner is None or owner() is not self:
+            raise RuntimeError(
+                "a taped forward's buffers were released: its backward "
+                "already ran, and a tape runs its backward once")
+
+    def release(self) -> None:
+        """End one :meth:`hold`; the last frees the set."""
+        self._holds -= 1
+        if self._holds == 0:
+            self._set.owner = None
+
+
+def _out(workspace: "Workspace | Lease | None", name: str,
+         shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    """Where an op writes an array its backward may read (or its
+    output): the lease's next array, or the named buffer of a tape-free
+    workspace while the tape is off; otherwise ``None`` (allocate)."""
+    if workspace is None or (tensor_mod._GRAD_ENABLED
+                             and isinstance(workspace, Workspace)):
         return None
     return workspace.buffer(name, shape, dtype)
+
+
+def _tmp(workspace: "Workspace | Lease | None", name: str,
+         shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    """Where an op writes a temporary no later step reads: the named
+    scratch buffer of a lease, or of a tape-free workspace while the
+    tape is off; otherwise ``None`` (allocate)."""
+    if isinstance(workspace, Lease):
+        return workspace.scratch.buffer(name, shape, dtype)
+    return _out(workspace, name, shape, dtype)
+
+
+def _record(out: Tensor, workspace) -> Tensor:
+    """Hold ``workspace``'s set for ``out``'s backward, if it recorded
+    one and the workspace is a lease."""
+    if out.requires_grad and isinstance(workspace, Lease):
+        workspace.hold()
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -123,7 +253,7 @@ def segment_sum(values: Tensor, scatter: Scatter) -> Tensor:
 
 def cost_distance(guidance: Tensor, receivers: Scatter,
                   deltas: np.ndarray,
-                  workspace: Workspace | None = None) -> Tensor:
+                  workspace: "Workspace | Lease | None" = None) -> Tensor:
     """Eq. 1 cost-aware edge lengths as one tape node.
 
     ``sqrt(sum_k (C[dst] * delta)_k^2 + 1e-6)`` per edge: the static
@@ -134,7 +264,7 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
         guidance: (N, 3) guidance of every node.
         receivers: the edges' receiver scatter over the N nodes.
         deltas: (E, 3) edge-vector decomposition.
-        workspace: where the (E, 3) and (E,) arrays go with the tape off.
+        workspace: where the (E, 3) and (E,) arrays go.
 
     Raises:
         ValueError: ``receivers`` is not over ``len(guidance)`` nodes.
@@ -143,65 +273,148 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
         raise ValueError(
             f"scatter over {receivers.num_segments} rows gathers from a "
             f"tensor of {len(guidance.data)}")
+    lease = workspace if isinstance(workspace, Lease) else None
     dtype = guidance.data.dtype
+    num_edges = len(deltas)
     weighted = np.take(guidance.data, receivers.ids, axis=0, mode="clip",
                        out=_out(workspace, "cd_weighted", deltas.shape,
                                 dtype))
     weighted *= deltas
     # The backward reads ``weighted``; without one it squares in place.
     taped = tensor_mod._GRAD_ENABLED and guidance.requires_grad
-    squared = np.multiply(weighted, weighted,
-                          out=None if taped else weighted)
+    squared = np.multiply(weighted, weighted, out=_tmp(
+        workspace, "cd_squared", deltas.shape, dtype) if taped else weighted)
     dist = np.sum(squared, axis=1,
-                  out=_out(workspace, "cd_dist", (len(deltas),), dtype))
+                  out=_out(workspace, "cd_dist", (num_edges,), dtype))
     dist += dist.dtype.type(1e-6)
     np.sqrt(dist, out=dist)
 
     def backward(grad: np.ndarray) -> None:
-        g_sum = grad * 0.5
-        g_sum /= np.maximum(dist, 1e-30)
-        g_weighted = g_sum[:, None] * weighted
+        if lease is not None:
+            lease.check()
+        g_sum = np.multiply(grad, 0.5, out=_tmp(
+            lease, "cd_g_sum", (num_edges,), grad.dtype))
+        g_sum /= np.maximum(dist, 1e-30, out=_tmp(
+            lease, "cd_g_norm", (num_edges,), dtype))
+        g_weighted = np.multiply(g_sum[:, None], weighted, out=_tmp(
+            lease, "cd_squared", deltas.shape, dtype))
         g_weighted += g_weighted  # the square's two operands
         g_weighted *= deltas
         guidance._accumulate(receivers(g_weighted))
+        if lease is not None:
+            lease.release()
 
-    return Tensor(dist, parents=(guidance,), backward=backward)
+    return _record(Tensor(dist, parents=(guidance,), backward=backward),
+                   workspace)
 
 
 def rbf_expand(distances: Tensor, centers: np.ndarray, gamma,
-               workspace: Workspace | None = None) -> Tensor:
+               workspace: "Workspace | Lease | None" = None) -> Tensor:
     """Eq. 2-3 Gaussian radial basis features as one tape node.
 
     ``exp(-gamma * (d - mu_k)^2)`` for each distance ``d`` and center
     ``mu_k``: a (E,) distance tensor becomes (E, K) features, written
-    into ``workspace`` with the tape off.
+    into ``workspace``.
     """
+    lease = workspace if isinstance(workspace, Lease) else None
     d = distances.data
+    shape = (len(d), len(centers))
     diff = np.add(d.reshape(-1, 1), -centers.reshape(1, -1),
-                  out=_out(workspace, "rbf", (len(d), len(centers)),
-                           d.dtype))
+                  out=_out(workspace, "rbf", shape, d.dtype))
     scale = np.asarray(-gamma).astype(diff.dtype)
     # The backward reads ``diff``; without one it squares in place.
     taped = tensor_mod._GRAD_ENABLED and distances.requires_grad
-    feats = np.multiply(diff, diff, out=None if taped else diff)
+    feats = np.multiply(diff, diff, out=_out(
+        workspace, "rbf_feats", shape, d.dtype) if taped else diff)
     feats *= scale
     np.exp(feats, out=feats)
 
     def backward(grad: np.ndarray) -> None:
-        g_diff = grad * feats
+        if lease is not None:
+            lease.check()
+        g_diff = np.multiply(grad, feats, out=_tmp(
+            lease, "g_features", shape, feats.dtype))
         g_diff *= scale
         g_diff *= diff
         g_diff += g_diff  # the square's two operands
-        distances._accumulate(g_diff.sum(axis=1))
+        distances._accumulate(np.sum(g_diff, axis=1, out=_tmp(
+            lease, "g_distances", (len(d),), g_diff.dtype)))
+        if lease is not None:
+            lease.release()
 
-    return Tensor(feats, parents=(distances,), backward=backward)
+    return _record(Tensor(feats, parents=(distances,), backward=backward),
+                   workspace)
+
+
+class FrozenLayer(tuple):
+    """A message layer's weights, stacked once while they stay fixed.
+
+    The sequence of per-type ``(Ws, bs, Wd, bd, Wo, bo)`` tuples that
+    :func:`message_layer` takes as ``weights``, carrying the arrays it
+    would otherwise build from them on every call.  Held fixed (under
+    :class:`repro.nn.frozen`) the weights need no gradient, so the
+    stacked arrays are constants; a layer whose input ``h`` is fixed too
+    (layer 1 over the node embeddings) also carries its gathered source
+    rows.
+
+    Attributes:
+        ws: (H, T * H) ``[Ws_1 | ... | Ws_T]``.
+        bs: (T * H,) ``[bs_1 | ... | bs_T]``.
+        wo: (T * H, H) ``[Wo_1; ...; Wo_T]``.
+        bias: (N, H) ``in_degree @ [bo_1; ...; bo_T]``.
+        gathered: (E, H) ``(h @ ws + bs)[src_slots]`` for the fixed
+            input ``h``, or None.
+
+    Args:
+        weights: per edge type, its affine weights and biases.
+        in_degree: (N, T) edges of each type received per node.
+        h: the layer's input when it is fixed, else None.
+        src_slots: the sender slot of every edge (with ``h``).
+    """
+
+    def __new__(cls, weights: Sequence[Sequence[Tensor]],
+                in_degree: np.ndarray, h: np.ndarray | None = None,
+                src_slots: Scatter | None = None) -> "FrozenLayer":
+        layer = super().__new__(cls, (tuple(w) for w in weights))
+        layer.ws, layer.bs, layer.wo = _stack(layer)
+        layer.bias = _bias_rows(layer, in_degree)
+        layer.gathered = (None if h is None
+                          else _source_rows(h, layer.ws, layer.bs, src_slots))
+        return layer
+
+
+def _stack(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``[Ws_1 | ... | Ws_T]``, ``[bs_1 | ... | bs_T]`` and ``[Wo_1; ...;
+    Wo_T]`` of per-type weights."""
+    w_src, b_src, _w_dist, _b_dist, w_out, _b_out = zip(*weights)
+    return (np.concatenate([w.data for w in w_src], axis=1),
+            np.concatenate([b.data for b in b_src]),
+            np.concatenate([w.data for w in w_out]))
+
+
+def _bias_rows(weights, in_degree: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """``in_degree @ [bo_1; ...; bo_T]``: each receiver's output biases."""
+    return np.matmul(in_degree, np.stack([w[5].data for w in weights]),
+                     out=out)
+
+
+def _source_rows(h: np.ndarray, ws: np.ndarray, bs: np.ndarray,
+                 src_slots: Scatter, out: np.ndarray | None = None,
+                 src_out: np.ndarray | None = None) -> np.ndarray:
+    """``(h @ ws + bs)[src_slots]``: the source affines on node rows,
+    gathered at every edge's sender slot."""
+    src_out = np.matmul(h, ws, out=src_out)
+    src_out += bs
+    return np.take(src_out.reshape(-1, h.shape[1]), src_slots.ids, axis=0,
+                   mode="clip", out=out)
 
 
 def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
                   dst_slots: Scatter, in_degree: np.ndarray,
                   offsets: Sequence[int],
                   weights: Sequence[Sequence[Tensor]],
-                  workspace: Workspace | None = None) -> Tensor:
+                  workspace: "Workspace | Lease | None" = None) -> Tensor:
     """One message-passing layer over every edge type, one tape node.
 
     With ``weights[t] = (Ws, bs, Wd, bd, Wo, bo)`` for each of the ``T``
@@ -216,12 +429,14 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     Ws + bs`` and ``sum_e (g_e Wo + bo) = (sum_e g_e) Wo + deg bo``: the
     source affines run on node rows, as one product with ``[Ws_1 | ...
     | Ws_T]``, and the output affines after one scatter into the
-    receiver slots, as one product with ``[Wo_1; ...; Wo_T]``.  The
-    backward adds into ``h``, ``psi`` and each weight that requires
-    grad when it runs.  With the tape off and a ``workspace``, every
-    per-edge and per-slot array, the output included, is a workspace
-    buffer; the output goes to whichever of two buffers ``h`` is not in,
-    so stacked layers alternate between them.
+    receiver slots, as one product with ``[Wo_1; ...; Wo_T]``.  A
+    :class:`FrozenLayer` as ``weights`` brings those stacks, the bias
+    rows and, for a fixed ``h``, the gathered source rows, computed
+    once.  The backward adds into ``h``, ``psi`` and each weight that
+    requires grad when it runs.  With a ``workspace``, every per-edge
+    and per-slot array, the output included, is a workspace buffer; with
+    a tape-free :class:`Workspace` the output goes to whichever of two
+    buffers ``h`` is not in, so stacked layers alternate between them.
 
     Args:
         h: (N, H) node embeddings.
@@ -231,12 +446,14 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
         in_degree: (N, T) edges of each type received per node.
         offsets: (T + 1,) start of each type's edges, then ``E``.
         weights: per edge type, its affine weights and biases.
-        workspace: where the layer's arrays go with the tape off.
+        workspace: where the layer's arrays go.
 
     Raises:
         ValueError: the slot scatters or ``in_degree`` do not cover
             ``len(h)`` nodes of ``T`` types, or the scatters, ``psi``
-            and ``offsets`` differ in edge count.
+            and ``offsets`` differ in edge count, or ``weights`` is a
+            :class:`FrozenLayer` whose stacked weights require grad, or
+            whose gathered source rows come with an ``h`` that does.
     """
     num_nodes, hidden = h.shape
     num_types = len(weights)
@@ -254,10 +471,17 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
             f"{len(src_slots)} senders, {len(dst_slots)} receivers, "
             f"{len(psi.data)} distance feature rows and "
             f"{offsets[num_types]} typed edges")
+    lease = workspace if isinstance(workspace, Lease) else None
+    frozen = weights if isinstance(weights, FrozenLayer) else None
     w_src, b_src, w_dist, b_dist, w_out, b_out = zip(*weights)
+    if frozen is not None and (
+            _any_grad(w_src + b_src + w_out + b_out)
+            or (frozen.gathered is not None and h.requires_grad)):
+        raise ValueError("a FrozenLayer's stacked weights, and the input "
+                         "of its gathered rows, must not require grad")
     spans = list(zip(offsets[:-1], offsets[1:], w_dist, b_dist))
-    ws = np.concatenate([w.data for w in w_src], axis=1)
-    wo = np.concatenate([w.data for w in w_out])
+    ws, bs, wo = _stack(weights) if frozen is None else (
+        frozen.ws, frozen.bs, frozen.wo)
     # The source and distance branches need a gradient only when the
     # tape records and one of their inputs requires grad here.
     src_side = tensor_mod._GRAD_ENABLED and (
@@ -267,14 +491,17 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
 
     dtype = h.data.dtype
     num_edges = len(src_slots)
-    src_out = np.matmul(h.data, ws, out=_out(
-        workspace, "ml_src", (num_nodes, num_types * hidden), dtype))
-    src_out += np.concatenate([b.data for b in b_src])
-    gathered = np.take(src_out.reshape(num_slots, hidden), src_slots.ids,
-                       axis=0, mode="clip", out=_out(
-                           workspace, "ml_gathered", (num_edges, hidden),
-                           dtype))
-    dist_out = _out(workspace, "ml_dist", gathered.shape, dtype)
+    if frozen is not None and frozen.gathered is not None:
+        gathered = frozen.gathered
+    else:
+        gathered = _source_rows(
+            h.data, ws, bs, src_slots,
+            out=(_out if dist_side else _tmp)(
+                workspace, "ml_gathered", (num_edges, hidden), dtype),
+            src_out=_tmp(workspace, "ml_src",
+                         (num_nodes, num_types * hidden), dtype))
+    dist_out = (_out if src_side else _tmp)(
+        workspace, "ml_dist", gathered.shape, dtype)
     if dist_out is None:
         dist_out = np.empty_like(gathered)
     for lo, hi, wd, bd in spans:
@@ -282,35 +509,53 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
         dist_out[lo:hi] += bd.data
     # The backward reads ``gathered`` for the distance branch and
     # ``dist_out`` for the source branch; one it does not read takes the
-    # product in place.
-    if not dist_side:
+    # product in place (never a frozen ``gathered``: without a source
+    # branch the product goes to ``dist_out``).
+    if not src_side:
+        gated = np.multiply(gathered, dist_out, out=dist_out)
+    elif not dist_side:
         gated = np.multiply(gathered, dist_out, out=gathered)
-    elif not src_side:
-        gated = np.multiply(dist_out, gathered, out=dist_out)
     else:
-        gated = gathered * dist_out
+        gated = np.multiply(gathered, dist_out, out=_tmp(
+            workspace, "ml_gated", gathered.shape, dtype))
     summed = dst_slots(gated).reshape(num_nodes, num_types * hidden)
     out = _out(workspace, "ml_out", h.shape, dtype)
     if out is not None and np.may_share_memory(out, h.data):
         out = _out(workspace, "ml_out_alt", h.shape, dtype)
     out = np.matmul(summed, wo, out=out)
-    out += np.matmul(in_degree, np.stack([b.data for b in b_out]),
-                     out=_out(workspace, "ml_bias", h.shape, dtype))
+    out += (_bias_rows(weights, in_degree, out=_tmp(
+        workspace, "ml_bias", h.shape, dtype)) if frozen is None
+            else frozen.bias)
     out += h.data
+    # Only the output weights' gradient reads the aggregated rows.
+    out_grads = _any_grad(w_out)
+    summed = summed if out_grads else None
 
     def backward(grad: np.ndarray) -> None:
-        if _any_grad(w_out):
+        if lease is not None:
+            lease.check()
+        if out_grads:
             _accumulate_each(w_out, np.split(summed.T @ grad, num_types))
         if _any_grad(b_out):
             _accumulate_each(b_out, in_degree.T @ grad)
         g_h = grad
         if src_side or dist_side:
-            g_gated = (grad @ wo.T).reshape(num_slots, hidden)[dst_slots.ids]
+            g_slots = np.matmul(grad, wo.T, out=_tmp(
+                lease, "ml_src", (num_nodes, num_types * hidden),
+                grad.dtype))
+            g_gated = np.take(g_slots.reshape(num_slots, hidden),
+                              dst_slots.ids, axis=0, mode="clip",
+                              out=_tmp(lease, "ml_gated",
+                                       (num_edges, hidden), grad.dtype))
         if dist_side:
-            g_dist = (g_gated * gathered if src_side
-                      else np.multiply(g_gated, gathered, out=g_gated))
+            g_dist = np.multiply(g_gated, gathered, out=_tmp(
+                lease, "ml_dist", g_gated.shape, g_gated.dtype)
+                if src_side else g_gated)
             if psi.requires_grad:
-                g_psi = np.empty_like(psi.data)
+                g_psi = _tmp(lease, "g_features", psi.shape,
+                             psi.data.dtype)
+                if g_psi is None:
+                    g_psi = np.empty_like(psi.data)
                 for lo, hi, wd, _bd in spans:
                     np.matmul(g_dist[lo:hi], wd.data.T, out=g_psi[lo:hi])
                 psi._accumulate(g_psi)
@@ -323,7 +568,8 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
             g_gated *= dist_out
             g_src = src_slots(g_gated).reshape(num_nodes, num_types * hidden)
             if h.requires_grad:
-                g_h = g_src @ ws.T
+                g_h = np.matmul(g_src, ws.T, out=_tmp(
+                    lease, "ml_bias", h.shape, g_src.dtype))
                 g_h += grad
             if _any_grad(w_src):
                 _accumulate_each(w_src, np.split(h.data.T @ g_src, num_types,
@@ -333,10 +579,12 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
                     _unbroadcast(g_src, (num_types * hidden,)), num_types))
         if h.requires_grad:
             h._accumulate(g_h)
+        if lease is not None:
+            lease.release()
 
-    return Tensor(out, parents=(h, psi, *w_src, *b_src, *w_dist, *b_dist,
-                                *w_out, *b_out),
-                  backward=backward)
+    return _record(Tensor(out, parents=(h, psi, *w_src, *b_src, *w_dist,
+                                        *b_dist, *w_out, *b_out),
+                          backward=backward), workspace)
 
 
 def _any_grad(tensors) -> bool:

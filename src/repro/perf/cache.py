@@ -25,8 +25,12 @@ evaluation; everything in that pass that does not depend on the guidance
   A single candidate runs on the ``B=1`` plan, which is the graph itself.
   Each plan owns a :class:`repro.nn.Workspace`: tape-free forwards on
   the plan write their per-edge and per-slot arrays into its buffers
-  instead of allocating them on every call, so the buffers live and die
-  with the plan, under the LRU below.
+  instead of allocating them on every call.  Taped forwards write into
+  the plan's :class:`repro.nn.TapeBuffers`, one leased set per live
+  tape, and a frozen model keeps the forward values that do not depend
+  on the guidance on the plan it runs on (``frozen``, see
+  :class:`repro.model.gnn3d.Gnn3d`).  Buffers and constants live and
+  die with the plan, under the LRU below.
 
 Caches are keyed on the *live* graph object (weak reference, so entries
 die with their graph and a recycled ``id()`` can never alias) and
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
-from repro.nn.functional import Workspace
+from repro.nn.functional import TapeBuffers, Workspace
 from repro.nn.scatter import Scatter
 
 #: Per-entry cap on cached per-``B`` plans (batched statics and union
@@ -113,6 +117,11 @@ class BatchedStatics:
         workspace: the buffers tape-free forwards on this plan write
             their per-edge and per-slot arrays into; each dtype cast of
             the plan has its own.
+        tape: the buffer sets taped forwards on this plan lease; each
+            dtype cast has its own.
+        frozen: what the model whose cache holds the plan computed on it
+            once for its current weights, while they are held fixed
+            (:meth:`repro.model.gnn3d.Gnn3d.forward_batch`), or None.
     """
 
     batch: int
@@ -130,6 +139,9 @@ class BatchedStatics:
     neutral_guidance: np.ndarray
     workspace: Workspace = field(default_factory=Workspace, repr=False,
                                  compare=False)
+    tape: TapeBuffers = field(default_factory=TapeBuffers, repr=False,
+                              compare=False)
+    frozen: object = field(default=None, repr=False, compare=False)
     _casts: dict[str, "BatchedStatics"] = field(default_factory=dict,
                                                 repr=False)
 
@@ -139,7 +151,7 @@ class BatchedStatics:
         ``float64`` returns ``self``.  Index arrays are dtype-independent
         and shared with the original plan; the scatter operators carry
         ``dtype`` ones, so float32 segment sums stay float32.  The cast
-        gets a workspace of its own.
+        gets a workspace, tape buffers and frozen values of its own.
         """
         dtype = np.dtype(dtype)
         if dtype == np.float64:
@@ -158,6 +170,8 @@ class BatchedStatics:
                 module_features=self.module_features.astype(dtype),
                 neutral_guidance=self.neutral_guidance.astype(dtype),
                 workspace=Workspace(),
+                tape=TapeBuffers(),
+                frozen=None,
                 _casts={},
             )
             self._casts[dtype.name] = cast

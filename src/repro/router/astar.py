@@ -16,10 +16,12 @@ The heuristic is ``man * h_scale + |l - l_t| * via``: the Manhattan
 distance to the target at the cheapest planar step cost plus the layer
 distance at the via cost.  Both are lower bounds on the remaining cost,
 so it is admissible (and consistent).  A push computes it in O(1) as
-``ng + (h[nxt] * h_factor + h_layer[layer])``, the oracle's float
-association: ``h`` is an unscaled Manhattan list shared by the
-connections to one target column and ``h_layer`` a per-connection list
-of layer terms.
+``ng + (man * h_factor + h_layer[layer])``, the oracle's float
+association.  ``man`` is the neighbor's unscaled Manhattan distance:
+each expansion decodes its node's padded x and y and reads the
+per-axis distance lists ``h_x`` and ``h_y`` (``h_x[px] + h_y[py]``, one
+index off along the step's axis), and ``h_layer`` is a per-connection
+list of layer terms.
 
 ``scalar``
     The general engine: all per-node arithmetic is precomputed into
@@ -231,13 +233,13 @@ class AStarRouter:
         Emulates the seed engine exactly: identical pop keys
         ``(f, g, node)``, identical float arithmetic (see
         ``costfield.CostField``), identical first-writer-wins relaxation.
-        A push's f is ``ng + (h_l[nxt] * hf + hl[layer])``, the seed's
+        A push's f is ``ng + (man * hf + hl[layer])``, the seed's
         ``new_g + (man * h_scale + ldist * via)`` term for term.
         """
         state = self._get_list_state()
         g_l, par_l, st_l = state.g, state.parent, state.stamp
         gen = state.next_generation()
-        h_l = field.h_list
+        hx_l, hy_l = field.h_x, field.h_y
         hl = field.h_layer
         hf = field.h_scale
         nlp = field.nlp
@@ -248,27 +250,29 @@ class AStarRouter:
             g_l[node] = 0.0
             par_l[node] = -1
             st_l[node] = gen
-            push(heap, (h_l[node] * hf + hl[node % nlp], 0.0, node))
+            push(heap, ((hx_l[s[0] + 1] + hy_l[s[1] + 1]) * hf
+                        + hl[node % nlp], 0.0, node))
 
         costs = field.costs
         if field.soft:
             expansions, found = self._scalar_soft(
-                heap, g_l, par_l, st_l, gen, costs.extra, costs.hist, h_l,
-                hl, hf, field.step_x, field.step_y, field.via, nlp,
-                field.dix, field.target_node, max_expansions)
+                heap, g_l, par_l, st_l, gen, costs.extra, costs.hist, hx_l,
+                hy_l, hl, hf, field.step_x, field.step_y, field.via, nlp,
+                field.nyp, field.dix, field.target_node, max_expansions)
         else:
             expansions, found = self._scalar_hard(
-                heap, g_l, par_l, st_l, gen, costs.hard, h_l, hl, hf,
-                field.step_x, field.step_y, field.via, nlp, field.dix,
-                field.target_node, max_expansions)
+                heap, g_l, par_l, st_l, gen, costs.hard, hx_l, hy_l, hl, hf,
+                field.step_x, field.step_y, field.via, nlp, field.nyp,
+                field.dix, field.target_node, max_expansions)
         self._note_expansions("scalar", expansions)
         if found < 0:
             return None
         return self._reconstruct_padded(field, par_l, found)
 
     @staticmethod
-    def _scalar_hard(heap, g_l, par_l, st_l, gen, add_l, h_l, hl, hf, step_x,
-                     step_y, via, nlp, dx, target, max_expansions):
+    def _scalar_hard(heap, g_l, par_l, st_l, gen, add_l, hx_l, hy_l, hl, hf,
+                     step_x, step_y, via, nlp, nyp, dx, target,
+                     max_expansions):
         """Hard-blocked inner loop: ``new_g = (g + step) + add``.
 
         With hard blocking the seed router's ``extra`` term is always
@@ -289,6 +293,11 @@ class AStarRouter:
                 break
             expansions += 1
             layer = node % nlp
+            rest = node // nlp
+            px = rest // nyp
+            py = rest - px * nyp
+            mx = hx_l[px]
+            my = hy_l[py]
             cx = step_x[layer]
             cy = step_y[layer]
             tl = hl[layer]
@@ -305,11 +314,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px + 1] + my) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px + 1] + my) * hf + tl), ng, nxt))
             nxt = node - dx
             a = add_l[nxt]
             if a != inf:
@@ -318,11 +327,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px - 1] + my) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px - 1] + my) * hf + tl), ng, nxt))
             nxt = node + dy
             a = add_l[nxt]
             if a != inf:
@@ -331,11 +340,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py + 1]) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py + 1]) * hf + tl), ng, nxt))
             nxt = node - dy
             a = add_l[nxt]
             if a != inf:
@@ -344,11 +353,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py - 1]) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py - 1]) * hf + tl), ng, nxt))
             nxt = node + 1
             a = add_l[nxt]
             if a != inf:
@@ -357,12 +366,12 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer + 1]),
                                 ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer + 1]),
                                 ng, nxt))
             nxt = node - 1
             a = add_l[nxt]
@@ -372,18 +381,18 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer - 1]),
                                 ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer - 1]),
                                 ng, nxt))
         return expansions, found
 
     @staticmethod
-    def _scalar_soft(heap, g_l, par_l, st_l, gen, extra_l, hist_l, h_l, hl,
-                     hf, step_x, step_y, via, nlp, dx, target,
+    def _scalar_soft(heap, g_l, par_l, st_l, gen, extra_l, hist_l, hx_l,
+                     hy_l, hl, hf, step_x, step_y, via, nlp, nyp, dx, target,
                      max_expansions):
         """Soft-mode inner loop: ``new_g = ((g + step) + extra) + hist``.
 
@@ -406,6 +415,11 @@ class AStarRouter:
                 break
             expansions += 1
             layer = node % nlp
+            rest = node // nlp
+            px = rest // nyp
+            py = rest - px * nyp
+            mx = hx_l[px]
+            my = hy_l[py]
             cx = step_x[layer]
             cy = step_y[layer]
             tl = hl[layer]
@@ -417,11 +431,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px + 1] + my) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px + 1] + my) * hf + tl), ng, nxt))
             nxt = node - dx
             e = extra_l[nxt]
             if e != inf:
@@ -430,11 +444,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px - 1] + my) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((hx_l[px - 1] + my) * hf + tl), ng, nxt))
             nxt = node + dy
             e = extra_l[nxt]
             if e != inf:
@@ -443,11 +457,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py + 1]) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py + 1]) * hf + tl), ng, nxt))
             nxt = node - dy
             e = extra_l[nxt]
             if e != inf:
@@ -456,11 +470,11 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py - 1]) * hf + tl), ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + tl), ng, nxt))
+                    push(heap, (ng + ((mx + hy_l[py - 1]) * hf + tl), ng, nxt))
             nxt = node + 1
             e = extra_l[nxt]
             if e != inf:
@@ -469,12 +483,12 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer + 1]),
                                 ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer + 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer + 1]),
                                 ng, nxt))
             nxt = node - 1
             e = extra_l[nxt]
@@ -484,12 +498,12 @@ class AStarRouter:
                     g_l[nxt] = ng
                     par_l[nxt] = node
                     st_l[nxt] = gen
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer - 1]),
                                 ng, nxt))
                 elif ng < g_l[nxt]:
                     g_l[nxt] = ng
                     par_l[nxt] = node
-                    push(heap, (ng + (h_l[nxt] * hf + hl[layer - 1]),
+                    push(heap, (ng + ((mx + my) * hf + hl[layer - 1]),
                                 ng, nxt))
         return expansions, found
 
@@ -509,7 +523,7 @@ class AStarRouter:
         g_l, par_l, st_l = state.g, state.parent, state.stamp
         gen = state.next_generation()
         add_l = quantized.entry
-        h_l = quantized.h
+        hx_l, hy_l = quantized.h_x, quantized.h_y
         hl = quantized.h_layer
         step_x = quantized.step_x
         step_y = quantized.step_y
@@ -517,6 +531,7 @@ class AStarRouter:
         impassable = quantized.impassable
         hf = quantized.h_factor
         nlp = field.nlp
+        nyp = field.nyp
         dx = field.dix
         dy = nlp
         target = field.target_node
@@ -530,7 +545,8 @@ class AStarRouter:
             g_l[node] = 0
             par_l[node] = -1
             st_l[node] = gen
-            queue.push(h_l[node] * hf + hl[node % nlp], 0, node)
+            queue.push((hx_l[s[0] + 1] + hy_l[s[1] + 1]) * hf
+                       + hl[node % nlp], 0, node)
 
         expansions = 0
         found = -1
@@ -556,6 +572,11 @@ class AStarRouter:
                 expansions += 1
                 batch_size += 1
                 layer = node % nlp
+                rest = node // nlp
+                px = rest // nyp
+                py = rest - px * nyp
+                mx = hx_l[px]
+                my = hy_l[py]
                 cx = step_x[layer]
                 cy = step_y[layer]
                 tl = hl[layer]
@@ -567,7 +588,8 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((hx_l[px + 1] + my) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -577,7 +599,8 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((hx_l[px + 1] + my) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -592,7 +615,8 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((hx_l[px - 1] + my) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -602,7 +626,8 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((hx_l[px - 1] + my) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -617,7 +642,8 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((mx + hy_l[py + 1]) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -627,7 +653,8 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((mx + hy_l[py + 1]) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -642,7 +669,8 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((mx + hy_l[py - 1]) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -652,7 +680,8 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = (ng + (h_l[nxt] * hf + tl)) * modulus + ng
+                        key = ((ng + ((mx + hy_l[py - 1]) * hf + tl))
+                               * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
                             buckets[key] = [nxt]
@@ -667,7 +696,7 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = ((ng + (h_l[nxt] * hf + hl[layer + 1]))
+                        key = ((ng + ((mx + my) * hf + hl[layer + 1]))
                                * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
@@ -678,7 +707,7 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = ((ng + (h_l[nxt] * hf + hl[layer + 1]))
+                        key = ((ng + ((mx + my) * hf + hl[layer + 1]))
                                * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
@@ -694,7 +723,7 @@ class AStarRouter:
                         g_l[nxt] = ng
                         par_l[nxt] = node
                         st_l[nxt] = gen
-                        key = ((ng + (h_l[nxt] * hf + hl[layer - 1]))
+                        key = ((ng + ((mx + my) * hf + hl[layer - 1]))
                                * modulus + ng)
                         b = buckets.get(key)
                         if b is None:
@@ -705,7 +734,7 @@ class AStarRouter:
                     elif ng < g_l[nxt]:
                         g_l[nxt] = ng
                         par_l[nxt] = node
-                        key = ((ng + (h_l[nxt] * hf + hl[layer - 1]))
+                        key = ((ng + ((mx + my) * hf + hl[layer - 1]))
                                * modulus + ng)
                         b = buckets.get(key)
                         if b is None:

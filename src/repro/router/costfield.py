@@ -18,8 +18,9 @@ The lists come in two layers:
   costs (wire cost, wrong-way penalty and guidance ``C[d]`` premultiplied),
   the via cost, and the admissible heuristic
   ``man * h_scale + |l - l_t| * via`` toward the connection's one target:
-  an unscaled Manhattan list, which the state caches per target column,
-  plus a per-layer list of layer terms, so each push costs two lookups.
+  two per-axis lists of unscaled distances, from which the engines add
+  up the Manhattan term once per expansion, plus a per-layer list of
+  layer terms.
 
 All lists use a **padded** layout: the grid is embedded in an
 ``(nx + 2, ny + 2, nl + 2)`` box whose border cells are impassable.
@@ -118,8 +119,9 @@ class QuantizedField:
         scale: ``int_cost = float_cost * scale`` for every alphabet member.
         entry: integer entry costs (padded flat); ``impassable`` marks
             blocked cells (any value >= it is unreachable).
-        h: the state's unscaled Manhattan list (padded flat), multiplied
-            by ``h_factor`` per push.
+        h_x / h_y: unscaled distance to the target per *padded* x and y
+            index; their sum, the Manhattan term, is multiplied by
+            ``h_factor`` per push.
         h_layer: layer term per *padded* layer index.
         h_factor: ``h_scale * scale``, an exact integer.
         step_x / step_y: planar step cost per *padded* layer index.
@@ -131,7 +133,8 @@ class QuantizedField:
 
     scale: int
     entry: list
-    h: list
+    h_x: list
+    h_y: list
     h_layer: list
     h_factor: int
     step_x: list
@@ -210,8 +213,6 @@ class CostState:
         self._hist_terms: "tuple | None" = None
         # (soft, scale) -> (impassable, integer entry list), kept live.
         self._quantized: dict[tuple[bool, int], tuple[int, list]] = {}
-        # (x_t, y_t) -> padded unscaled Manhattan list.
-        self._manhattan: dict[tuple[int, int], list] = {}
         # (guidance, soft) -> CostField.
         self._fields: dict[tuple, "CostField"] = {}
 
@@ -288,19 +289,6 @@ class CostState:
         if field is None:
             field = self._fields[key] = CostField(self, guid, soft)
         return field
-
-    def manhattan(self, tx: int, ty: int) -> list:
-        """Padded unscaled Manhattan distances to ``(tx, ty)``, cached."""
-        key = (tx, ty)
-        cached = self._manhattan.get(key)
-        if cached is None:
-            grid = self.grid
-            mx = np.abs(np.arange(-1, grid.nx + 1, dtype=np.int64) - tx)
-            my = np.abs(np.arange(-1, grid.ny + 1, dtype=np.int64) - ty)
-            cached = self._manhattan[key] = np.broadcast_to(
-                (mx[:, None] + my[None, :])[:, :, None],
-                (grid.nx + 2, self.nyp, self.nlp)).reshape(-1).tolist()
-        return cached
 
     def entry_terms(self, soft: bool) -> "tuple[int, float] | None":
         """(Dyadic scale, largest value) of the finite entry costs.
@@ -379,6 +367,7 @@ class CostField:
                  guid: tuple[float, float, float], soft: bool) -> None:
         self.costs = costs
         self.soft = soft
+        self.nyp = costs.nyp
         self.nlp = costs.nlp
         self.dix = costs.dix
         # Per-(layer, axis) planar step cost, matching the seed router's
@@ -398,12 +387,16 @@ class CostField:
         """Point the heuristic at a new target cell.
 
         The heuristic ``man * h_scale + |l - l_t| * via`` is the seed
-        router's exact float expression: the state's unscaled Manhattan
-        list, which the engines multiply by ``h_scale`` per push, plus the
-        layer term from ``h_layer`` (indexed by padded layer).
+        router's exact float expression: the Manhattan term ``man`` is
+        ``h_x[px] + h_y[py]`` for a node's padded x and y, which the
+        engines add up per expansion and multiply by ``h_scale`` per
+        push, plus the layer term from ``h_layer`` (indexed by padded
+        layer).
         """
         self.target_node = self.costs.encode(target)
-        self.h_list = self.costs.manhattan(target[0], target[1])
+        tx, ty = target[0] + 1, target[1] + 1
+        self.h_x = [abs(px - tx) for px in range(self.costs.grid.nx + 2)]
+        self.h_y = [abs(py - ty) for py in range(self.nyp)]
         self.h_layer = [abs(lp - 1 - target[2]) * self.via
                         for lp in range(self.nlp)]
 
@@ -429,8 +422,8 @@ class CostField:
         The step costs are probed once per field; continuous guidance
         fails there, before any grid-wide work.  The entry-cost part is
         the state's (:meth:`CostState.entry_terms`), and the integer core
-        built on it is reused until those terms change.  The Manhattan
-        list is already integer and unscaled, and the integer
+        built on it is reused until those terms change.  The per-axis
+        distance lists are already integer and unscaled, and the integer
         ``h_factor`` folds ``h_scale * scale`` (exact dyadic).
         """
         if self._step_scale is None:
@@ -449,7 +442,8 @@ class CostField:
         return QuantizedField(
             scale=scale,
             entry=self.costs.quantized_entry(self.soft, scale, impassable),
-            h=self.h_list,
+            h_x=self.h_x,
+            h_y=self.h_y,
             h_layer=[int(t * scale) for t in self.h_layer],
             h_factor=h_factor,
             step_x=sx_i,
