@@ -48,7 +48,7 @@ from repro.eval.compare import SCALES
 from repro.obs import RunContext
 from repro.graph import build_hetero_graph
 from repro.model.gnn3d import Gnn3d
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, frozen, no_grad
 from repro.perf.timing import (
     bench_payload,
     compare_to_baseline,
@@ -93,7 +93,7 @@ RELAX_EVAL_REPEATS = 20
 #: Gate: per-candidate time at the largest swept batch must amortize to
 #: at most this fraction of the unbatched (B=1) per-candidate time.
 #: The observed amortization is far stronger; 0.9 only asserts that
-#: blocked batching keeps paying off at all past forward_block.
+#: blocked batching keeps paying off at all past one block.
 FORWARD_MAX_AMORTIZED_RATIO = 0.9
 
 
@@ -107,12 +107,15 @@ FAULT_BATCH = 16
 FAULT_CALLS = 20
 
 #: Gate: most minor page faults one tape-free ``FAULT_BATCH``-candidate
-#: ``forward_batch`` may take after warm-up, on every probe circuit.
-#: Its per-edge and per-slot arrays live in buffers its plan owns; what
-#: is left is scipy's CSR aggregation product allocating its (N*T, H)
-#: result: 300-375 faults per call on OTA1 and 0 on OTA3 (2-vCPU Xeon
-#: VM).  Allocating every array, the same call took about 2,200 (OTA1)
-#: and 8,300-9,300 (OTA3).
+#: ``forward_batch`` may take after warm-up, live or with frozen
+#: weights, on every probe circuit.  Its per-edge and per-slot arrays
+#: live in buffers its plans own; what is left is scipy's CSR
+#: aggregation product allocating its (N*T, H) result.  In unions of 16
+#: the call took 300-375 faults on OTA1; in unions of 4
+#: (``TAPE_FREE_UNION``, a quarter of that result per product) it takes
+#: 1.5-1.6 live and 0.6-0.7 frozen on OTA1, and 1.4 and 0.6-0.7 on OTA3
+#: (2-vCPU Xeon VM).  Allocating every array, the same call took about
+#: 2,200 (OTA1) and 8,300-9,300 (OTA3).
 TAPE_FREE_MAX_FAULTS_PER_CALL = 1000
 
 #: Candidates of the probe's taped call: one relaxation wave (the
@@ -122,10 +125,12 @@ FAULT_WAVE = 6
 #: Gate: most minor page faults one taped ``FAULT_WAVE``-candidate
 #: ``PotentialFunction.value_and_grad_batch``, relaxation's own call,
 #: may take after warm-up, on every probe circuit.  Its forward and
-#: backward write their per-edge and per-slot arrays into buffer sets
-#: its plan owns: 0.5 faults per call on OTA1 and OTA3 (2-vCPU Xeon
-#: VM).  With those buffers disabled, allocating every array afresh,
-#: the same call took 2,177 (OTA1) and 3,876 (OTA3).
+#: backward write their per-edge and per-slot arrays, and the distance
+#: features' gradient, into buffer sets its plan owns: 0.5 faults per
+#: call on OTA1 and OTA3 (2-vCPU Xeon VM).  With those buffers disabled,
+#: allocating every array afresh, the same call took 2,177 (OTA1) and
+#: 3,876 (OTA3); allocating only the gradient afresh, it took 298 on
+#: OTA3 after the tape-free probes in unions of 4.
 TAPED_MAX_FAULTS_PER_CALL = 100
 
 
@@ -424,16 +429,19 @@ def measure_faults() -> dict:
     """Minor page faults per 3DGNN call after warm-up (``faults``).
 
     Per probe circuit: a tape-free ``FAULT_BATCH``-candidate
-    ``forward_batch`` and a taped ``FAULT_WAVE``-candidate
-    ``PotentialFunction.value_and_grad_batch`` (both gated), the
-    tape-free per-candidate time at B=1 and B=``FAULT_BATCH``, and the
+    ``forward_batch``, the same call with the weights held fixed (as
+    :class:`repro.serve.ScoringService` makes it) and a taped
+    ``FAULT_WAVE``-candidate ``PotentialFunction.value_and_grad_batch``
+    (all gated), the tape-free per-candidate time at B=1 and
+    B=``FAULT_BATCH``, the frozen one at B=``FAULT_BATCH``, and the
     taped call's time.  Fault counts depend on the heap's history, so
     :func:`main` runs this in a fresh process of its own.
     """
     record: dict = {"batch": FAULT_BATCH, "wave": FAULT_WAVE,
                     "calls": FAULT_CALLS, "tape_free": {},
-                    "value_and_grad_batch": {},
+                    "tape_free_frozen": {}, "value_and_grad_batch": {},
                     "tape_free_ms_per_candidate": {},
+                    "tape_free_frozen_ms_per_candidate": {},
                     "value_and_grad_batch_ms": {}}
     for name in FAULT_CIRCUITS:
         placement = place_benchmark(build_benchmark(name), variant="A",
@@ -453,6 +461,15 @@ def measure_faults() -> dict:
                 per_candidate[str(batch)] = round(best / batch * 1e3, 4)
         record["tape_free"][name] = round(faults, 1)
         record["tape_free_ms_per_candidate"][name] = per_candidate
+        # The same call as the scoring service makes it: weights held
+        # fixed, so the forward reads its plans' frozen values.
+        guidance = Tensor(pool)
+        with no_grad(), frozen(model.parameters()):
+            faults, best = _probe_calls(
+                lambda: model.forward_batch(graph, guidance), FAULT_CALLS)
+        record["tape_free_frozen"][name] = round(faults, 1)
+        record["tape_free_frozen_ms_per_candidate"][name] = round(
+            best / FAULT_BATCH * 1e3, 4)
         potential = PotentialFunction(model, graph)
         points = pool[:FAULT_WAVE].reshape(FAULT_WAVE, -1)
         faults, best = _probe_calls(
@@ -470,14 +487,16 @@ def measure_faults_in_fresh_process() -> dict:
 
 
 def check_faults(faults: dict) -> list[str]:
-    """Fault gates: every tape-free probe call stays under
-    :data:`TAPE_FREE_MAX_FAULTS_PER_CALL` and every taped one under
-    :data:`TAPED_MAX_FAULTS_PER_CALL`."""
+    """Fault gates: every tape-free probe call, live or frozen, stays
+    under :data:`TAPE_FREE_MAX_FAULTS_PER_CALL` and every taped one
+    under :data:`TAPED_MAX_FAULTS_PER_CALL`."""
     return [
-        f"tape-free B={faults['batch']} forward on {name} took {count:g} "
-        f"minor page faults per call (gate: <= "
+        f"tape-free B={faults['batch']} forward ({kind}) on {name} took "
+        f"{count:g} minor page faults per call (gate: <= "
         f"{TAPE_FREE_MAX_FAULTS_PER_CALL})"
-        for name, count in faults["tape_free"].items()
+        for kind, key in (("live", "tape_free"),
+                          ("frozen", "tape_free_frozen"))
+        for name, count in faults[key].items()
         if count > TAPE_FREE_MAX_FAULTS_PER_CALL] + [
         f"taped B={faults['wave']} value_and_grad_batch on {name} took "
         f"{count:g} minor page faults per call (gate: <= "
@@ -686,8 +705,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, count in faults["tape_free"].items():
         ms = faults["tape_free_ms_per_candidate"][name]
         print(f"  faults on {name}: {count:g} per tape-free "
-              f"B={faults['batch']} forward (gate <= "
-              f"{TAPE_FREE_MAX_FAULTS_PER_CALL}), "
+              f"B={faults['batch']} forward, "
+              f"{faults['tape_free_frozen'][name]:g} frozen (gate <= "
+              f"{TAPE_FREE_MAX_FAULTS_PER_CALL}, "
+              f"{faults['tape_free_frozen_ms_per_candidate'][name]} "
+              f"ms/candidate), "
               f"{faults['value_and_grad_batch'][name]:g} per taped "
               f"B={faults['wave']} value_and_grad_batch (gate <= "
               f"{TAPED_MAX_FAULTS_PER_CALL}, "

@@ -8,11 +8,11 @@ section of ``BENCH_perf.json`` (the rest of the file — the pipeline
 stages written by ``bench_perf.py`` — is preserved).
 
 Expected shape: throughput rises monotonically with ``max_batch``.
-The union forward amortizes per-forward Python and small-array
-overhead, and since a tape-free call of up to ``TAPE_FREE_UNION``
-candidates runs as one union over buffers its plan owns, larger waves
-keep paying off rather than allocating afresh; ``forward_block`` caps
-the candidates the service hands the model at once.
+The service hands the model one call per wave, with the weights held
+fixed, and the model runs it in unions of ``TAPE_FREE_UNION``
+candidates over buffers and frozen values its plans own, so larger
+waves amortize per-wave Python overhead without allocating afresh or
+outgrowing the cache.
 
 Standalone usage (no pytest required)::
 
@@ -61,11 +61,11 @@ NUM_CANDIDATES = 64
 # scheduler noise on a 1-vCPU runner; a full sweep pass costs ~0.5 s.
 REPEATS = 25
 # Each sweep step must retain at least (1 - tol) of its predecessor's
-# throughput.  The curve is genuinely flat past forward_block (a wave of
-# 32 is two unions of 16), so adjacent steps sit within measurement
+# throughput.  The curve is genuinely flat past TAPE_FREE_UNION (a wave
+# of 32 is eight unions of 4), so adjacent steps sit within measurement
 # noise of each other; a strict >= would flake.  12% clears the
 # observed best-of-N jitter on a noisy shared runner while still
-# catching a real cliff (e.g. cache thrash past forward_block).
+# catching a real cliff (e.g. cache thrash in oversized unions).
 MONOTONE_TOLERANCE = 0.12
 
 

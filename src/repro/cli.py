@@ -39,7 +39,6 @@ from repro import (
 )
 from repro.graph import build_hetero_graph
 from repro.serve import (
-    DEFAULT_FORWARD_BLOCK,
     PRECISIONS,
     ClusterConfig,
     ModelRegistry,
@@ -253,8 +252,7 @@ def _cmd_serve_score(args: argparse.Namespace) -> int:
     graph = build_hetero_graph(RoutingGrid(placement, generic_40nm()))
     name, _, version = args.model.partition("@")
     service = ScoringService(
-        ServeConfig(max_batch=args.max_batch, max_queue=args.max_queue,
-                    forward_block=args.forward_block))
+        ServeConfig(max_batch=args.max_batch, max_queue=args.max_queue))
     manifest = service.register_checkpoint(
         name, ModelRegistry(args.registry), name, graph,
         version=version or None)
@@ -504,9 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="candidates coalesced per scoring wave")
     p_score.add_argument("--max-queue", type=int, default=64,
                          help="admission bound on pending requests")
-    p_score.add_argument("--forward-block", type=int,
-                         default=DEFAULT_FORWARD_BLOCK,
-                         help="candidates per union forward inside a wave")
     p_score.set_defaults(func=_cmd_serve_score)
 
     p_cluster = sub.add_parser(

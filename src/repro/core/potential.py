@@ -201,6 +201,13 @@ class PotentialFunction:
     def value(self, c_flat: np.ndarray) -> float:
         return self.value_and_grad(c_flat)[0]
 
+    def release_buffers(self) -> None:
+        """Free the buffer sets taped evaluations keep on the model's
+        plans between calls (:class:`repro.nn.TapeBuffers`); the next
+        evaluation allocates them again.  A relaxation calls this when
+        it ends, so the memory is free for the routing that follows."""
+        self.model.cache.release_tape_buffers()
+
     def predicted_metrics(self, c_flat: np.ndarray) -> np.ndarray:
         """Normalized metric predictions at a guidance point (no grad)."""
         # Relaxation operates in float64 by contract; only serve

@@ -42,12 +42,13 @@ from repro.perf.cache import BatchedStatics, ForwardCacheStore
 #: (see docs/PERFORMANCE.md, "Why block=2").
 DEFAULT_CACHE_BLOCK = 2
 
-#: Most replicas a tape-free forward runs as one union: a tape-free
-#: forward writes its per-edge arrays into buffers its plan owns, so one
-#: big union neither faults nor loses to blocking.  Larger tape-free
-#: batches run in unions of this size.  ``repro.serve`` hands the model
-#: calls of at most this many candidates.
-TAPE_FREE_UNION = 16
+#: Most replicas a tape-free forward runs as one union; larger tape-free
+#: batches run in unions of this size.  A tape-free forward writes its
+#: per-edge arrays into buffers its plan owns, so a union allocates none
+#: of them per call, and at four OTA-sized replicas each (E, H) array
+#: still fits a 2 MB L2: 690 KB on OTA1, against 2.8 MB in a union of 16
+#: (see docs/PERFORMANCE.md, "Tape-free unions").
+TAPE_FREE_UNION = 4
 
 
 @dataclass(frozen=True)
@@ -281,11 +282,12 @@ class Gnn3d(Module):
 
         While the embeddings and every layer's source and output affines
         are held fixed (:class:`repro.nn.frozen`, as a potential
-        evaluation holds them), the plan computes what depends on them
-        alone once per weight version and keeps it: the embedded node
-        rows, layer 1's gathered source rows and each layer's stacked
-        weights (:class:`repro.nn.FrozenLayer`).  The same forward then
-        reads them instead of recomputing them, with the same bits.
+        evaluation and a served score hold them), the plan computes what
+        depends on them alone once per weight version and keeps it: the
+        embedded node rows, layer 1's gathered source rows and each
+        layer's stacked weights (:class:`repro.nn.FrozenLayer`).  The
+        same forward then reads them instead of recomputing them, with
+        the same bits.
 
         Parity contract: float64 results match the single-candidate
         forward to <1e-10 per row.  The pooled rows are the same at every

@@ -434,9 +434,11 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     rows and, for a fixed ``h``, the gathered source rows, computed
     once.  The backward adds into ``h``, ``psi`` and each weight that
     requires grad when it runs.  With a ``workspace``, every per-edge
-    and per-slot array, the output included, is a workspace buffer; with
-    a tape-free :class:`Workspace` the output goes to whichever of two
-    buffers ``h`` is not in, so stacked layers alternate between them.
+    and per-slot array, the output included, is a workspace buffer.
+    With a lease, so is the first gradient of a ``psi`` that an op made.
+    With a tape-free :class:`Workspace` the output goes to whichever of
+    two buffers ``h`` is not in, so stacked layers alternate between
+    them.
 
     Args:
         h: (N, H) node embeddings.
@@ -558,7 +560,16 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
                     g_psi = np.empty_like(psi.data)
                 for lo, hi, wd, _bd in spans:
                     np.matmul(g_dist[lo:hi], wd.data.T, out=g_psi[lo:hi])
-                psi._accumulate(g_psi)
+                if (psi.grad is None and lease is not None
+                        and psi._backward is not None):
+                    # An op's ``psi`` gets its first gradient, with
+                    # ``_accumulate``'s bits, in the lease's set: only
+                    # this backward pass reads it (the later layers and
+                    # ``psi``'s own backward), so a reused set serves.
+                    psi.grad = np.add(g_psi, 0.0, out=lease.buffer(
+                        "ml_g_psi", psi.shape, psi.data.dtype))
+                else:
+                    psi._accumulate(g_psi)
             for lo, hi, wd, bd in spans:
                 if wd.requires_grad:
                     wd._accumulate(psi.data[lo:hi].T @ g_dist[lo:hi])

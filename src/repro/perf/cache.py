@@ -337,6 +337,16 @@ class ForwardCacheStore:
             self._plan_put(entry.batched, batch, plan)
         return plan
 
+    def release_tape_buffers(self) -> None:
+        """Give every plan (and dtype cast) a new, empty
+        :class:`~repro.nn.TapeBuffers`, so the old buffer sets and
+        scratch are freed.  A tape still alive keeps its own set through
+        its lease; later taped forwards allocate sets anew."""
+        for entry in self._entries.values():
+            for plan in entry.batched.values():
+                for owner in (plan, *plan._casts.values()):
+                    owner.tape = TapeBuffers()
+
     def union_plan(self, graph: HeteroGraph, batch: int,
                    block: int) -> UnionPlan:
         """The blocked decomposition of a ``B``-candidate forward.

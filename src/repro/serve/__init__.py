@@ -40,7 +40,6 @@ from repro.serve.registry import (
     REGISTRY_SCHEMA_VERSION,
 )
 from repro.serve.service import (
-    DEFAULT_FORWARD_BLOCK,
     ScoreRequest,
     ScoreResult,
     ScoringService,
@@ -51,7 +50,6 @@ from repro.serve.supervisor import Supervisor
 from repro.serve.worker import WorkerContext
 
 __all__ = [
-    "DEFAULT_FORWARD_BLOCK",
     "FLOAT32_PARITY_RTOL",
     "PRECISIONS",
     "CircuitBreaker",

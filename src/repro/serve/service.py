@@ -3,15 +3,20 @@
 Synchronous API, batched execution: callers submit ``(graph_id, C)``
 requests one at a time (or as a stream) and the service coalesces the
 pending queue into scoring waves of up to ``max_batch`` candidates,
-served by batched model calls of at most ``forward_block`` candidates
-each.  Each call is one tape-free ``Gnn3d.forward_batch`` that runs its
-candidates as one union, over the same
-:class:`~repro.perf.cache.ForwardCacheStore`-backed plans potential
-relaxation uses, writing its per-edge arrays into buffers the plan
-owns; a served score is bit-compatible with a direct
-:class:`~repro.model.gnn3d.Gnn3d` forward.  Endpoints whose
-manifest declares ``precision: float32`` score in float32 under the
-documented parity tolerance
+each served by one model call.  The call is a tape-free
+``Gnn3d.forward_batch`` with the model's weights held fixed
+(:class:`repro.nn.no_grad` and :class:`repro.nn.frozen`, as potential
+relaxation holds them): the model runs the wave in unions of
+:data:`~repro.model.gnn3d.TAPE_FREE_UNION` candidates over the same
+:class:`~repro.perf.cache.ForwardCacheStore`-backed plans relaxation
+uses, writes its per-edge arrays into buffers the plans own, and reads
+the values that do not depend on the guidance (the node embeddings,
+layer 1's gathered source rows, the stacked weights) from its plans,
+computed once per weight version.  A served score is bitwise a
+tape-free :class:`~repro.model.gnn3d.Gnn3d` forward with live weights,
+and the model's ``requires_grad`` flags are as they were after every
+call.  Endpoints whose manifest declares ``precision: float32`` score
+in float32 under the documented parity tolerance
 (:data:`repro.serve.registry.FLOAT32_PARITY_RTOL`).
 
 Operational behavior:
@@ -33,14 +38,14 @@ Operational behavior:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.graph.hetero import HeteroGraph
-from repro.model.gnn3d import TAPE_FREE_UNION, Gnn3d
-from repro.nn import Tensor, no_grad
+from repro.model.gnn3d import Gnn3d
+from repro.nn import Parameter, Tensor, frozen, no_grad
 from repro.obs import NULL_CONTEXT, RunContext
 from repro.perf.cache import graph_fingerprint
 from repro.reliability.errors import ReproError, ServeError
@@ -53,14 +58,6 @@ from repro.simulation.metrics import FoMWeights
 _FORWARD_ERRORS = (ReproError, ValueError, ArithmeticError)
 
 
-#: Most candidates handed to one model call inside a wave: the most
-#: candidates one tape-free call runs as one union
-#: (:data:`repro.model.gnn3d.TAPE_FREE_UNION`), whose per-edge arrays
-#: live in buffers the union's plan owns, so a 16-candidate wave is one
-#: union and one pass of the model.
-DEFAULT_FORWARD_BLOCK = TAPE_FREE_UNION
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Service knobs.
@@ -71,25 +68,16 @@ class ServeConfig:
             grouping, and metric updates amortize over it).
         max_queue: admission bound on pending (submitted, unflushed)
             requests.
-        forward_block: most candidates per batched model call inside a
-            wave; waves larger than this run several back-to-back
-            calls.  A call of up to :data:`DEFAULT_FORWARD_BLOCK`
-            candidates runs as one union; a larger one runs in unions
-            of that size.
     """
 
     max_batch: int = 8
     max_queue: int = 64
-    forward_block: int = DEFAULT_FORWARD_BLOCK
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.forward_block < 1:
-            raise ValueError(
-                f"forward_block must be >= 1, got {self.forward_block}")
 
 
 @dataclass(frozen=True)
@@ -156,12 +144,20 @@ class _Endpoint:
     fingerprint: tuple
     c_max: float = 4.0
     precision: str = "float64"
+    # The weights a scoring call holds fixed, listed once: a
+    # ``Module.parameters()`` walk costs more than the flags.
+    params: list[Parameter] = field(init=False, repr=False)
 
-    def cast_guidance(self, guidance: np.ndarray) -> np.ndarray:
-        """Guidance in the endpoint's execution dtype (no-op float64)."""
-        if self.precision == "float32":
-            return guidance.astype(np.float32)
-        return guidance
+    def __post_init__(self) -> None:
+        self.params = self.model.parameters()
+
+    def predict(self, guidance: np.ndarray) -> np.ndarray:
+        """The model's metric predictions for one candidate or a stack of
+        them, tape-free and with the weights held fixed."""
+        stack = Tensor(guidance.astype(np.float32)
+                       if self.precision == "float32" else guidance)
+        with no_grad(), frozen(self.params):
+            return self.model(self.graph, stack).numpy()
 
 
 @dataclass
@@ -257,7 +253,7 @@ class ScoringService:
                 f"(registered: {self.graph_ids()})",
                 graph_id=request.graph_id)
         # Admission-time shape normalization in float64; the
-        # per-endpoint cast_guidance converts right before the forward.
+        # endpoint's predict casts right before the forward.
         # repro-lint: disable-next-line=PRE001 -- admission normalization
         guidance = np.asarray(request.guidance, dtype=float)
         expected = (endpoint.graph.num_aps, 3)
@@ -362,20 +358,9 @@ class ScoringService:
         start = time.perf_counter()
         preds: np.ndarray | None = None
         if not degraded and len(requests) > 1:
-            block = self.config.forward_block
             try:
-                rows = []
-                for sub_start in range(0, len(requests), block):
-                    sub = requests[sub_start: sub_start + block]
-                    stack = endpoint.cast_guidance(
-                        np.stack([r.guidance for r in sub]))
-                    # Tape-free: scoring never backpropagates, and
-                    # only a tape-free forward runs the call as one
-                    # union over its plan's reusable buffers.
-                    with no_grad():
-                        rows.append(endpoint.model(
-                            endpoint.graph, Tensor(stack)).numpy())
-                preds = np.concatenate(rows, axis=0)
+                preds = endpoint.predict(
+                    np.stack([r.guidance for r in requests]))
             except _FORWARD_ERRORS:
                 degraded = True
                 self.obs.counter("serve_degraded_total",
@@ -387,11 +372,7 @@ class ScoringService:
                     endpoint, request, preds[row], len(requests), degraded))
                 continue
             try:
-                with no_grad():
-                    single = endpoint.model(
-                        endpoint.graph,
-                        Tensor(endpoint.cast_guidance(
-                            request.guidance))).numpy()
+                single = endpoint.predict(request.guidance)
             except _FORWARD_ERRORS as exc:
                 results.append(ScoreResult(
                     request_id=request.request_id,

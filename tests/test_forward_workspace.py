@@ -16,8 +16,8 @@ unions"):
   results equal a fresh model's;
 * the float32 cast of a plan has its own workspace, and a taped forward
   writes no buffer;
-* served scores at ``max_batch=16`` are bitwise the scores of calls of
-  two candidates.
+* served scores at ``max_batch=16`` are bitwise the tape-free forward's
+  in blocks of two candidates.
 """
 
 from __future__ import annotations
@@ -39,12 +39,7 @@ from repro.nn import (
 )
 from repro.perf.cache import build_batched
 from repro.router import RoutingGrid
-from repro.serve import (
-    DEFAULT_FORWARD_BLOCK,
-    ScoreRequest,
-    ScoringService,
-    ServeConfig,
-)
+from repro.serve import ScoreRequest, ScoringService, ServeConfig
 
 from tests.test_forward_blocking import AP_DIM, MODULE_DIM, synthetic_graph
 
@@ -151,8 +146,10 @@ class TestTapeFreeMatchesTaped:
             for _ in range(2):
                 assert_bitwise(tape_free(model, graph, guidance, block),
                                taped)
+        # The default tape-free call runs unions of TAPE_FREE_UNION.
         assert_bitwise(tape_free(model, graph, guidance),
-                       tape_free(model, graph, guidance, block=batch))
+                       tape_free(model, graph, guidance,
+                                 block=TAPE_FREE_UNION))
 
 
 class TestReturnedRowsAreFresh:
@@ -255,27 +252,21 @@ class TestWorkspaceOwnership:
 
 
 class TestServedScores:
-    def test_one_union_per_wave_matches_two_candidate_calls(
-            self, ota_graphs):
+    def test_served_wave_matches_two_candidate_blocks(self, ota_graphs):
         graph = ota_graphs["OTA1"]
         model = model_for(graph)
         guidance = candidates(graph, 32, seed=17)
-        assert DEFAULT_FORWARD_BLOCK == TAPE_FREE_UNION
-
-        def scores(config):
-            service = ScoringService(config)
-            service.register("g", model, graph)
-            results = list(service.score_stream(
-                ScoreRequest("g", c) for c in guidance))
-            assert {r.status for r in results} == {"ok"}
-            assert {r.batch_size for r in results} == {config.max_batch}
-            return results
-
-        union = scores(ServeConfig(max_batch=16))
-        pairs = scores(ServeConfig(max_batch=16, forward_block=2))
-        for a, b in zip(union, pairs):
-            assert_bitwise(a.metrics, b.metrics)
-            assert a.fom == b.fom
+        service = ScoringService(ServeConfig(max_batch=16))
+        service.register("g", model, graph)
+        results = list(service.score_stream(
+            ScoreRequest("g", c) for c in guidance))
+        assert {r.status for r in results} == {"ok"}
+        assert {r.batch_size for r in results} == {16}
+        pairs = np.concatenate([
+            tape_free(model, graph, guidance[start:start + 16], block=2)
+            for start in (0, 16)])
+        for result, row in zip(results, pairs):
+            assert_bitwise(result.metrics, row)
 
     def test_float32_endpoint_matches_taped_float32(self, ota_graphs):
         graph = ota_graphs["OTA3"]

@@ -252,7 +252,7 @@ class TestScoringParity:
         registry = ModelRegistry(tmp_path / "reg")
         registry.save(circuit.lower(), model, graph)
 
-        service = ScoringService(ServeConfig(max_batch=8, forward_block=4))
+        service = ScoringService(ServeConfig(max_batch=8))
         service.register_checkpoint(circuit.lower(), registry,
                                     circuit.lower(), graph)
         stream = guidance_stream(graph, 6, seed=1)
@@ -265,7 +265,7 @@ class TestScoringParity:
             w = service._endpoints[circuit.lower()].w_signed
             assert result.fom == pytest.approx(float(w @ direct))
 
-    def test_forward_block_caps_union_size(self, fresh_graph, tmp_path):
+    def test_one_model_call_per_wave(self, fresh_graph):
         model = small_model(fresh_graph)
         shapes = []
         real_forward = model.forward
@@ -275,14 +275,16 @@ class TestScoringParity:
             return real_forward(graph, guidance)
 
         model.forward = spying_forward
-        service = ScoringService(ServeConfig(max_batch=8, forward_block=3))
+        service = ScoringService(ServeConfig(max_batch=7))
         service.register("g", model, fresh_graph)
-        stream = guidance_stream(fresh_graph, 8)
+        stream = guidance_stream(fresh_graph, 9)
         results = list(service.score_stream(
             ScoreRequest("g", g) for g in stream))
-        # One wave of 8, forwards capped at 3: 3 + 3 + 2.
-        assert [s[0] for s in shapes] == [3, 3, 2]
-        assert all(r.status == "ok" and r.batch_size == 8 for r in results)
+        # Waves of 7 and 2, each one call, which the model runs in
+        # unions of its own size.
+        assert [s[0] for s in shapes] == [7, 2]
+        assert [r.batch_size for r in results] == [7] * 7 + [2] * 2
+        assert all(r.status == "ok" for r in results)
 
     def test_results_in_submission_order_across_graphs(self, fresh_graph,
                                                        ota1_placement,
@@ -354,8 +356,6 @@ class TestAdmissionControl:
             ServeConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServeConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            ServeConfig(forward_block=0)
 
 
 class TestDegradation:
@@ -419,7 +419,7 @@ class TestDegradation:
             return out
 
         model.forward = sometimes_nan
-        service = ScoringService(ServeConfig(max_batch=2, forward_block=1))
+        service = ScoringService(ServeConfig(max_batch=2))
         service.register("g", model, fresh_graph)
         good = service.score("g", guidance_stream(fresh_graph, 1)[0])
         assert good.status == "ok"

@@ -14,6 +14,8 @@ forward-backward"):
 * the owner check: taped forwards alive at once on one plan hold buffer
   sets of their own, a set is reused once its tape ran its backward or
   was dropped, and a released tape refuses a second backward;
+* a relaxation frees its plans' buffer sets when it ends, and the next
+  evaluation allocates them again with the same bits;
 * B=6 gradients at block 2 equal fresh per-block evaluations bitwise.
 """
 
@@ -182,8 +184,22 @@ class TestTapeBuffers:
         out = forward()
         assert len(plan.tape._sets) == 1 and arrays() == first
         out.sum().backward()
+        # The backward adds one array: the distance features' gradient.
+        after_backward = arrays()
+        assert after_backward[:-1] == first
         forward().sum().backward()
-        assert len(plan.tape._sets) == 1 and arrays() == first
+        assert len(plan.tape._sets) == 1 and arrays() == after_backward
+
+    def test_a_relaxation_frees_its_sets_when_it_ends(self, graph):
+        model = model_for(graph, seed=6)
+        potential = PotentialFunction(model, graph)
+        PotentialRelaxer(RelaxationConfig(maxiter=3, seed=4)).run(potential)
+        plan = model.cache.batched(graph, DEFAULT_CACHE_BLOCK)
+        assert plan.frozen is not None and plan.tape._sets == []
+        points = wave(graph, seed=14)
+        fresh = PotentialFunction(copy_of(model, graph), graph)
+        assert_bitwise(potential.value_and_grad_batch(points),
+                       fresh.value_and_grad_batch(points))
 
     def test_a_released_tape_refuses_a_second_backward(self, graph):
         model = model_for(graph, seed=4)
