@@ -96,7 +96,7 @@ def measure(candidates: int = NUM_CANDIDATES,
             service = ScoringService(ServeConfig(max_batch=max_batch,
                                                  max_queue=candidates))
             service.register("ota1", served, graph)
-            # Warm the union-plan cache so steady-state is measured.
+            # Warm the block plans so steady-state is measured.
             list(service.score_stream(
                 ScoreRequest("ota1", g) for g in stream[:max_batch]))
             services[max_batch] = service

@@ -27,7 +27,7 @@ from repro.core.potential import PotentialFunction
 from repro.core.relaxation import PotentialRelaxer, RelaxationConfig, RelaxedGuidance
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig, Trainer
 from repro.netlist.circuit import Circuit
-from repro.obs import NULL_CONTEXT, NULL_SPAN, RunContext
+from repro.obs import NULL_CONTEXT, RunContext
 from repro.placement.layout import Placement
 from repro.reliability.errors import RelaxationError, ReproError, RoutingError
 from repro.reliability.policy import DegradationPolicy
@@ -142,26 +142,27 @@ class AnalogFold:
     # -- stages ---------------------------------------------------------------------
 
     @contextmanager
-    def _minor_faults(self, span):
-        """Record the minor page faults of a ``stage.*`` span's block."""
-        if span is NULL_SPAN:
-            yield
-            return
-        usage = resource.getrusage
-        before = usage(resource.RUSAGE_SELF).ru_minflt
-        try:
-            yield
-        finally:
-            faults = usage(resource.RUSAGE_SELF).ru_minflt - before
-            span.set(minflt=faults)
-            stage = span.name.removeprefix("stage.")
-            self.obs.counter("stage_minflt_total", stage=stage).inc(faults)
+    def _stage(self, name: str, span):
+        """Run one Figure-5 stage inside ``span``, its ``stage.<name>``
+        span (opened by the caller, so span names stay literal), which
+        records the stage's minor page faults; time a stage that
+        completes into ``stage_seconds[name]``."""
+        start = time.perf_counter()
+        with span:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            try:
+                yield
+            finally:
+                faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+                span.set(minflt=faults)
+                self.obs.counter("stage_minflt_total", stage=name).inc(faults)
+        self.stage_seconds[name] = time.perf_counter() - start
 
     def build_database(self) -> Database:
         """Stage 1: construct the training database."""
-        start = time.perf_counter()
-        with self.obs.span("stage.construct_database") as span, \
-                self._minor_faults(span):
+        with self._stage("construct_database",
+                         self.obs.span("stage.construct_database")):
             self.database = generate_dataset(
                 self.circuit, self.placement, self.tech,
                 config=self.config.dataset,
@@ -173,16 +174,14 @@ class AnalogFold:
                 workers=self.config.workers,
                 obs=self.obs,
             )
-        self.stage_seconds["construct_database"] = time.perf_counter() - start
         return self.database
 
     def train(self) -> Gnn3d:
         """Stage 2: train the 3DGNN on the database."""
         if self.database is None:
             self.build_database()
-        start = time.perf_counter()
-        with self.obs.span("stage.model_training") as span, \
-                self._minor_faults(span):
+        with self._stage("model_training",
+                         self.obs.span("stage.model_training")):
             graph = self.database.graph
             self.model = Gnn3d(
                 graph.ap_features.shape[1],
@@ -193,16 +192,14 @@ class AnalogFold:
                               obs=self.obs)
             with self.obs.span("train"):
                 trainer.fit(self.database.train_samples())
-        self.stage_seconds["model_training"] = time.perf_counter() - start
         return self.model
 
     def derive_guidance(self) -> list[RelaxedGuidance]:
         """Stage 3: relax the potential into top-N guidance solutions."""
         if self.model is None:
             self.train()
-        start = time.perf_counter()
-        with self.obs.span("stage.guide_generation") as span, \
-                self._minor_faults(span):
+        with self._stage("guide_generation",
+                         self.obs.span("stage.guide_generation")):
             potential = PotentialFunction(
                 self.model, self.database.graph,
                 weights=self.config.fom_weights,
@@ -212,7 +209,6 @@ class AnalogFold:
             with self.obs.span("relax"):
                 derived = relaxer.run(
                     potential, seed_guidance=self._best_database_guidance())
-        self.stage_seconds["guide_generation"] = time.perf_counter() - start
         return derived
 
     def _ranked_database_samples(self):
@@ -257,12 +253,11 @@ class AnalogFold:
             raise RelaxationError("relaxation produced no guidance",
                                   stage="relaxation")
 
-        start = time.perf_counter()
         weights = self.config.fom_weights
         candidates: list[tuple[object, str]] = []
         candidate_foms: list[float] = []
-        with self.obs.span("stage.guided_routing") as span, \
-                self._minor_faults(span):
+        with self._stage("guided_routing",
+                         self.obs.span("stage.guided_routing")):
             if self.config.select_by == "simulation":
                 for d in derived:
                     try:
@@ -293,7 +288,6 @@ class AnalogFold:
                 winner_source = "derived"
                 candidate_foms.append(weights.fom(best_sample.metrics))
             winner_index = candidate_foms.index(min(candidate_foms))
-        self.stage_seconds["guided_routing"] = time.perf_counter() - start
 
         return AnalogFoldResult(
             guidance=best_sample.guidance,

@@ -91,45 +91,17 @@ class PotentialFunction:
         self.stats = PotentialStats()
         return self.stats
 
-    def barrier(self, c: Tensor) -> Tensor:
-        """Interior-point penalty ``g(C)`` of Eq. 8."""
-        return (c.log() + (Tensor(np.array(self.c_max)) - c).log()).sum() * (
-            -self.barrier_r
-        )
-
     def value_and_grad(self, c_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Potential value and gradient for a flattened guidance vector.
+        """Potential value and gradient for a flattened guidance vector,
+        evaluated as a batch of one (see :meth:`value_and_grad_batch`).
 
         Infeasible inputs (outside the open region) return +inf with a
         gradient pushing back toward feasibility, so line searches recover.
         """
         self.stats.evals += 1
-        c_arr = np.asarray(c_flat, dtype=float).reshape(self.graph.num_aps, 3)
-        eps = 1e-9
-        if (c_arr <= eps).any() or (c_arr >= self.c_max - eps).any():
-            grad = np.where(c_arr <= eps, -1.0, np.where(
-                c_arr >= self.c_max - eps, 1.0, 0.0))
-            return float("inf"), grad.reshape(-1)
-
-        self.stats.forwards += 1
-        c = Tensor(c_arr, requires_grad=True)
-        with frozen(self._params):
-            pred = self.model(self.graph, c)
-            fom = (pred * Tensor(self._w_signed)).sum()
-            total = fom + self.barrier(c)
-            total.backward()
-        value = total.item()
-        grad = c.grad.reshape(-1).copy()
-        if not np.isfinite(value) or not np.isfinite(grad).all():
-            # A NaN from the model would silently poison L-BFGS; surface
-            # it as a typed error so the relaxer can drop the restart.
-            raise RelaxationError(
-                f"non-finite potential evaluation (value {value})",
-                stage="relaxation",
-                details={"value": value,
-                         "grad_finite": bool(np.isfinite(grad).all())},
-            )
-        return value, grad
+        values, grads = self._evaluate(
+            np.asarray(c_flat, dtype=float).reshape(1, self.num_variables))
+        return float(values[0]), grads[0]
 
     def value_and_grad_batch(
         self, c_batch: np.ndarray
@@ -139,11 +111,18 @@ class PotentialFunction:
         The candidates are independent (the batched GNN forward runs them
         as a disjoint union, and barrier terms are per-row), so row ``b``
         of the returned ``(B,)`` values and ``(B, num_variables)``
-        gradients equals a scalar :meth:`value_and_grad` of that row —
-        while the whole batch costs a single forward-backward pass.
+        gradients matches a :meth:`value_and_grad` of that row to
+        <1e-10 — while the whole batch costs a single forward-backward
+        pass.
 
-        Infeasible rows get ``+inf`` and a push-back gradient, like the
-        scalar path; feasible rows are unaffected by them.
+        Infeasible rows get ``+inf`` and a gradient pushing back toward
+        feasibility; feasible rows are unaffected by them.  A batch with
+        no feasible row runs no forward.
+
+        Raises:
+            RelaxationError: the model returned a non-finite value or
+                gradient (a NaN would silently poison L-BFGS), so the
+                relaxer can drop the restarts.
         """
         c_arr = np.asarray(c_batch, dtype=float)
         if c_arr.ndim != 2 or c_arr.shape[1] != self.num_variables:
@@ -151,13 +130,19 @@ class PotentialFunction:
                 f"candidate batch shape {c_arr.shape} != "
                 f"(B, {self.num_variables})"
             )
-        batch = c_arr.shape[0]
         self.stats.batched_evals += 1
-        self.stats.candidates += batch
+        self.stats.candidates += c_arr.shape[0]
+        return self._evaluate(c_arr)
 
+    def _evaluate(self, c_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`value_and_grad_batch` of a validated ``(B, n)`` batch."""
+        batch = c_arr.shape[0]
         eps = 1e-9
-        infeasible = ((c_arr <= eps) | (c_arr >= self.c_max - eps)
-                      ).any(axis=1)
+        push = np.where(c_arr <= eps, -1.0, np.where(
+            c_arr >= self.c_max - eps, 1.0, 0.0))
+        infeasible = push.any(axis=1)
+        if infeasible.all():
+            return np.full(batch, float("inf")), push
         # Clip so infeasible rows still flow through log/forward without
         # NaN; their outputs are overwritten below.
         c_safe = np.clip(c_arr, eps * 2, self.c_max - eps * 2)
@@ -167,46 +152,36 @@ class PotentialFunction:
                    requires_grad=True)
         with frozen(self._params):
             # The taped batched forward, in DEFAULT_CACHE_BLOCK-replica
-            # blocks: relaxation waves (pool sizes 6/12 by default)
-            # ride the same per-(graph, B) plans the scoring service
-            # uses.
+            # blocks: relaxation waves of every width (pool sizes 6/12
+            # by default) run on the same block plans.
             pred = self.model.forward_batch(self.graph, c)  # (B, metrics)
             fom = (pred * Tensor(np.tile(self._w_signed, (batch, 1)))
                    ).sum(axis=1)
-            flat = c.reshape(batch, self.num_variables)
-            barrier = (flat.log()
-                       + (Tensor(np.array(self.c_max)) - flat).log()
-                       ).sum(axis=1) * (-self.barrier_r)
-            total = fom + barrier  # (B,)
-            total.sum().backward()
-        values = total.numpy().astype(float).copy()
-        grads = c.grad.reshape(batch, self.num_variables).copy()
+            # The interior-point barrier g(C) of Eq. 8, per row.
+            barrier = (c.log() + (Tensor(np.array(self.c_max)) - c).log()
+                       ).sum(axis=(1, 2)) * (-self.barrier_r)
+            # Barrier first: the backward then adds the barrier's two
+            # terms of dV/dC before the model's; the other order rounds
+            # some gradient components apart (tests/test_frozen_tape.py).
+            total = barrier + fom  # (B,)
+            total.backward()
+        values = total.data.astype(float)
+        grads = c.grad.reshape(batch, self.num_variables)
         if not np.isfinite(values).all() or not np.isfinite(grads).all():
             raise RelaxationError(
-                "non-finite batched potential evaluation",
+                "non-finite potential evaluation",
                 stage="relaxation",
                 details={
                     "values_finite": bool(np.isfinite(values).all()),
                     "grads_finite": bool(np.isfinite(grads).all()),
                 },
             )
-        if infeasible.any():
-            values[infeasible] = float("inf")
-            push = np.where(c_arr <= eps, -1.0, np.where(
-                c_arr >= self.c_max - eps, 1.0, 0.0))
-            grads[infeasible] = push.reshape(
-                batch, self.num_variables)[infeasible]
+        values[infeasible] = float("inf")
+        grads[infeasible] = push[infeasible]
         return values, grads
 
     def value(self, c_flat: np.ndarray) -> float:
         return self.value_and_grad(c_flat)[0]
-
-    def release_buffers(self) -> None:
-        """Free the buffer sets taped evaluations keep on the model's
-        plans between calls (:class:`repro.nn.TapeBuffers`); the next
-        evaluation allocates them again.  A relaxation calls this when
-        it ends, so the memory is free for the routing that follows."""
-        self.model.cache.release_tape_buffers()
 
     def predicted_metrics(self, c_flat: np.ndarray) -> np.ndarray:
         """Normalized metric predictions at a guidance point (no grad)."""

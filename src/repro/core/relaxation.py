@@ -212,9 +212,6 @@ class PotentialRelaxer:
             inits.append((x0, from_pool))
         if inits:
             self._wave(potential, pool, inits, restart_offset=wave1)
-        # The evaluations are over: free the buffers they kept, for the
-        # stages that follow (a fold's guided routing).
-        potential.release_buffers()
 
         self.trace.gnn_forwards = potential.stats.forwards - start_forwards
         self.obs.counter("gnn_forwards").inc(self.trace.gnn_forwards)

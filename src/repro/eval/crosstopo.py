@@ -18,16 +18,18 @@ predicted-best guidance lands in the measured ranking.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import ConstantInputWarning, spearmanr
 
 from repro.core.dataset import Database, DatasetConfig, generate_dataset
 from repro.io.ingest import ingest_file
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig, Trainer
+from repro.model.evaluation import predict_batch
 from repro.netlist import build_benchmark
-from repro.nn import Tensor
 from repro.placement import place_benchmark
 from repro.simulation.metrics import FoMWeights
 from repro.tech import generic_40nm
@@ -55,30 +57,16 @@ CROSSTOPO_SCALES: dict[str, CrossTopoScale] = {
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation with average ranks for ties; 0.0 when
+    either ranking is constant, which carries no order information."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("spearman needs two equal-length 1-D arrays")
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    ca, cb = ra - ra.mean(), rb - rb.mean()
-    denom = float(np.sqrt((ca * ca).sum() * (cb * cb).sum()))
-    # repro-lint: disable-next-line=NUM001 -- exact zero: constant ranking
-    if denom == 0.0:
-        return 0.0  # a constant ranking carries no order information
-    return float((ca * cb).sum() / denom)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    ranks[order] = np.arange(len(values), dtype=float)
-    # Replace tie-group ranks with the group average.
-    for v in np.unique(values):
-        mask = values == v
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
-    return ranks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstantInputWarning)
+        rho = spearmanr(a, b).statistic
+    return 0.0 if np.isnan(rho) else float(rho)
 
 
 @dataclass
@@ -135,9 +123,7 @@ def score_design(model: Gnn3d, database: Database,
     weights = weights or FoMWeights()
     signed = weights.as_signed_vector()
     samples = database.train_samples()
-    preds = np.stack([
-        np.asarray(model(database.graph, Tensor(s.guidance)).data)
-        for s in samples])
+    preds = predict_batch(model, database.graph, samples)
     targets = np.stack([s.targets for s in samples])
     mae = float(np.abs(preds - targets).mean())
     fom_pred = preds @ signed

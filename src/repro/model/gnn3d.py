@@ -263,22 +263,21 @@ class Gnn3d(Module):
                                      self._weight_state.version())
         return self.head.fc(pooled).reshape(-1)
 
-    def forward_batch(self, graph: HeteroGraph, guidance: Tensor,
-                      block: int | None = None) -> Tensor:
+    def forward_batch(self, graph: HeteroGraph, guidance: Tensor) -> Tensor:
         """Evaluate ``B`` guidance candidates, in blocks of replicas.
 
-        The candidates are processed in blocks of at most ``block``
-        replicas; each block runs the complete distance -> RBF ->
-        message layers -> readout pass over its own union
+        The candidates are processed in blocks of replicas; each block
+        runs the complete distance -> RBF -> message layers -> readout
+        pass over its own union
         (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
-        the next block starts.  The default ``block`` is
-        :data:`TAPE_FREE_UNION` with the tape off, where the per-edge
-        arrays go to buffers the block's plan owns and the returned rows
-        are fresh arrays, and :data:`DEFAULT_CACHE_BLOCK` with the tape
-        on, where each block leases a buffer set of its plan's
-        (:class:`repro.nn.TapeBuffers`).  ``block=B`` runs all ``B``
-        replicas as one union.  Block readouts concatenate, and block
-        backward passes scatter into the corresponding guidance slices.
+        the next block starts.  With the tape off a block holds up to
+        :data:`TAPE_FREE_UNION` replicas, and the per-edge arrays go to
+        buffers the block's plan owns; the returned rows are fresh
+        arrays.  With the tape on a block holds up to
+        :data:`DEFAULT_CACHE_BLOCK` replicas and leases a buffer set of
+        its plan's (:class:`repro.nn.TapeBuffers`).  Block readouts
+        concatenate, and block backward passes scatter into the
+        corresponding guidance slices.
 
         While the embeddings and every layer's source and output affines
         are held fixed (:class:`repro.nn.frozen`, as a potential
@@ -306,9 +305,8 @@ class Gnn3d(Module):
                 f"guidance shape {guidance.shape} != "
                 f"({batch}, {graph.num_aps}, 3)"
             )
-        if block is None:
-            block = (DEFAULT_CACHE_BLOCK if is_grad_enabled()
-                     else TAPE_FREE_UNION)
+        block = (DEFAULT_CACHE_BLOCK if is_grad_enabled()
+                 else TAPE_FREE_UNION)
         plan = self.cache.union_plan(graph, batch, block)
         version = self._weight_state.version()
         pooled = []

@@ -30,19 +30,24 @@ evaluation; everything in that pass that does not depend on the guidance
   tape, and a frozen model keeps the forward values that do not depend
   on the guidance on the plan it runs on (``frozen``, see
   :class:`repro.model.gnn3d.Gnn3d`).  Buffers and constants live and
-  die with the plan, under the LRU below.
+  die with the plan.
 
 Caches are keyed on the *live* graph object (weak reference, so entries
 die with their graph and a recycled ``id()`` can never alias) and
 validated against a content fingerprint — node/edge counts **plus** a
 digest of the position and edge arrays — so both replacing a graph's
 edge arrays and mutating its geometry in place invalidate its entry.
+The model picks the union sizes (``DEFAULT_CACHE_BLOCK`` taped,
+``TAPE_FREE_UNION`` tape-free, see :mod:`repro.model.gnn3d`), so a
+graph holds at most one plan per size from 1 up to the larger of the
+two, and every plan lives as long as its graph's entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import weakref
 from dataclasses import dataclass, field
 
@@ -51,14 +56,6 @@ import numpy as np
 from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.nn.functional import TapeBuffers, Workspace
 from repro.nn.scatter import Scatter
-
-#: Per-entry cap on cached per-``B`` plans (batched statics and union
-#: plans each have their own LRU of this size).  Eviction is
-#: strictly LRU — a hit refreshes recency and capacity evicts only the
-#: stalest plan, never the whole plan dict at once (wholesale clearing
-#: made alternation across ``MAX_PLANS_PER_GRAPH + 1`` batch sizes
-#: rebuild every plan on every forward).
-MAX_PLANS_PER_GRAPH = 8
 
 
 def graph_fingerprint(graph: HeteroGraph) -> tuple[int, int, int, str]:
@@ -236,7 +233,7 @@ def build_batched(graph: HeteroGraph, batch: int) -> BatchedStatics:
 
 @dataclass(frozen=True)
 class UnionPlan:
-    """The full blocked decomposition of one ``(graph, B)`` forward.
+    """The blocked decomposition of one ``(graph, B)`` forward.
 
     ``B`` replicas are processed as ``ceil(B / block)`` cache blocks of
     at most ``block`` replicas each; every block runs the complete
@@ -260,28 +257,23 @@ class UnionPlan:
 
 
 class _Entry:
-    __slots__ = ("ref", "fingerprint", "batched", "unions")
+    __slots__ = ("ref", "fingerprint", "batched")
 
     def __init__(self, graph: HeteroGraph) -> None:
         self.ref = weakref.ref(graph)
         self.fingerprint = graph_fingerprint(graph)
         self.batched: dict[int, BatchedStatics] = {}
-        self.unions: dict[tuple[int, int], UnionPlan] = {}
 
 
 class ForwardCacheStore:
-    """Per-model cache of :class:`BatchedStatics` and :class:`UnionPlan`.
+    """Per-model cache of :class:`BatchedStatics`, one dict per live graph.
 
-    A model is typically used with one graph (plus occasionally a
-    validation graph), so the store keeps at most ``max_graphs`` live
-    entries, evicted in LRU order: a hit refreshes the entry's recency,
-    and capacity evicts only the stalest entries — never the entry being
-    fetched, and never the whole store at once (wholesale clearing made
-    alternation across ``max_graphs + 1`` graphs rebuild everything).
+    An entry lives as long as its graph: a graph whose fingerprint
+    changed gets a new entry, and the entries of collected graphs are
+    dropped when the next new graph arrives.
     """
 
-    def __init__(self, max_graphs: int = 4) -> None:
-        self.max_graphs = max_graphs
+    def __init__(self) -> None:
         self._entries: dict[int, _Entry] = {}
 
     def _entry(self, graph: HeteroGraph) -> _Entry:
@@ -289,38 +281,12 @@ class ForwardCacheStore:
         entry = self._entries.get(key)
         if (entry is not None and entry.ref() is graph
                 and entry.fingerprint == graph_fingerprint(graph)):
-            # Refresh LRU recency (dicts preserve insertion order).
-            self._entries.pop(key)
-            self._entries[key] = entry
             return entry
-        if entry is not None:  # dead ref or stale fingerprint: replace
-            del self._entries[key]
         for dead in [k for k, e in self._entries.items()
                      if e.ref() is None]:
             del self._entries[dead]
-        while len(self._entries) >= self.max_graphs:
-            del self._entries[next(iter(self._entries))]
-        entry = _Entry(graph)
-        self._entries[key] = entry
+        entry = self._entries[key] = _Entry(graph)
         return entry
-
-    # Per-entry plan dicts (batched / unions) are LRU caches:
-    # a hit moves the plan to the back (most recent), an insert at
-    # capacity evicts exactly the front (least recent) plan.  Dicts
-    # preserve insertion order, so recency is the dict order itself.
-
-    @staticmethod
-    def _plan_hit(plans: dict, key):
-        plan = plans.pop(key, None)
-        if plan is not None:
-            plans[key] = plan
-        return plan
-
-    @staticmethod
-    def _plan_put(plans: dict, key, plan) -> None:
-        while len(plans) >= MAX_PLANS_PER_GRAPH:
-            del plans[next(iter(plans))]
-        plans[key] = plan
 
     def batched(self, graph: HeteroGraph, batch: int) -> BatchedStatics:
         """The single-union plan of ``B`` replicas (one cache block).
@@ -329,34 +295,23 @@ class ForwardCacheStore:
         """
         return self._batched(self._entry(graph), graph, batch)
 
-    def _batched(self, entry: _Entry, graph: HeteroGraph,
+    @staticmethod
+    def _batched(entry: _Entry, graph: HeteroGraph,
                  batch: int) -> BatchedStatics:
-        plan = self._plan_hit(entry.batched, batch)
+        plan = entry.batched.get(batch)
         if plan is None:
-            plan = build_batched(graph, batch)
-            self._plan_put(entry.batched, batch, plan)
+            plan = entry.batched[batch] = build_batched(graph, batch)
         return plan
-
-    def release_tape_buffers(self) -> None:
-        """Give every plan (and dtype cast) a new, empty
-        :class:`~repro.nn.TapeBuffers`, so the old buffer sets and
-        scratch are freed.  A tape still alive keeps its own set through
-        its lease; later taped forwards allocate sets anew."""
-        for entry in self._entries.values():
-            for plan in entry.batched.values():
-                for owner in (plan, *plan._casts.values()):
-                    owner.tape = TapeBuffers()
 
     def union_plan(self, graph: HeteroGraph, batch: int,
                    block: int) -> UnionPlan:
         """The blocked decomposition of a ``B``-candidate forward.
 
-        Keyed per ``(graph fingerprint, B, block)``; the underlying
-        cache blocks are the :meth:`batched` plans, shared across batch
-        sizes (a ``B=12`` and a ``B=8`` plan at ``block=4`` reuse the
-        same 4-replica :class:`BatchedStatics`), so relaxation waves and
-        serving micro-batches of different widths amortize one block
-        build.
+        Its cache blocks are the :meth:`batched` plans, shared across
+        batch sizes (a ``B=12`` and a ``B=8`` forward at ``block=4`` run
+        on the same 4-replica :class:`BatchedStatics`), so relaxation
+        waves and serving micro-batches of different widths amortize one
+        block build.
         """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -364,29 +319,13 @@ class ForwardCacheStore:
             raise ValueError(f"block must be >= 1, got {block}")
         block = min(block, batch)
         entry = self._entry(graph)
-        key = (batch, block)
-        plan = self._plan_hit(entry.unions, key)
-        if plan is not None:
-            # A union hit is also a use of its cache blocks: refresh
-            # their recency too, so a hot union's blocks are never the
-            # eviction victims when a new block size comes along.
-            for size in dict.fromkeys(p.batch for p in plan.plans):
-                self._plan_hit(entry.batched, size)
-        if plan is None:
-            full, remainder = divmod(batch, block)
-            sizes = [block] * full + ([remainder] if remainder else [])
-            by_size = {size: self._batched(entry, graph, size)
-                       for size in dict.fromkeys(sizes)}
-            slices = []
-            start = 0
-            for size in sizes:
-                slices.append((start, start + size))
-                start += size
-            plan = UnionPlan(
-                batch=batch,
-                block=block,
-                slices=tuple(slices),
-                plans=tuple(by_size[size] for size in sizes),
-            )
-            self._plan_put(entry.unions, key, plan)
-        return plan
+        full, remainder = divmod(batch, block)
+        sizes = [block] * full + ([remainder] if remainder else [])
+        starts = [0, *itertools.accumulate(sizes)]
+        return UnionPlan(
+            batch=batch,
+            block=block,
+            slices=tuple(zip(starts[:-1], starts[1:])),
+            plans=tuple(self._batched(entry, graph, size)
+                        for size in sizes),
+        )

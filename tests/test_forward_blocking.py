@@ -6,39 +6,45 @@ The contracts under test (see docs/PERFORMANCE.md, "Forward blocking"):
   one-replica plan is the graph itself (the edges of each non-empty
   type in order, their slot ids, deltas and in-degrees, features, one
   pooling segment), its output is bitwise the ``B=1`` batch row,
-  and it never enters ``forward_batch`` or the union-plan cache;
+  and it never enters ``forward_batch`` or ``union_plan``;
 * the blocked float64 forward matches both the per-candidate forward
-  and the single union of all replicas (``block=B``) to <1e-10 for
-  arbitrary graphs, batch sizes, and block sizes — including
-  degenerate graphs (no modules, empty edge types) and remainder
-  blocks.  Not bitwise against the per-candidate forward: the batch
-  runs the metric head once over all pooled rows, a multi-row product,
-  where a single candidate runs it on one row, and BLAS rounds the two
-  differently;
+  and the single union of all replicas to <1e-10 for arbitrary graphs,
+  batch sizes, and block sizes (the model's union sizes, patched) —
+  including degenerate graphs (no modules, empty edge types) and
+  remainder blocks.  Not bitwise against the per-candidate forward:
+  the batch runs the metric head once over all pooled rows, a
+  multi-row product, where a single candidate runs it on one row, and
+  BLAS rounds the two differently;
 * gradients flow through block slicing exactly as through the union;
 * the float32 scoring path stays within ``FLOAT32_PARITY_RTOL`` of
   float64 on every built-in OTA;
-* union plans are rebuilt when the graph's content fingerprint changes
-  (in-place position mutation) and reused — same object — when it does
-  not;
-* the per-graph plan caches are strictly LRU (hits refresh recency,
-  capacity evicts only the stalest plan) and never alias plans across
-  ``(fingerprint, B, block)`` keys.
+* block plans are rebuilt when the graph's content fingerprint changes
+  (in-place position mutation), reused — same object — when it does
+  not, and never aliased across graphs;
+* a graph's plans live as long as its entry: a collected graph's entry
+  is dropped when the next new graph arrives, and a model that scores
+  and relaxes holds at most one plan per union size.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.perf.cache as cache_mod
+import repro.model.gnn3d as gnn3d
 from repro import build_benchmark, place_benchmark
+from repro.core import PotentialFunction, PotentialRelaxer, RelaxationConfig
 from repro.graph import build_hetero_graph
 from repro.graph.hetero import EdgeType, HeteroGraph
-from repro.model.gnn3d import DEFAULT_CACHE_BLOCK, Gnn3d, Gnn3dConfig
+from repro.model.gnn3d import Gnn3d, Gnn3dConfig
 from repro.nn import Tensor, no_grad
-from repro.perf.cache import MAX_PLANS_PER_GRAPH, ForwardCacheStore
+from repro.perf.cache import ForwardCacheStore
 from repro.router import RoutingGrid
 from repro.serve import FLOAT32_PARITY_RTOL
 
@@ -49,6 +55,15 @@ TINY = Gnn3dConfig(hidden=4, num_layers=1, rbf_centers=4, seed=3)
 SMALL = Gnn3dConfig(hidden=8, num_layers=2, rbf_centers=4, seed=3)
 
 AP_DIM, MODULE_DIM = 4, 3
+
+
+@contextmanager
+def union_size(block: int):
+    """Run ``Gnn3d.forward_batch`` in unions of ``block`` replicas, taped
+    or not (hypothesis tests cannot take the ``monkeypatch`` fixture)."""
+    with mock.patch.object(gnn3d, "DEFAULT_CACHE_BLOCK", block), \
+            mock.patch.object(gnn3d, "TAPE_FREE_UNION", block):
+        yield
 
 
 def synthetic_graph(num_aps: int, num_modules: int,
@@ -98,10 +113,10 @@ class TestBlockedForwardParity:
         rng = np.random.default_rng(seed + 1)
         cand = rng.uniform(0.5, 2.0, size=(batch, num_aps, 3))
 
-        blocked = model.forward_batch(graph, Tensor(cand),
-                                      block=block).numpy()
-        union = model.forward_batch(graph, Tensor(cand),
-                                    block=batch).numpy()
+        with union_size(block):
+            blocked = model.forward_batch(graph, Tensor(cand)).numpy()
+        with union_size(batch):
+            union = model.forward_batch(graph, Tensor(cand)).numpy()
         singles = np.stack(
             [model(graph, Tensor(row)).numpy() for row in cand])
 
@@ -116,8 +131,7 @@ class TestBlockedForwardParity:
         rng = np.random.default_rng(0)
         cand = rng.uniform(0.5, 2.0, size=(6, ota1_graph.num_aps, 3))
         via_forward = model(ota1_graph, Tensor(cand)).numpy()
-        via_batch = model.forward_batch(ota1_graph, Tensor(cand),
-                                        block=DEFAULT_CACHE_BLOCK).numpy()
+        via_batch = model.forward_batch(ota1_graph, Tensor(cand)).numpy()
         assert np.array_equal(via_forward, via_batch)
 
     def test_gradients_flow_through_block_slices(self, ota1_graph):
@@ -127,7 +141,8 @@ class TestBlockedForwardParity:
         rng = np.random.default_rng(2)
         cand = rng.uniform(0.5, 2.0, size=(5, ota1_graph.num_aps, 3))
         batched = Tensor(cand, requires_grad=True)
-        model.forward_batch(ota1_graph, batched, block=2).sum().backward()
+        with union_size(2):
+            model.forward_batch(ota1_graph, batched).sum().backward()
         for row in range(5):
             single = Tensor(cand[row], requires_grad=True)
             model(ota1_graph, single).sum().backward()
@@ -244,13 +259,12 @@ class TestUnionPlanCache:
     def test_plan_reused_until_fingerprint_changes(self):
         graph = synthetic_graph(6, 2, seed=5)
         store = ForwardCacheStore()
-        plan = store.union_plan(graph, 6, 2)
-        assert store.union_plan(graph, 6, 2) is plan
+        plan = store.union_plan(graph, 6, 2).plans[0]
+        assert store.union_plan(graph, 6, 2).plans[0] is plan
         graph.ap_positions[1, 1] += 4.0
-        fresh = store.union_plan(graph, 6, 2)
+        fresh = store.union_plan(graph, 6, 2).plans[0]
         assert fresh is not plan
-        assert not np.array_equal(fresh.plans[0].deltas,
-                                  plan.plans[0].deltas)
+        assert not np.array_equal(fresh.deltas, plan.deltas)
 
     def test_blocked_decomposition_shape(self):
         graph = synthetic_graph(5, 1, seed=8)
@@ -276,37 +290,46 @@ class TestUnionPlanCache:
         g1 = synthetic_graph(6, 2, seed=21)
         g2 = synthetic_graph(6, 2, seed=22)
         store = ForwardCacheStore()
-        p1 = store.union_plan(g1, 4, 2)
-        p2 = store.union_plan(g2, 4, 2)
+        p1 = store.union_plan(g1, 4, 2).plans[0]
+        p2 = store.union_plan(g2, 4, 2).plans[0]
         assert p1 is not p2
-        assert store.union_plan(g1, 4, 2) is p1
-        assert store.union_plan(g2, 4, 2) is p2
-        assert not np.array_equal(p1.plans[0].deltas, p2.plans[0].deltas)
+        assert store.union_plan(g1, 4, 2).plans[0] is p1
+        assert store.union_plan(g2, 4, 2).plans[0] is p2
+        assert not np.array_equal(p1.deltas, p2.deltas)
 
-    def test_lru_eviction_only_with_hit_refresh(self, monkeypatch):
-        """Regression: plan caches must never clear wholesale — LRU
-        eviction of exactly the stalest plan, with hits refreshing
-        recency."""
-        builds: list[int] = []
-        real_build = cache_mod.build_batched
-        monkeypatch.setattr(
-            cache_mod, "build_batched",
-            lambda graph, batch:
-                builds.append(batch) or real_build(graph, batch))
-        graph = synthetic_graph(4, 1, seed=9)
+    def test_collected_graph_entry_dropped_at_next_new_graph(self):
         store = ForwardCacheStore()
-        cap = MAX_PLANS_PER_GRAPH
-        for size in range(1, cap + 1):
-            store.union_plan(graph, size, size)
-        assert builds == list(range(1, cap + 1))
-        store.union_plan(graph, 1, 1)          # hit refreshes size 1
-        assert len(builds) == cap
-        store.union_plan(graph, cap + 1, cap + 1)  # evicts size 2 only
-        assert builds[-1] == cap + 1
-        store.union_plan(graph, 1, 1)          # survived the eviction
-        assert builds.count(1) == 1
-        store.union_plan(graph, 2, 2)          # the one that was evicted
-        assert builds.count(2) == 2
+        kept = synthetic_graph(5, 1, seed=31)
+        gone = synthetic_graph(5, 1, seed=32)
+        store.batched(kept, 1)
+        store.batched(gone, 2)
+        dead = weakref.ref(gone)
+        del gone
+        gc.collect()
+        assert dead() is None and len(store._entries) == 2
+        store.batched(kept, 1)  # a known graph: nothing is dropped
+        assert len(store._entries) == 2
+        fresh = synthetic_graph(5, 1, seed=33)
+        store.batched(fresh, 1)
+        assert {id(kept), id(fresh)} == set(store._entries)
+
+    def test_scoring_and_relaxing_holds_a_plan_per_union_size(
+            self, ota1_graph):
+        """Tape-free waves of 1-32 run unions of up to TAPE_FREE_UNION
+        and a relaxation's waves of 6 unions of DEFAULT_CACHE_BLOCK, so
+        a graph holds plans of sizes 1-4 and no more."""
+        model = Gnn3d(ota1_graph.ap_features.shape[1],
+                      ota1_graph.module_features.shape[1], config=SMALL)
+        rng = np.random.default_rng(9)
+        with no_grad():
+            for batch in range(1, 33):
+                model.forward_batch(ota1_graph, Tensor(rng.uniform(
+                    0.5, 2.0, size=(batch, ota1_graph.num_aps, 3))))
+        PotentialRelaxer(RelaxationConfig(n_restarts=6, pool_size=6,
+                                          maxiter=3, seed=1)).run(
+            PotentialFunction(model, ota1_graph))
+        (entry,) = model.cache._entries.values()
+        assert sorted(entry.batched) == [1, 2, 3, 4]
 
     def test_invalid_batch_and_block_rejected(self):
         graph = synthetic_graph(3, 0, seed=4)

@@ -8,19 +8,21 @@ union.  The contracts under test (see docs/PERFORMANCE.md, "Tape-free
 unions"):
 
 * tape-free outputs are bitwise the taped forward's, on OTA1-3, in
-  float64 and float32, at every batch size, as one union and at
-  ``block=2``, and on random graphs under every ``Gnn3dConfig`` flag
-  (four layers alternate the layer output between two buffers);
+  float64 and float32, at every batch size, in the default unions and
+  in unions of two, and on random graphs under every ``Gnn3dConfig``
+  flag (four layers alternate the layer output between two buffers);
 * a returned row is a fresh array: a later call, with other guidance,
   on another graph, dtype or batch size, leaves it unchanged, and the
   results equal a fresh model's;
 * the float32 cast of a plan has its own workspace, and a taped forward
   writes no buffer;
 * served scores at ``max_batch=16`` are bitwise the tape-free forward's
-  in blocks of two candidates.
+  in unions of two candidates.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -41,7 +43,12 @@ from repro.perf.cache import build_batched
 from repro.router import RoutingGrid
 from repro.serve import ScoreRequest, ScoringService, ServeConfig
 
-from tests.test_forward_blocking import AP_DIM, MODULE_DIM, synthetic_graph
+from tests.test_forward_blocking import (
+    AP_DIM,
+    MODULE_DIM,
+    synthetic_graph,
+    union_size,
+)
 
 DTYPES = (np.float64, np.float32)
 
@@ -68,8 +75,9 @@ def candidates(graph, batch, seed, dtype=np.float64) -> np.ndarray:
 
 
 def tape_free(model, graph, guidance, block=None) -> np.ndarray:
-    with no_grad():
-        out = model.forward_batch(graph, Tensor(guidance), block=block)
+    """The tape-free forward, in unions of ``block`` if given."""
+    with no_grad(), union_size(block) if block else nullcontext():
+        out = model.forward_batch(graph, Tensor(guidance))
     return out.data
 
 
@@ -140,16 +148,12 @@ class TestTapeFreeMatchesTaped:
         # one-row products BLAS rounds apart from the same row inside a
         # larger union.
         for block in (batch, 2):
-            taped = model.forward_batch(graph, Tensor(guidance),
-                                        block=block).data
+            with union_size(block):
+                taped = model.forward_batch(graph, Tensor(guidance)).data
             # Twice: the second call runs on buffers the first filled.
             for _ in range(2):
                 assert_bitwise(tape_free(model, graph, guidance, block),
                                taped)
-        # The default tape-free call runs unions of TAPE_FREE_UNION.
-        assert_bitwise(tape_free(model, graph, guidance),
-                       tape_free(model, graph, guidance,
-                                 block=TAPE_FREE_UNION))
 
 
 class TestReturnedRowsAreFresh:

@@ -33,16 +33,6 @@ def small_model(graph) -> Gnn3d:
                  graph.module_features.shape[1], config=SMALL)
 
 
-def live_value_and_grad(pot: PotentialFunction, c_flat: np.ndarray):
-    """The potential evaluated with the parameters on the tape."""
-    c = Tensor(c_flat.reshape(pot.graph.num_aps, 3), requires_grad=True)
-    pred = pot.model(pot.graph, c)
-    total = ((pred * Tensor(pot.weights.as_signed_vector())).sum()
-             + pot.barrier(c))
-    total.backward()
-    return total.item(), c.grad.reshape(-1)
-
-
 def live_value_and_grad_batch(pot: PotentialFunction, c_batch: np.ndarray):
     batch = len(c_batch)
     c = Tensor(c_batch.reshape(batch, pot.graph.num_aps, 3),
@@ -124,12 +114,13 @@ class TestPotentialTape:
         pot = PotentialFunction(model, graph)
         rng = np.random.default_rng(5)
         x = rng.uniform(0.3, 3.0, size=(3, pot.num_variables))
-        for row in x:
+        for row in x:  # value_and_grad is the batch of one
             value, grad = pot.value_and_grad(row)
-            live_value, live_grad = live_value_and_grad(pot, row)
-            assert value == live_value
+            live_values, live_grads = live_value_and_grad_batch(
+                pot, row[None])
+            assert value == live_values[0]
             assert np.array_equal(grad.view(np.int64),
-                                  live_grad.view(np.int64))
+                                  live_grads[0].view(np.int64))
         values, grads = pot.value_and_grad_batch(x)
         live_values, live_grads = live_value_and_grad_batch(pot, x)
         assert np.array_equal(values, live_values)

@@ -415,6 +415,10 @@ class TestCrossTopoEval:
         assert spearman(a, a) == pytest.approx(1.0)
         assert spearman(a, -a) == pytest.approx(-1.0)
         assert spearman(a, np.ones(4)) == 0.0
+        # Ties take their group's average rank: (1, 2.5, 2.5, 4).
+        ties = np.array([1.0, 2.0, 2.0, 3.0])
+        assert spearman(ties, a[[0, 2, 1, 3]]) == pytest.approx(
+            3.0 / np.sqrt(10.0))
 
     def test_fit_multi_trains_across_graphs(self):
         from repro.core.dataset import DatasetConfig, generate_dataset
