@@ -383,7 +383,7 @@ def generate_dataset(
     pool = None
     futures: dict[int, object] = {}  # pending position -> Future
     if workers > 1:
-        from repro.perf.parallel import ParallelConfig, SamplePool
+        from repro.perf.parallel import SamplePool
 
         pool = SamplePool(
             context={
@@ -397,7 +397,7 @@ def generate_dataset(
                 "fault_plans": active_plans(),
                 "obs_enabled": obs.enabled,
             },
-            config=ParallelConfig(workers=workers),
+            workers=workers,
         )
 
     def schedule(position: int, index: int, guidance: RoutingGuidance) -> None:

@@ -21,7 +21,7 @@ from repro.simulation.metrics import FoMWeights
 
 @dataclass
 class PotentialStats:
-    """Evaluation counters (reset with :meth:`PotentialFunction.reset_stats`).
+    """Evaluation counters of one :class:`PotentialFunction`.
 
     Attributes:
         evals: scalar :meth:`~PotentialFunction.value_and_grad` calls.
@@ -33,8 +33,8 @@ class PotentialStats:
 
     The relaxer reads deltas of these counters to emit the
     ``gnn_forwards`` and ``lbfgs_evals`` observability metrics (see
-    ``docs/OBSERVABILITY.md``), so they must stay cumulative within a
-    run and only reset via :meth:`PotentialFunction.reset_stats`.
+    ``docs/OBSERVABILITY.md``), so they stay cumulative over the
+    potential's life.
     """
 
     evals: int = 0
@@ -85,11 +85,6 @@ class PotentialFunction:
     @property
     def num_variables(self) -> int:
         return self.graph.num_aps * 3
-
-    def reset_stats(self) -> PotentialStats:
-        """Install and return fresh evaluation counters."""
-        self.stats = PotentialStats()
-        return self.stats
 
     def value_and_grad(self, c_flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Potential value and gradient for a flattened guidance vector,

@@ -15,7 +15,6 @@ from repro.eval.crosstopo import (
     DesignScore,
     format_crosstopo_table,
     run_crosstopo,
-    spearman,
 )
 from repro.eval.runtime import runtime_breakdown_table
 from repro.eval.tables import format_table1, format_table2
@@ -34,7 +33,6 @@ __all__ = [
     "DesignScore",
     "format_crosstopo_table",
     "run_crosstopo",
-    "spearman",
     "format_table1",
     "format_table2",
     "runtime_breakdown_table",

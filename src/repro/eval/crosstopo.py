@@ -18,17 +18,13 @@ predicted-best guidance lands in the measured ranking.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
-from scipy.stats import ConstantInputWarning, spearmanr
 
 from repro.core.dataset import Database, DatasetConfig, generate_dataset
 from repro.io.ingest import ingest_file
 from repro.model import Gnn3d, Gnn3dConfig, TrainConfig, Trainer
-from repro.model.evaluation import predict_batch
+from repro.model.evaluation import evaluate_surrogate
 from repro.netlist import build_benchmark
 from repro.placement import place_benchmark
 from repro.simulation.metrics import FoMWeights
@@ -54,19 +50,6 @@ CROSSTOPO_SCALES: dict[str, CrossTopoScale] = {
     "full": CrossTopoScale("full", train_samples=80, eval_samples=40,
                            epochs=60, placement_iterations=1000),
 }
-
-
-def spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation with average ranks for ties; 0.0 when
-    either ranking is constant, which carries no order information."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("spearman needs two equal-length 1-D arrays")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstantInputWarning)
-        rho = spearmanr(a, b).statistic
-    return 0.0 if np.isnan(rho) else float(rho)
 
 
 @dataclass
@@ -119,22 +102,12 @@ def _ingested_database(path: str | Path, scale: CrossTopoScale,
 
 def score_design(model: Gnn3d, database: Database,
                  weights: FoMWeights | None = None) -> tuple[float, float, float]:
-    """(MAE, Spearman, pred-best percentile) of model vs measurements."""
-    weights = weights or FoMWeights()
-    signed = weights.as_signed_vector()
-    samples = database.train_samples()
-    preds = predict_batch(model, database.graph, samples)
-    targets = np.stack([s.targets for s in samples])
-    mae = float(np.abs(preds - targets).mean())
-    fom_pred = preds @ signed
-    fom_true = targets @ signed
-    corr = spearman(fom_pred, fom_true)
-    best = int(np.argmin(fom_pred))
-    # Rank of the predicted winner in the measured ordering (lower FoM
-    # is better).
-    measured_rank = float((fom_true < fom_true[best]).sum())
-    percentile = 100.0 * measured_rank / max(1, len(samples) - 1)
-    return mae, corr, percentile
+    """(MAE, Spearman, pred-best percentile) of model vs measurements
+    (see :func:`repro.model.evaluation.evaluate_surrogate`)."""
+    quality = evaluate_surrogate(model, database.graph,
+                                 database.train_samples(), weights)
+    return (quality.mean_mae, quality.fom_spearman_rho,
+            quality.pred_best_percentile)
 
 
 def run_crosstopo(

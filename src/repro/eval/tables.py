@@ -44,7 +44,7 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def format_table2(cells: list[CellResult], include_average: bool = True) -> str:
+def format_table2(cells: list[CellResult]) -> str:
     """Render Table 2 (method comparison per cell plus normalized averages)."""
     header = (
         f"{'Cell':<9} {'Metric':<20} {'Schematic':>10} "
@@ -71,7 +71,7 @@ def format_table2(cells: list[CellResult], include_average: bool = True) -> str:
         lines.append(f"{cell.cell_name:<9} {'Runtime(s) v':<20} {'-':>10} {runtimes}")
         lines.append("")
 
-    if include_average and cells:
+    if cells:
         averages = normalized_averages(cells)
         lines.append("Average (normalized to [16] = 1.000):")
         for attr, label, arrow in _TABLE2_ROWS:

@@ -1,13 +1,10 @@
 """Heterogeneous routing graph G_H = <V_AP, V_M, E_PP, E_MP, E_MM> (Sec. 4.1)."""
 
 from repro.graph.builder import build_hetero_graph
-from repro.graph.features import ap_feature_dim, module_feature_dim
 from repro.graph.hetero import EdgeType, HeteroGraph
 
 __all__ = [
     "HeteroGraph",
     "EdgeType",
     "build_hetero_graph",
-    "ap_feature_dim",
-    "module_feature_dim",
 ]

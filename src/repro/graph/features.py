@@ -14,19 +14,6 @@ _DEVICE_TYPES = list(DeviceType)
 _PIN_NAMES = ["G", "D", "S", "PLUS", "MINUS"]
 
 
-def ap_feature_dim() -> int:
-    """Width of the access-point feature vector."""
-    # net-type one-hot + pin one-hot(+other) + [norm x, y, layer, degree,
-    # weight, symmetric flag]
-    return len(_NET_TYPES) + len(_PIN_NAMES) + 1 + 6
-
-
-def module_feature_dim() -> int:
-    """Width of the module feature vector."""
-    # device-type one-hot + [norm x, y, w, h, log-current, pin count]
-    return len(_DEVICE_TYPES) + 6
-
-
 def ap_features(
     ap: AccessPoint, net: Net, circuit: Circuit, extent: tuple[float, float, float]
 ) -> np.ndarray:

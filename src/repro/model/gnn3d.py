@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
-from repro.model.heads import NUM_METRICS, ReadoutHead
+from repro.model.heads import ReadoutHead
 from repro.nn import (
     MLP,
     FrozenLayer,
+    Lease,
     Module,
     Parameter,
     RBFExpansion,
@@ -35,7 +36,7 @@ from repro.perf.cache import BatchedStatics, ForwardCacheStore
 
 #: Cache-block size of a taped batched forward: replicas per union,
 #: processed one block after another, each in a buffer set of its own
-#: (:class:`repro.nn.TapeBuffers`).  On the 2-vCPU host a six-candidate
+#: (:class:`repro.nn.PlanBuffers`).  On the 2-vCPU host a six-candidate
 #: relaxation wave evaluates fastest in 2-replica blocks: one 6-replica
 #: union runs its larger products on numpy's second OpenBLAS thread,
 #: which contends with scipy's, used by L-BFGS-B between evaluations
@@ -123,14 +124,14 @@ class _PassingLayer(Module):
         return [self.blocks[et].weights() for et in plan.edge_types]
 
     def forward(self, h: Tensor, psi: Tensor, plan: BatchedStatics,
-                workspace, frozen: FrozenLayer | None = None) -> Tensor:
+                lease: Lease, frozen: FrozenLayer | None = None) -> Tensor:
         """``h`` plus every edge type's messages summed at receivers;
         ``frozen`` stands in for :meth:`weights` while they are fixed."""
         return message_layer(
             h, psi, plan.src_slots, plan.dst_slots, plan.in_degree,
             plan.edge_offsets,
             self.weights(plan) if frozen is None else frozen,
-            workspace=workspace)
+            workspace=lease)
 
 
 class _WeightState:
@@ -200,7 +201,7 @@ class Gnn3d(Module):
             _PassingLayer(cfg.hidden, dist_dim, rng, cfg.heterogeneous)
             for _ in range(cfg.num_layers)
         ]
-        self.head = ReadoutHead(cfg.hidden, rng, NUM_METRICS)
+        self.head = ReadoutHead(cfg.hidden, rng)
         self.cache = ForwardCacheStore()
         # Everything the frozen values read: the embeddings and each
         # layer's source and output affines.
@@ -212,7 +213,7 @@ class Gnn3d(Module):
     # -- distance machinery ------------------------------------------------------
 
     def _edge_distances(self, guidance_all: Tensor, plan: BatchedStatics,
-                        workspace) -> Tensor:
+                        lease: Lease) -> Tensor:
         """Cost-aware distance features of every edge (Eq. 1-3).
 
         ``C_k`` of the *receiving* node modulates the (h, w, z) decomposition
@@ -222,10 +223,10 @@ class Gnn3d(Module):
         """
         d = plan.deltas
         dist = (cost_distance(guidance_all, plan.receivers, d,
-                              workspace=workspace)
+                              workspace=lease)
                 if self.config.use_cost_distance
                 else Tensor(np.sqrt((d * d).sum(axis=1) + 1e-6)))
-        return (self.rbf(dist, workspace=workspace)
+        return (self.rbf(dist, workspace=lease)
                 if self.config.use_rbf else dist.reshape(-1, 1))
 
     # -- forward -----------------------------------------------------------------------
@@ -271,13 +272,12 @@ class Gnn3d(Module):
         pass over its own union
         (:meth:`repro.perf.cache.ForwardCacheStore.union_plan`) before
         the next block starts.  With the tape off a block holds up to
-        :data:`TAPE_FREE_UNION` replicas, and the per-edge arrays go to
-        buffers the block's plan owns; the returned rows are fresh
-        arrays.  With the tape on a block holds up to
-        :data:`DEFAULT_CACHE_BLOCK` replicas and leases a buffer set of
-        its plan's (:class:`repro.nn.TapeBuffers`).  Block readouts
-        concatenate, and block backward passes scatter into the
-        corresponding guidance slices.
+        :data:`TAPE_FREE_UNION` replicas, with the tape on up to
+        :data:`DEFAULT_CACHE_BLOCK`.  Every block leases a buffer set of
+        its plan's (:class:`repro.nn.PlanBuffers`) for its per-edge
+        arrays, held as long as the block's tape; the returned rows are
+        fresh arrays.  Block readouts concatenate, and block backward
+        passes scatter into the corresponding guidance slices.
 
         While the embeddings and every layer's source and output affines
         are held fixed (:class:`repro.nn.frozen`, as a potential
@@ -367,10 +367,9 @@ class Gnn3d(Module):
                 concat([flat, Tensor(plan.neutral_guidance)], axis=0)
                 if graph.num_modules else flat
             )
-            workspace = (plan.tape.lease() if is_grad_enabled()
-                         else plan.workspace)
-            psi = self._edge_distances(guidance_all, plan, workspace)
+            lease = plan.buffers.lease()
+            psi = self._edge_distances(guidance_all, plan, lease)
             for i, layer in enumerate(self.layers):
-                h = layer(h, psi, plan, workspace,
+                h = layer(h, psi, plan, lease,
                           None if frozen is None else frozen.layers[i])
         return self.head.readout(h, pool=plan.pool)

@@ -11,20 +11,17 @@ NUM_METRICS = 5
 
 
 class ReadoutHead(Module):
-    """Global readout ``u = sum_i MLP(v_i)`` followed by the FC metric head.
+    """Global readout ``u = sum_i MLP(v_i)`` followed by the FC metric head
+    of :data:`NUM_METRICS` outputs.
 
     Args:
         hidden: node embedding width.
         rng: parameter-init RNG.
-        num_metrics: output width (the paper's five metrics).
     """
 
-    def __init__(
-        self, hidden: int, rng: np.random.Generator, num_metrics: int = NUM_METRICS
-    ) -> None:
+    def __init__(self, hidden: int, rng: np.random.Generator) -> None:
         self.node_mlp = MLP([hidden, hidden], rng)
-        self.fc = MLP([hidden, hidden, num_metrics], rng)
-        self.num_metrics = num_metrics
+        self.fc = MLP([hidden, hidden, NUM_METRICS], rng)
 
     def readout(self, node_embeddings: Tensor, pool: Scatter) -> Tensor:
         """Pooled graph embeddings ``u`` from final node embeddings.

@@ -152,6 +152,9 @@ class Trainer:
                         loss = self._sample_loss(sample, graph=graph)
                         loss.backward(np.asarray(1.0 / len(batch)))
                         batch_loss += loss.item()
+                        # End the tape before the next forward, which
+                        # then reuses its buffer set.
+                        del loss
                     self.optimizer.step()
                     epoch_loss += batch_loss
                 train_loss = epoch_loss / len(train)

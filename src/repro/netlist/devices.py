@@ -66,19 +66,11 @@ class Device:
     def device_type(self) -> DeviceType:
         raise NotImplementedError
 
-    @property
-    def is_electrical(self) -> bool:
-        """Whether the device participates in the small-signal circuit."""
-        return True
-
     def pin(self, name: str) -> Pin:
         try:
             return self.pins[name]
         except KeyError:
             raise KeyError(f"device {self.name} has no pin {name!r}") from None
-
-    def area(self) -> float:
-        return self.width * self.height
 
     def _add_pins(self, names: list[str]) -> None:
         """Lay pins out evenly along the device top edge on M1."""
@@ -196,7 +188,3 @@ class Dummy(Device):
     @property
     def device_type(self) -> DeviceType:
         return DeviceType.DUMMY
-
-    @property
-    def is_electrical(self) -> bool:
-        return False

@@ -14,7 +14,8 @@ on the guidance, so it computes ``dV/dC`` and no weight gradient.
 
 from repro.nn.functional import (
     FrozenLayer,
-    TapeBuffers,
+    Lease,
+    PlanBuffers,
     Workspace,
     concat,
     cost_distance,
@@ -24,7 +25,7 @@ from repro.nn.functional import (
     stack,
 )
 from repro.nn.modules import MLP, Linear, Module, Parameter
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.rbf import RBFExpansion
 from repro.nn.serialization import load_state, save_state
 from repro.nn.scatter import Scatter
@@ -43,16 +44,15 @@ __all__ = [
     "rbf_expand",
     "message_layer",
     "Workspace",
-    "TapeBuffers",
+    "PlanBuffers",
+    "Lease",
     "FrozenLayer",
     "stack",
     "Module",
     "Parameter",
     "Linear",
     "MLP",
-    "Optimizer",
     "Adam",
-    "SGD",
     "RBFExpansion",
     "save_state",
     "load_state",

@@ -11,14 +11,14 @@ Gradients inside a fused backward skip the accumulate step between
 ops: that step changes only the sign of zeros, and every gradient ends
 in an accumulate, which makes its zeros positive.
 
-A fused op given a workspace writes its per-edge and per-slot arrays
-into buffers instead of fresh allocations; the arithmetic is the same
-either way, only where ``out=`` points changes.  With the tape off the
-workspace is a :class:`Workspace` of named buffers.  With the tape on
-it is a :class:`Lease` on a :class:`TapeBuffers` set, whose arrays stay
-the tape's until its backward has run or it is dropped; temporaries
-go to the lease's scratch.  Gathers run as
-``np.take(..., mode="clip")``: the ids come from a
+A fused op given a :class:`Lease` writes its per-edge and per-slot
+arrays into the leased set of its plan's :class:`PlanBuffers`, and its
+temporaries into the plan's shared scratch, instead of fresh
+allocations; the arithmetic is the same either way, only where ``out=``
+points changes.  Every forward on a plan, taped or tape-free, leases a
+set, and the set is free again once the lease is garbage: when a
+tape-free forward returns, or when a taped forward's tape is dropped.
+Gathers run as ``np.take(..., mode="clip")``: the ids come from a
 :class:`~repro.nn.scatter.Scatter`, which checks their range when it is
 built, and the default ``mode="raise"`` copies through a temporary when
 given ``out=``.
@@ -37,24 +37,21 @@ from repro.nn.tensor import Tensor, _unbroadcast, as_tensor
 
 
 class Workspace:
-    """Reusable output buffers of tape-free fused-op calls.
+    """Named buffers, reused by every call that asks for the same name.
 
-    A tape-free forward keeps none of its intermediates, so the fused
-    ops can write them into buffers that outlive the call: a forward
-    that runs again on the same plan reuses the same memory instead of
-    allocating (and, past the allocator's mmap threshold, page-faulting)
-    afresh.  Buffers are keyed by name and dtype and reallocated when a
-    call asks for another shape.  An op's result in a workspace buffer
-    is valid until the next call that writes the same buffer, so a
-    workspace serves one forward at a time.
+    Buffers are keyed by name and dtype and reallocated when a call asks
+    for another shape; a buffer's contents are valid until the next call
+    that writes the same name.  :class:`PlanBuffers` keeps one as the
+    scratch its forwards and backwards share for temporaries, and one
+    per buffer set, named by call-site name and occurrence.
     """
 
     __slots__ = ("_buffers",)
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self._buffers: dict[tuple[object, np.dtype], np.ndarray] = {}
 
-    def buffer(self, name: str, shape: tuple[int, ...],
+    def buffer(self, name: object, shape: tuple[int, ...],
                dtype) -> np.ndarray:
         """The buffer ``name`` of ``shape`` and ``dtype`` (uninitialized
         when new)."""
@@ -66,29 +63,31 @@ class Workspace:
 
 
 class _BufferSet:
-    """The arrays of one taped forward, in the order it asked for them,
+    """The arrays of one forward, keyed by call-site name and occurrence,
     and the lease that holds them (a weak reference, or None)."""
 
     __slots__ = ("arrays", "owner")
 
     def __init__(self) -> None:
-        self.arrays: list[np.ndarray] = []
+        self.arrays = Workspace()
         self.owner: "weakref.ref[Lease] | None" = None
 
 
-class TapeBuffers:
-    """Reusable buffers of the taped forwards on one plan.
+class PlanBuffers:
+    """Reusable buffers of the forwards on one plan.
 
-    A taped forward's backward reads the arrays its forward wrote, so
-    each taped forward leases a set of its own (:meth:`lease`).  The
-    owner check: a set is handed out again only after the tape that
-    reads it has run its backward or been dropped.  Forwards on one plan
-    ask for the same arrays in the same order, so a reused set's arrays
-    fit without reallocation, and a plan keeps as many sets as it had
-    tapes alive at once (three for a relaxation wave of six candidates
-    in blocks of two).  Temporaries, dead when their op's forward or
-    backward returns, go to one :class:`Workspace` of named buffers
-    that every set shares; a backward reuses the names of its forward's
+    Every forward on the plan leases a set of arrays (:meth:`lease`):
+    the per-edge and per-slot arrays it writes, which a taped forward's
+    backward reads.  A set is handed out again once its lease is
+    garbage, which happens when no recorded backward references it: a
+    tape-free forward's lease dies when the forward returns, a taped
+    one's when its tape is dropped.  A set keys its arrays by call-site
+    name and occurrence, so taped and tape-free forwards reuse the same
+    arrays, and a plan keeps as many sets as it had forwards alive at
+    once (three for a relaxation wave of six candidates in blocks of
+    two).  Temporaries, dead when their op's forward or backward
+    returns, go to one :class:`Workspace` of named buffers that every
+    set shares; a backward reuses the names of its forward's
     temporaries, so two temporaries share a name only when they are
     never alive at once.
     """
@@ -100,7 +99,7 @@ class TapeBuffers:
         self.scratch = Workspace()
 
     def lease(self) -> "Lease":
-        """A lease on a set no live tape holds, new if none is free."""
+        """A lease on a set no live lease holds, new if none is free."""
         for buffers in self._sets:
             if buffers.owner is None or buffers.owner() is None:
                 break
@@ -111,93 +110,46 @@ class TapeBuffers:
 
 
 class Lease:
-    """One taped forward's hold on a :class:`TapeBuffers` set.
+    """One forward's hold on a :class:`PlanBuffers` set.
 
-    :meth:`buffer` hands out the set's arrays in request order.  Each
-    fused op that records a backward calls :meth:`hold`, and its
-    backward calls :meth:`check` before it reads the set and
-    :meth:`release` when done: the set is free again once every holder's
-    backward has run, or once the lease itself is garbage, which happens
-    when no recorded backward references it (the tape was dropped, or
-    nothing recorded).
+    The fused ops' backwards reference the lease they were given, so it
+    lives, and holds its set, as long as the tape that can read the
+    set's arrays.
 
     Args:
         buffers: the set to hold.
         scratch: where temporaries go.
     """
 
-    __slots__ = ("_set", "scratch", "_cursor", "_holds", "__weakref__")
+    __slots__ = ("_set", "scratch", "_counts", "__weakref__")
 
     def __init__(self, buffers: _BufferSet, scratch: Workspace) -> None:
         self._set = buffers
         self.scratch = scratch
-        self._cursor = 0
-        self._holds = 0
+        self._counts: dict[str, int] = {}
         buffers.owner = weakref.ref(self)
 
     def buffer(self, name: str, shape: tuple[int, ...],
                dtype) -> np.ndarray:
-        """The set's next array, as ``shape`` and ``dtype`` (uninitialized
-        when new); ``name`` documents the call site."""
-        arrays, i = self._set.arrays, self._cursor
-        self._cursor += 1
-        if i == len(arrays):
-            arrays.append(np.empty(shape, dtype))
-        elif arrays[i].shape != shape or arrays[i].dtype != dtype:
-            arrays[i] = np.empty(shape, dtype)
-        return arrays[i]
-
-    def hold(self) -> None:
-        """Keep the set until a matching :meth:`release`."""
-        self._holds += 1
-
-    def check(self) -> None:
-        """Raise unless the set is still this lease's.
-
-        Raises:
-            RuntimeError: the set was released (the tape's backward
-                already ran) and may hold another forward's arrays.
-        """
-        owner = self._set.owner
-        if owner is None or owner() is not self:
-            raise RuntimeError(
-                "a taped forward's buffers were released: its backward "
-                "already ran, and a tape runs its backward once")
-
-    def release(self) -> None:
-        """End one :meth:`hold`; the last frees the set."""
-        self._holds -= 1
-        if self._holds == 0:
-            self._set.owner = None
+        """The set's array for the next occurrence of ``name`` in this
+        forward, as ``shape`` and ``dtype`` (uninitialized when new)."""
+        count = self._counts[name] = self._counts.get(name, 0) + 1
+        return self._set.arrays.buffer((name, count), shape, dtype)
 
 
-def _out(workspace: "Workspace | Lease | None", name: str,
-         shape: tuple[int, ...], dtype) -> np.ndarray | None:
+def _out(lease: Lease | None, name: str, shape: tuple[int, ...],
+         dtype) -> np.ndarray | None:
     """Where an op writes an array its backward may read (or its
-    output): the lease's next array, or the named buffer of a tape-free
-    workspace while the tape is off; otherwise ``None`` (allocate)."""
-    if workspace is None or (tensor_mod._GRAD_ENABLED
-                             and isinstance(workspace, Workspace)):
-        return None
-    return workspace.buffer(name, shape, dtype)
+    output): the lease's next ``name`` array, or ``None`` (allocate)."""
+    return None if lease is None else lease.buffer(name, shape, dtype)
 
 
-def _tmp(workspace: "Workspace | Lease | None", name: str,
-         shape: tuple[int, ...], dtype) -> np.ndarray | None:
-    """Where an op writes a temporary no later step reads: the named
-    scratch buffer of a lease, or of a tape-free workspace while the
-    tape is off; otherwise ``None`` (allocate)."""
-    if isinstance(workspace, Lease):
-        return workspace.scratch.buffer(name, shape, dtype)
-    return _out(workspace, name, shape, dtype)
-
-
-def _record(out: Tensor, workspace) -> Tensor:
-    """Hold ``workspace``'s set for ``out``'s backward, if it recorded
-    one and the workspace is a lease."""
-    if out.requires_grad and isinstance(workspace, Lease):
-        workspace.hold()
-    return out
+def _tmp(lease: Lease | None, name: str, shape: tuple[int, ...],
+         dtype) -> np.ndarray | None:
+    """Where an op writes a temporary no later step reads: the lease's
+    scratch buffer ``name``, or ``None`` (allocate)."""
+    return None if lease is None else lease.scratch.buffer(name, shape,
+                                                           dtype)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -253,7 +205,7 @@ def segment_sum(values: Tensor, scatter: Scatter) -> Tensor:
 
 def cost_distance(guidance: Tensor, receivers: Scatter,
                   deltas: np.ndarray,
-                  workspace: "Workspace | Lease | None" = None) -> Tensor:
+                  workspace: Lease | None = None) -> Tensor:
     """Eq. 1 cost-aware edge lengths as one tape node.
 
     ``sqrt(sum_k (C[dst] * delta)_k^2 + 1e-6)`` per edge: the static
@@ -273,7 +225,6 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
         raise ValueError(
             f"scatter over {receivers.num_segments} rows gathers from a "
             f"tensor of {len(guidance.data)}")
-    lease = workspace if isinstance(workspace, Lease) else None
     dtype = guidance.data.dtype
     num_edges = len(deltas)
     weighted = np.take(guidance.data, receivers.ids, axis=0, mode="clip",
@@ -290,33 +241,27 @@ def cost_distance(guidance: Tensor, receivers: Scatter,
     np.sqrt(dist, out=dist)
 
     def backward(grad: np.ndarray) -> None:
-        if lease is not None:
-            lease.check()
         g_sum = np.multiply(grad, 0.5, out=_tmp(
-            lease, "cd_g_sum", (num_edges,), grad.dtype))
+            workspace, "cd_g_sum", (num_edges,), grad.dtype))
         g_sum /= np.maximum(dist, 1e-30, out=_tmp(
-            lease, "cd_g_norm", (num_edges,), dtype))
+            workspace, "cd_g_norm", (num_edges,), dtype))
         g_weighted = np.multiply(g_sum[:, None], weighted, out=_tmp(
-            lease, "cd_squared", deltas.shape, dtype))
+            workspace, "cd_squared", deltas.shape, dtype))
         g_weighted += g_weighted  # the square's two operands
         g_weighted *= deltas
         guidance._accumulate(receivers(g_weighted))
-        if lease is not None:
-            lease.release()
 
-    return _record(Tensor(dist, parents=(guidance,), backward=backward),
-                   workspace)
+    return Tensor(dist, parents=(guidance,), backward=backward)
 
 
 def rbf_expand(distances: Tensor, centers: np.ndarray, gamma,
-               workspace: "Workspace | Lease | None" = None) -> Tensor:
+               workspace: Lease | None = None) -> Tensor:
     """Eq. 2-3 Gaussian radial basis features as one tape node.
 
     ``exp(-gamma * (d - mu_k)^2)`` for each distance ``d`` and center
     ``mu_k``: a (E,) distance tensor becomes (E, K) features, written
-    into ``workspace``.
+    into ``workspace``'s set.
     """
-    lease = workspace if isinstance(workspace, Lease) else None
     d = distances.data
     shape = (len(d), len(centers))
     diff = np.add(d.reshape(-1, 1), -centers.reshape(1, -1),
@@ -330,20 +275,15 @@ def rbf_expand(distances: Tensor, centers: np.ndarray, gamma,
     np.exp(feats, out=feats)
 
     def backward(grad: np.ndarray) -> None:
-        if lease is not None:
-            lease.check()
         g_diff = np.multiply(grad, feats, out=_tmp(
-            lease, "g_features", shape, feats.dtype))
+            workspace, "g_features", shape, feats.dtype))
         g_diff *= scale
         g_diff *= diff
         g_diff += g_diff  # the square's two operands
         distances._accumulate(np.sum(g_diff, axis=1, out=_tmp(
-            lease, "g_distances", (len(d),), g_diff.dtype)))
-        if lease is not None:
-            lease.release()
+            workspace, "g_distances", (len(d),), g_diff.dtype)))
 
-    return _record(Tensor(feats, parents=(distances,), backward=backward),
-                   workspace)
+    return Tensor(feats, parents=(distances,), backward=backward)
 
 
 class FrozenLayer(tuple):
@@ -414,7 +354,7 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
                   dst_slots: Scatter, in_degree: np.ndarray,
                   offsets: Sequence[int],
                   weights: Sequence[Sequence[Tensor]],
-                  workspace: "Workspace | Lease | None" = None) -> Tensor:
+                  workspace: Lease | None = None) -> Tensor:
     """One message-passing layer over every edge type, one tape node.
 
     With ``weights[t] = (Ws, bs, Wd, bd, Wo, bo)`` for each of the ``T``
@@ -434,11 +374,8 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     rows and, for a fixed ``h``, the gathered source rows, computed
     once.  The backward adds into ``h``, ``psi`` and each weight that
     requires grad when it runs.  With a ``workspace``, every per-edge
-    and per-slot array, the output included, is a workspace buffer.
-    With a lease, so is the first gradient of a ``psi`` that an op made.
-    With a tape-free :class:`Workspace` the output goes to whichever of
-    two buffers ``h`` is not in, so stacked layers alternate between
-    them.
+    and per-slot array, the output included, is an array of its set,
+    and so is the first gradient of a ``psi`` that an op made.
 
     Args:
         h: (N, H) node embeddings.
@@ -473,7 +410,6 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
             f"{len(src_slots)} senders, {len(dst_slots)} receivers, "
             f"{len(psi.data)} distance feature rows and "
             f"{offsets[num_types]} typed edges")
-    lease = workspace if isinstance(workspace, Lease) else None
     frozen = weights if isinstance(weights, FrozenLayer) else None
     w_src, b_src, w_dist, b_dist, w_out, b_out = zip(*weights)
     if frozen is not None and (
@@ -521,10 +457,8 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
         gated = np.multiply(gathered, dist_out, out=_tmp(
             workspace, "ml_gated", gathered.shape, dtype))
     summed = dst_slots(gated).reshape(num_nodes, num_types * hidden)
-    out = _out(workspace, "ml_out", h.shape, dtype)
-    if out is not None and np.may_share_memory(out, h.data):
-        out = _out(workspace, "ml_out_alt", h.shape, dtype)
-    out = np.matmul(summed, wo, out=out)
+    out = np.matmul(summed, wo, out=_out(workspace, "ml_out", h.shape,
+                                         dtype))
     out += (_bias_rows(weights, in_degree, out=_tmp(
         workspace, "ml_bias", h.shape, dtype)) if frozen is None
             else frozen.bias)
@@ -534,8 +468,6 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
     summed = summed if out_grads else None
 
     def backward(grad: np.ndarray) -> None:
-        if lease is not None:
-            lease.check()
         if out_grads:
             _accumulate_each(w_out, np.split(summed.T @ grad, num_types))
         if _any_grad(b_out):
@@ -543,30 +475,29 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
         g_h = grad
         if src_side or dist_side:
             g_slots = np.matmul(grad, wo.T, out=_tmp(
-                lease, "ml_src", (num_nodes, num_types * hidden),
+                workspace, "ml_src", (num_nodes, num_types * hidden),
                 grad.dtype))
             g_gated = np.take(g_slots.reshape(num_slots, hidden),
                               dst_slots.ids, axis=0, mode="clip",
-                              out=_tmp(lease, "ml_gated",
+                              out=_tmp(workspace, "ml_gated",
                                        (num_edges, hidden), grad.dtype))
         if dist_side:
             g_dist = np.multiply(g_gated, gathered, out=_tmp(
-                lease, "ml_dist", g_gated.shape, g_gated.dtype)
+                workspace, "ml_dist", g_gated.shape, g_gated.dtype)
                 if src_side else g_gated)
             if psi.requires_grad:
-                g_psi = _tmp(lease, "g_features", psi.shape,
+                g_psi = _tmp(workspace, "g_features", psi.shape,
                              psi.data.dtype)
                 if g_psi is None:
                     g_psi = np.empty_like(psi.data)
                 for lo, hi, wd, _bd in spans:
                     np.matmul(g_dist[lo:hi], wd.data.T, out=g_psi[lo:hi])
-                if (psi.grad is None and lease is not None
+                if (psi.grad is None and workspace is not None
                         and psi._backward is not None):
                     # An op's ``psi`` gets its first gradient, with
-                    # ``_accumulate``'s bits, in the lease's set: only
-                    # this backward pass reads it (the later layers and
-                    # ``psi``'s own backward), so a reused set serves.
-                    psi.grad = np.add(g_psi, 0.0, out=lease.buffer(
+                    # ``_accumulate``'s bits, in the lease's set, which
+                    # lives as long as the tape that reads it.
+                    psi.grad = np.add(g_psi, 0.0, out=workspace.buffer(
                         "ml_g_psi", psi.shape, psi.data.dtype))
                 else:
                     psi._accumulate(g_psi)
@@ -580,7 +511,7 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
             g_src = src_slots(g_gated).reshape(num_nodes, num_types * hidden)
             if h.requires_grad:
                 g_h = np.matmul(g_src, ws.T, out=_tmp(
-                    lease, "ml_bias", h.shape, g_src.dtype))
+                    workspace, "ml_bias", h.shape, g_src.dtype))
                 g_h += grad
             if _any_grad(w_src):
                 _accumulate_each(w_src, np.split(h.data.T @ g_src, num_types,
@@ -590,12 +521,9 @@ def message_layer(h: Tensor, psi: Tensor, src_slots: Scatter,
                     _unbroadcast(g_src, (num_types * hidden,)), num_types))
         if h.requires_grad:
             h._accumulate(g_h)
-        if lease is not None:
-            lease.release()
 
-    return _record(Tensor(out, parents=(h, psi, *w_src, *b_src, *w_dist,
-                                        *b_dist, *w_out, *b_out),
-                          backward=backward), workspace)
+    return Tensor(out, parents=(h, psi, *w_src, *b_src, *w_dist, *b_dist,
+                                *w_out, *b_out), backward=backward)
 
 
 def _any_grad(tensors) -> bool:

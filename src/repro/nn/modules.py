@@ -85,17 +85,15 @@ class Linear(Module):
     """Affine layer ``y = x @ W + b`` with Xavier-uniform init."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, bias: bool = True) -> None:
+                 rng: np.random.Generator) -> None:
         bound = np.sqrt(6.0 / (in_features + out_features))
         self.weight = Parameter(rng.uniform(-bound, bound,
                                             size=(in_features, out_features)))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
         self.in_features = in_features
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.bias is None:
-            return x @ self.weight
         return x.affine(self.weight, self.bias)
 
 

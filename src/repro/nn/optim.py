@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers: SGD and Adam."""
+"""The Adam optimizer."""
 
 from __future__ import annotations
 
@@ -7,58 +7,27 @@ import numpy as np
 from repro.nn.modules import Parameter
 
 
-class Optimizer:
-    """Base optimizer over a parameter list."""
-
-    def __init__(self, params: list[Parameter]) -> None:
-        if not params:
-            raise ValueError("optimizer needs at least one parameter")
-        self.params = list(params)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.lr * param.grad
-            param.data += velocity
-
-
-class Adam(Optimizer):
-    """Adam with bias correction."""
+class Adam:
+    """Adam with bias correction over a parameter list."""
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8) -> None:
-        super().__init__(params)
+        if not params:
+            raise ValueError("optimizer needs at least one parameter")
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
+        self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         self._t += 1

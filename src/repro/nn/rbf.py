@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import Workspace, rbf_expand
+from repro.nn.functional import Lease, rbf_expand
 from repro.nn.modules import Module
 from repro.nn.tensor import Tensor, as_tensor
 
@@ -24,24 +24,24 @@ class RBFExpansion(Module):
     Args:
         num_centers: number of basis functions (feature width).
         cutoff: largest distance of interest (grid units).
-        gamma: sharpness; defaults to ``1 / spacing^2``.
+
+    The sharpness ``gamma`` is ``1 / spacing^2``.
     """
 
-    def __init__(self, num_centers: int = 16, cutoff: float = 30.0,
-                 gamma: float | None = None) -> None:
+    def __init__(self, num_centers: int = 16, cutoff: float = 30.0) -> None:
         if num_centers < 2:
             raise ValueError(f"need at least 2 centers, got {num_centers}")
         if cutoff <= 0:
             raise ValueError(f"cutoff must be positive, got {cutoff}")
         self.centers = np.linspace(0.0, cutoff, num_centers)
         spacing = self.centers[1] - self.centers[0]
-        self.gamma = gamma if gamma is not None else 1.0 / spacing ** 2
+        self.gamma = 1.0 / spacing ** 2
         self.num_centers = num_centers
 
     def forward(self, distances: Tensor,
-                workspace: Workspace | None = None) -> Tensor:
+                workspace: Lease | None = None) -> Tensor:
         """Expand a length-n distance tensor to shape (n, num_centers),
-        into ``workspace`` with the tape off (see :func:`rbf_expand`)."""
+        into ``workspace``'s set (see :func:`rbf_expand`)."""
         d = as_tensor(distances)
         if d.ndim != 1:
             raise ValueError(f"expected 1-D distances, got shape {d.shape}")

@@ -25,8 +25,8 @@ class no_grad:
     scoring service, ``predicted_metrics``) run under it so a forward
     never retains its intermediates (the model's parameters require
     grad, so a taped forward would keep its whole activation graph
-    alive), and the fused 3DGNN ops write their intermediates into
-    reusable buffers only while the tape is off.  Reentrant and
+    alive), and the buffer set a 3DGNN forward leases from its plan is
+    free again as soon as the forward returns.  Reentrant and
     exception-safe; tensors created *outside* keep their tapes.
     """
 
@@ -399,9 +399,6 @@ class Tensor:
             self._accumulate(grad.reshape(self.shape))
 
         return Tensor(out_data, parents=(self,), backward=backward)
-
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
 
     @property
     def T(self) -> "Tensor":

@@ -38,7 +38,6 @@ __all__ = [
     "ForwardCacheStore",
     "build_batched",
     "graph_fingerprint",
-    "ParallelConfig",
     "SamplePool",
 ]
 
@@ -47,7 +46,7 @@ def __getattr__(name: str):
     # repro.perf.parallel imports the core pipeline; loading it eagerly
     # from here would cycle (model -> perf.cache -> perf -> parallel ->
     # core -> model).  Resolve its exports on first touch instead.
-    if name in ("ParallelConfig", "SamplePool"):
+    if name == "SamplePool":
         from repro.perf import parallel
 
         return getattr(parallel, name)

@@ -23,14 +23,14 @@ evaluation; everything in that pass that does not depend on the guidance
   APs first, mirroring the graph's own ``[aps, modules]`` layout so a
   ``(B * A, 3)`` guidance stack lines up with union indices directly.
   A single candidate runs on the ``B=1`` plan, which is the graph itself.
-  Each plan owns a :class:`repro.nn.Workspace`: tape-free forwards on
-  the plan write their per-edge and per-slot arrays into its buffers
-  instead of allocating them on every call.  Taped forwards write into
-  the plan's :class:`repro.nn.TapeBuffers`, one leased set per live
-  tape, and a frozen model keeps the forward values that do not depend
-  on the guidance on the plan it runs on (``frozen``, see
-  :class:`repro.model.gnn3d.Gnn3d`).  Buffers and constants live and
-  die with the plan.
+  Each plan owns one :class:`repro.nn.PlanBuffers`: every forward on
+  the plan, taped or tape-free, leases a set of its buffers and writes
+  its per-edge and per-slot arrays there instead of allocating them on
+  every call, and the set is free again once the forward returns
+  tape-free or its tape is dropped.  A frozen model keeps the forward
+  values that do not depend on the guidance on the plan it runs on
+  (``frozen``, see :class:`repro.model.gnn3d.Gnn3d`).  Buffers and
+  constants live and die with the plan.
 
 Caches are keyed on the *live* graph object (weak reference, so entries
 die with their graph and a recycled ``id()`` can never alias) and
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
-from repro.nn.functional import TapeBuffers, Workspace
+from repro.nn.functional import PlanBuffers
 from repro.nn.scatter import Scatter
 
 
@@ -111,11 +111,8 @@ class BatchedStatics:
         pool: the per-candidate readout scatter: ``B`` segments, whose
             ids are the candidate of each union node.
         neutral_guidance: (B * M, 3) ones, the module receivers' guidance.
-        workspace: the buffers tape-free forwards on this plan write
-            their per-edge and per-slot arrays into; each dtype cast of
-            the plan has its own.
-        tape: the buffer sets taped forwards on this plan lease; each
-            dtype cast has its own.
+        buffers: the buffer sets every forward on this plan leases;
+            each dtype cast of the plan has its own.
         frozen: what the model whose cache holds the plan computed on it
             once for its current weights, while they are held fixed
             (:meth:`repro.model.gnn3d.Gnn3d.forward_batch`), or None.
@@ -134,10 +131,8 @@ class BatchedStatics:
     module_features: np.ndarray
     pool: Scatter
     neutral_guidance: np.ndarray
-    workspace: Workspace = field(default_factory=Workspace, repr=False,
+    buffers: PlanBuffers = field(default_factory=PlanBuffers, repr=False,
                                  compare=False)
-    tape: TapeBuffers = field(default_factory=TapeBuffers, repr=False,
-                              compare=False)
     frozen: object = field(default=None, repr=False, compare=False)
     _casts: dict[str, "BatchedStatics"] = field(default_factory=dict,
                                                 repr=False)
@@ -148,7 +143,7 @@ class BatchedStatics:
         ``float64`` returns ``self``.  Index arrays are dtype-independent
         and shared with the original plan; the scatter operators carry
         ``dtype`` ones, so float32 segment sums stay float32.  The cast
-        gets a workspace, tape buffers and frozen values of its own.
+        gets buffers and frozen values of its own.
         """
         dtype = np.dtype(dtype)
         if dtype == np.float64:
@@ -166,8 +161,7 @@ class BatchedStatics:
                 ap_features=self.ap_features.astype(dtype),
                 module_features=self.module_features.astype(dtype),
                 neutral_guidance=self.neutral_guidance.astype(dtype),
-                workspace=Workspace(),
-                tape=TapeBuffers(),
+                buffers=PlanBuffers(),
                 frozen=None,
                 _casts={},
             )

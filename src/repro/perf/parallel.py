@@ -25,7 +25,6 @@ appended in the same order a serial run would write them.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Any
 
 import multiprocessing
@@ -36,26 +35,10 @@ from repro.reliability.faults import FaultInjector, FaultPlan, _ACTIVE
 _WORKER_CTX: dict[str, Any] | None = None
 
 
-@dataclass
-class ParallelConfig:
-    """Knobs of parallel database construction.
-
-    Attributes:
-        workers: worker processes; 1 means in-process serial execution.
-        start_method: multiprocessing start method; ``None`` picks
-            ``fork`` where available (cheap, inherits loaded modules)
-            and the platform default elsewhere.
-    """
-
-    workers: int = 1
-    start_method: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-
 def _resolve_context(start_method: str | None):
+    """The multiprocessing context of ``start_method``; ``None`` picks
+    ``fork`` where available (cheap, inherits loaded modules) and the
+    platform default elsewhere."""
     if start_method is not None:
         return multiprocessing.get_context(start_method)
     try:
@@ -107,15 +90,13 @@ class SamplePool:
         context: everything a worker needs to attempt a sample —
             circuit, placement, tech, dataset config, degradation policy,
             router/testbench configs, and the active fault plans.
-        config: worker-count and start-method knobs.
+        workers: worker processes.
     """
 
-    def __init__(self, context: dict[str, Any],
-                 config: ParallelConfig) -> None:
-        self.config = config
+    def __init__(self, context: dict[str, Any], workers: int) -> None:
         self._executor = ProcessPoolExecutor(
-            max_workers=config.workers,
-            mp_context=_resolve_context(config.start_method),
+            max_workers=workers,
+            mp_context=_resolve_context(None),
             initializer=_init_worker,
             initargs=(context,),
         )

@@ -40,7 +40,7 @@ from repro.reliability.faults import (
     inject_faults,
     maybe_stall,
 )
-from repro.reliability.retry import RetryPolicy, retry, retry_call
+from repro.reliability.retry import RetryPolicy, retry_call
 from repro.reliability.policy import (
     ConstructionReport,
     DegradationPolicy,
@@ -68,7 +68,6 @@ __all__ = [
     "SpiceParseError",
     "error_for_stage",
     "RetryPolicy",
-    "retry",
     "retry_call",
     "DegradationPolicy",
     "ConstructionReport",

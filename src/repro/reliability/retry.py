@@ -21,7 +21,6 @@ makes parallel runs bit-identical (RNG001) holds for backoff too.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
@@ -137,29 +136,3 @@ def retry_call(
                 on_retry(attempt, exc)
     assert last_error is not None
     raise last_error
-
-
-def retry(
-    policy: RetryPolicy | None = None,
-    *,
-    reseed: Callable[[int, dict[str, Any]], dict[str, Any]] | None = None,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Decorator form of :func:`retry_call`.
-
-    Example::
-
-        @retry(RetryPolicy(max_attempts=3),
-               reseed=lambda attempt, kw: {**kw, "seed": kw["seed"] + attempt})
-        def sample(seed: int = 0): ...
-    """
-
-    def wrap(fn: Callable[..., T]) -> Callable[..., T]:
-        @functools.wraps(fn)
-        def wrapped(*args: Any, **kwargs: Any) -> T:
-            return retry_call(fn, *args, policy=policy, reseed=reseed,
-                              on_retry=on_retry, **kwargs)
-
-        return wrapped
-
-    return wrap

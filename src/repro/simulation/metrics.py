@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,22 +105,3 @@ class FoMWeights:
     def fom(self, metrics: PerformanceMetrics) -> float:
         """Scalar figure of merit (lower is better)."""
         return float(self.as_signed_vector() @ metrics.to_normalized())
-
-
-def improvement(
-    ours: PerformanceMetrics, baseline: PerformanceMetrics
-) -> dict[str, float]:
-    """Signed per-metric improvement of ``ours`` over ``baseline``.
-
-    Positive numbers always mean "ours is better": reductions for
-    lower-is-better metrics, gains otherwise.
-    """
-    out: dict[str, float] = {}
-    for field in fields(PerformanceMetrics):
-        a = getattr(ours, field.name)
-        b = getattr(baseline, field.name)
-        if HIGHER_IS_BETTER[field.name]:
-            out[field.name] = a - b
-        else:
-            out[field.name] = b - a
-    return out

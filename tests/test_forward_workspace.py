@@ -1,21 +1,22 @@
-"""Tape-free forwards write into plan-owned buffers: the workspace contract.
+"""Tape-free forwards write into plan-owned buffers: the buffer contract.
 
 With the tape off, ``cost_distance``, ``rbf_expand`` and
-``message_layer`` write their per-edge and per-slot arrays into the
-:class:`repro.nn.Workspace` of the plan they run on, and
-``Gnn3d.forward_batch`` runs up to ``TAPE_FREE_UNION`` candidates as one
-union.  The contracts under test (see docs/PERFORMANCE.md, "Tape-free
-unions"):
+``message_layer`` write their per-edge and per-slot arrays into a set
+leased from the :class:`repro.nn.PlanBuffers` of the plan they run on,
+as taped forwards do, and ``Gnn3d.forward_batch`` runs up to
+``TAPE_FREE_UNION`` candidates as one union.  The contracts under test
+(see docs/PERFORMANCE.md, "Tape-free unions"):
 
 * tape-free outputs are bitwise the taped forward's, on OTA1-3, in
   float64 and float32, at every batch size, in the default unions and
   in unions of two, and on random graphs under every ``Gnn3dConfig``
-  flag (four layers alternate the layer output between two buffers);
+  flag (with four layers, each layer writes its own output array);
 * a returned row is a fresh array: a later call, with other guidance,
   on another graph, dtype or batch size, leaves it unchanged, and the
   results equal a fresh model's;
-* the float32 cast of a plan has its own workspace, and a taped forward
-  writes no buffer;
+* the float32 cast of a plan has its own buffer store, and taped and
+  tape-free forwards alternating on one plan allocate no new array
+  after warm-up;
 * served scores at ``max_batch=16`` are bitwise the tape-free forward's
   in unions of two candidates.
 """
@@ -32,9 +33,11 @@ from repro import build_benchmark, place_benchmark
 from repro.graph import build_hetero_graph
 from repro.model.gnn3d import TAPE_FREE_UNION, Gnn3d, Gnn3dConfig
 from repro.nn import (
+    PlanBuffers,
     Tensor,
     Workspace,
     cost_distance,
+    frozen,
     message_layer,
     no_grad,
     rbf_expand,
@@ -81,14 +84,16 @@ def tape_free(model, graph, guidance, block=None) -> np.ndarray:
     return out.data
 
 
-def workspace_buffers(model) -> list[np.ndarray]:
-    """Every workspace buffer of every plan (and cast) in the model's
-    forward cache."""
+def plan_buffers(model) -> list[np.ndarray]:
+    """Every array of every buffer set, and every scratch buffer, of
+    every plan (and cast) in the model's forward cache."""
     buffers = []
     for entry in model.cache._entries.values():
         for plan in entry.batched.values():
             for owner in (plan, *plan._casts.values()):
-                buffers += owner.workspace._buffers.values()
+                buffers += owner.buffers.scratch._buffers.values()
+                for buffer_set in owner.buffers._sets:
+                    buffers += buffer_set.arrays._buffers.values()
     return buffers
 
 
@@ -166,7 +171,9 @@ class TestReturnedRowsAreFresh:
         second = tape_free(model, graph, candidates(graph, 16, seed=2))
         assert not np.array_equal(first, second)
         assert_bitwise(first, kept)
-        for buf in workspace_buffers(model):
+        buffers = plan_buffers(model)
+        assert buffers
+        for buf in buffers:
             assert not np.shares_memory(first, buf)
             assert not np.shares_memory(second, buf)
 
@@ -193,10 +200,10 @@ class TestReturnedRowsAreFresh:
 
 
 class TestWorkspaceOwnership:
-    def test_cast_plan_has_its_own_workspace(self, ota_graphs):
+    def test_cast_plan_has_its_own_buffer_store(self, ota_graphs):
         plan = build_batched(ota_graphs["OTA1"], 2)
         cast = plan.as_dtype(np.float32)
-        assert cast.workspace is not plan.workspace
+        assert cast.buffers is not plan.buffers
         assert plan.as_dtype(np.float32) is cast
         assert plan.as_dtype(np.float64) is plan
 
@@ -210,13 +217,28 @@ class TestWorkspaceOwnership:
         c = workspace.buffer("x", (5, 2), np.float64)
         assert c.shape == (5, 2)
 
-    def test_taped_forward_writes_no_buffer(self, ota_graphs):
+    def test_taped_and_tape_free_forwards_share_arrays(self, ota_graphs):
+        """Training, relaxation and scoring forwards alternating on one
+        plan allocate no new array after the first round."""
         graph = ota_graphs["OTA1"]
         model = model_for(graph)
-        model.forward_batch(graph, Tensor(candidates(graph, 4, seed=1)))
-        assert workspace_buffers(model) == []
-        tape_free(model, graph, candidates(graph, 4, seed=1))
-        assert workspace_buffers(model) != []
+        plan = model.cache.batched(graph, 1)
+
+        def forwards(seed):
+            guidance = candidates(graph, 1, seed)[0]
+            model(graph, Tensor(guidance)).sum().backward()
+            with frozen(model.parameters()):
+                c = Tensor(guidance, requires_grad=True)
+                model(graph, c).sum().backward()
+            with no_grad():
+                model(graph, Tensor(guidance))
+
+        forwards(seed=0)
+        warm = [id(buf) for buf in plan_buffers(model)]
+        for seed in range(1, 4):
+            forwards(seed)
+            assert len(plan.buffers._sets) == 1
+            assert [id(buf) for buf in plan_buffers(model)] == warm
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
     def test_ops_with_a_workspace_match_ops_without(self, dtype):
@@ -249,10 +271,11 @@ class TestWorkspaceOwnership:
                     layers.append(out.data.copy())
             return [dist.data.copy(), psi.data.copy(), *layers]
 
-        workspace = Workspace()
-        for _ in range(2):
-            for with_ws, without in zip(run(workspace), run(None)):
+        buffers = PlanBuffers()
+        for _ in range(2):  # the second lease reuses the first's set
+            for with_ws, without in zip(run(buffers.lease()), run(None)):
                 assert_bitwise(with_ws, without)
+        assert len(buffers._sets) == 1
 
 
 class TestServedScores:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeType, build_hetero_graph
-from repro.graph.features import ap_feature_dim, module_feature_dim
+from repro.graph.features import _PIN_NAMES
 from repro.graph.hetero import HeteroGraph
+from repro.netlist.devices import DeviceType
+from repro.netlist.nets import NetType
 
 
 class TestGraphStructure:
@@ -17,10 +19,12 @@ class TestGraphStructure:
         assert ota1_graph.num_modules == len(ota1.devices)
 
     def test_feature_dims(self, ota1_graph):
+        # AP: net-type one-hot, pin one-hot plus "other", six scalars.
         assert ota1_graph.ap_features.shape == (
-            ota1_graph.num_aps, ap_feature_dim())
+            ota1_graph.num_aps, len(NetType) + len(_PIN_NAMES) + 1 + 6)
+        # Module: device-type one-hot, six scalars.
         assert ota1_graph.module_features.shape == (
-            ota1_graph.num_modules, module_feature_dim())
+            ota1_graph.num_modules, len(DeviceType) + 6)
 
     def test_all_edge_types_present(self, ota1_graph):
         for edge_type in EdgeType:

@@ -410,7 +410,7 @@ class TestRoundTripProperty:
 
 class TestCrossTopoEval:
     def test_spearman(self):
-        from repro.eval.crosstopo import spearman
+        from repro.model.evaluation import spearman
         a = np.array([1.0, 2.0, 3.0, 4.0])
         assert spearman(a, a) == pytest.approx(1.0)
         assert spearman(a, -a) == pytest.approx(-1.0)

@@ -36,9 +36,6 @@ class TestTensorDunders:
         assert (5.0 - t).data[0] == 3.0
         assert (8.0 / t).data[0] == 4.0
 
-    def test_flatten(self):
-        assert Tensor(np.zeros((2, 3))).flatten().shape == (6,)
-
 
 class TestMnaIntrospection:
     def test_num_nodes_and_has_node(self):

@@ -8,7 +8,10 @@ from repro.model.evaluation import (
     evaluate_surrogate,
     format_quality_report,
     predict_batch,
+    spearman,
 )
+from repro.nn import Tensor, is_grad_enabled
+from repro.simulation.metrics import FoMWeights
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,36 @@ class TestEvaluateSurrogate:
         model, samples = learnable_task
         preds = predict_batch(model, ota1_graph, samples[:4])
         assert preds.shape == (4, 5)
+
+    def test_predict_batch_is_tape_free_and_equals_taped_rows(
+            self, ota1_graph, learnable_task, monkeypatch):
+        model, samples = learnable_task
+        modes = []
+        forward = model.forward
+
+        def recorded(graph, guidance):
+            modes.append(is_grad_enabled())
+            return forward(graph, guidance)
+        monkeypatch.setattr(model, "forward", recorded)
+        preds = predict_batch(model, ota1_graph, samples[:4])
+        assert modes == [False] * 4
+        monkeypatch.undo()
+        for pred, sample in zip(preds, samples):
+            taped = model(ota1_graph, Tensor(sample.guidance))
+            assert taped.requires_grad
+            assert pred.tobytes() == taped.data.tobytes()
+
+    def test_ranking_fields(self, ota1_graph, learnable_task):
+        model, samples = learnable_task
+        held_out = samples[18:]
+        quality = evaluate_surrogate(model, ota1_graph, held_out)
+        signed = FoMWeights().as_signed_vector()
+        fom_pred = predict_batch(model, ota1_graph, held_out) @ signed
+        fom_true = np.stack([s.targets for s in held_out]) @ signed
+        assert quality.fom_spearman_rho == spearman(fom_pred, fom_true)
+        # The share of samples measured better than the predicted best.
+        better = (fom_true < fom_true[np.argmin(fom_pred)]).sum()
+        assert quality.pred_best_percentile == 100.0 * better / 5
 
     def test_quality_on_learnable_task(self, ota1_graph, learnable_task):
         model, samples = learnable_task

@@ -50,15 +50,6 @@ class TestDevices:
         assert Resistor(name="d").device_type is DeviceType.RESISTOR
         assert Dummy(name="e").device_type is DeviceType.DUMMY
 
-    def test_dummy_is_not_electrical(self):
-        assert not Dummy(name="x").is_electrical
-        assert MOSFET(name="m").is_electrical
-
-    def test_capacitor_area_scales_with_value(self):
-        small = Capacitor(name="c1", value=0.2e-12)
-        big = Capacitor(name="c2", value=2e-12)
-        assert big.area() > small.area()
-
     def test_capacitor_invalid_value(self):
         with pytest.raises(ValueError):
             Capacitor(name="c", value=0.0)

@@ -239,7 +239,7 @@ class TestBatchedRelaxation:
     def test_one_forward_per_joint_evaluation(self, perf_model):
         graph, model = perf_model
         pot = PotentialFunction(model, graph)
-        stats = pot.reset_stats()
+        stats = pot.stats
         relaxer = PotentialRelaxer(
             RelaxationConfig(**{**self.RELAX, "n_restarts": 7}))
         relaxer.run(pot)

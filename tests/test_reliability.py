@@ -41,7 +41,6 @@ from repro.reliability import (
     fault_scope,
     inject_faults,
     load_checkpoint,
-    retry,
     retry_call,
     validate_sample,
 )
@@ -141,20 +140,6 @@ class TestRetry:
         with pytest.raises(KeyError):
             retry_call(typo, policy=RetryPolicy(max_attempts=5))
         assert len(calls) == 1
-
-    def test_decorator_form(self):
-        attempts = []
-
-        @retry(RetryPolicy(max_attempts=2),
-               reseed=lambda attempt, kw: {**kw, "seed": 99})
-        def sample(seed=0):
-            attempts.append(seed)
-            if seed != 99:
-                raise SimulationError("singular")
-            return "ok"
-
-        assert sample(seed=1) == "ok"
-        assert attempts == [1, 99]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -219,10 +219,3 @@ class TestMetrics:
         good = PerformanceMetrics(10.0, 120.0, 100.0, 40.0, 200.0)
         bad = PerformanceMetrics(1000.0, 60.0, 10.0, 20.0, 2000.0)
         assert weights.fom(good) < weights.fom(bad)
-
-    def test_improvement_signs(self):
-        from repro.simulation.metrics import improvement
-        ours = PerformanceMetrics(10.0, 120.0, 100.0, 40.0, 200.0)
-        base = PerformanceMetrics(20.0, 100.0, 80.0, 35.0, 300.0)
-        imp = improvement(ours, base)
-        assert all(v > 0 for v in imp.values())

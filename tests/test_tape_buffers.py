@@ -11,14 +11,19 @@ forward-backward"):
   built potential's bit for bit;
 * a warmed OTA1 B=6 ``value_and_grad_batch`` allocates at most
   :data:`EVAL_PEAK_BYTES` above resting memory;
-* the owner check: taped forwards alive at once on one plan hold buffer
-  sets of their own, a set is reused once its tape ran its backward or
-  was dropped, and a released tape refuses a second backward;
+* a set lives as long as its lease: taped forwards alive at once on
+  one plan hold buffer sets of their own, a set is reused once its tape
+  is dropped and never while the tape lives, even after its backward,
+  and a second backward through a live tape reads intact buffers;
+* freeing rests on reference counts alone: with ``gc`` disabled, a fit
+  leaves one set on the B=1 plan and a default relaxation three on the
+  B=2 plan;
 * B=6 gradients at block 2 equal fresh per-block evaluations bitwise.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -28,8 +33,16 @@ import repro.nn.functional as functional
 from repro import build_benchmark, place_benchmark
 from repro.core import PotentialFunction, PotentialRelaxer, RelaxationConfig
 from repro.graph import build_hetero_graph
+from repro.model import TrainConfig, Trainer, TrainSample
 from repro.model.gnn3d import DEFAULT_CACHE_BLOCK, Gnn3d
-from repro.nn import Adam, Tensor, load_state, save_state
+from repro.nn import (
+    Adam,
+    PlanBuffers,
+    Tensor,
+    load_state,
+    no_grad,
+    save_state,
+)
 from repro.router import RoutingGrid
 
 #: Most bytes a warmed OTA1 B=6 ``value_and_grad_batch`` may allocate
@@ -154,7 +167,7 @@ class TestTapeBuffers:
                     for s in (8, 9)]
         cs = [Tensor(g, requires_grad=True) for g in guidance]
         outs = [model.forward_batch(graph, c) for c in cs]
-        assert len(plan.tape._sets) == 2
+        assert len(plan.buffers._sets) == 2
         values = [out.data.copy() for out in outs]
         for out in reversed(outs):
             out.sum().backward()
@@ -164,13 +177,14 @@ class TestTapeBuffers:
             fresh.sum().backward()
             assert_bitwise([value, c.grad], [fresh.data, fresh_c.grad])
 
-    def test_a_set_is_reused_after_backward_or_drop(self, graph):
+    def test_a_set_is_reused_once_its_tape_is_dropped(self, graph):
         model = model_for(graph, seed=4)
         plan = model.cache.batched(graph, 2)
         guidance = wave(graph, 2, seed=10).reshape(2, graph.num_aps, 3)
 
         def arrays():
-            return [id(a) for s in plan.tape._sets for a in s.arrays]
+            return [[id(a) for a in s.arrays._buffers.values()]
+                    for s in plan.buffers._sets]
 
         def forward():
             return model.forward_batch(
@@ -180,22 +194,66 @@ class TestTapeBuffers:
         first = arrays()
         del out  # dropped without a backward
         out = forward()
-        assert len(plan.tape._sets) == 1 and arrays() == first
+        assert arrays() == first
         out.sum().backward()
         # The backward adds one array: the distance features' gradient.
         after_backward = arrays()
-        assert after_backward[:-1] == first
+        assert len(after_backward) == 1
+        assert after_backward[0][:-1] == first[0]
+        # After its backward the tape still holds its set: the next
+        # forward, taped or tape-free, gets a set of its own.
         forward().sum().backward()
-        assert len(plan.tape._sets) == 1 and arrays() == after_backward
+        with no_grad():
+            model.forward_batch(graph, Tensor(guidance))
+        assert len(plan.buffers._sets) == 2
+        assert arrays()[0] == after_backward[0]
+        del out
+        forward().sum().backward()
+        assert len(plan.buffers._sets) == 2
+        assert arrays()[0] == after_backward[0]
 
-    def test_a_released_tape_refuses_a_second_backward(self, graph):
+    def test_a_second_backward_through_a_live_tape(self, graph,
+                                                   monkeypatch):
+        """Two backwards through one tape, with taped and tape-free
+        forwards on the same plan between them, give what the same
+        calls give with the buffer store disabled."""
         model = model_for(graph, seed=4)
-        c = Tensor(wave(graph, 2, seed=11).reshape(2, graph.num_aps, 3),
-                   requires_grad=True)
-        total = model.forward_batch(graph, c).sum()
-        total.backward()
-        with pytest.raises(RuntimeError, match="backward once"):
+        guidance = wave(graph, 2, seed=11).reshape(2, graph.num_aps, 3)
+        other = wave(graph, 2, seed=12).reshape(2, graph.num_aps, 3)
+
+        def two_backwards(model):
+            c = Tensor(guidance, requires_grad=True)
+            total = model.forward_batch(graph, c).sum()
             total.backward()
+            model.forward_batch(
+                graph, Tensor(other, requires_grad=True)).sum().backward()
+            with no_grad():
+                model.forward_batch(graph, Tensor(other))
+            total.backward()
+            return [c.grad] + [p.grad for p in model.parameters()]
+
+        buffered = two_backwards(copy_of(model, graph))
+        monkeypatch.setattr(PlanBuffers, "lease", lambda self: None)
+        assert_bitwise(buffered, two_backwards(copy_of(model, graph)))
+
+    def test_sets_rest_on_reference_counts(self, graph):
+        """With ``gc`` disabled, a 12-sample fit (each sample's tape
+        ends when its backward returns) leaves one set on the B=1 plan,
+        and a default relaxation three on the B=2 plan."""
+        model = model_for(graph, seed=6)
+        rng = np.random.default_rng(6)
+        samples = [TrainSample(rng.uniform(0.5, 2.0, (graph.num_aps, 3)),
+                               rng.normal(size=5)) for _ in range(12)]
+        gc.collect()
+        gc.disable()
+        try:
+            Trainer(model, graph, TrainConfig(epochs=3)).fit(samples)
+            assert len(model.cache.batched(graph, 1).buffers._sets) == 1
+            PotentialRelaxer(RelaxationConfig(seed=3)).run(
+                PotentialFunction(model, graph))
+            assert len(model.cache.batched(graph, 2).buffers._sets) == 3
+        finally:
+            gc.enable()
 
     def test_wave_gradients_equal_fresh_per_block_evaluations(self, graph):
         model = model_for(graph, seed=5)
